@@ -196,7 +196,7 @@ let compile ?(verify = true) ?hook ?analyze (sched : schedule) (kernel : Kir.Ast
               (fun p (name, fn) -> run_one Ptx (Printf.sprintf "%s#%d" name round) p fn)
               p fp_passes
           in
-          if Ptx.Prog.static_size p' = Ptx.Prog.static_size p && p' = p then p
+          if Ptx.Prog.equal p' p then p
           else go p' (n - 1) (round + 1)
       in
       let p' = go p max_rounds 1 in

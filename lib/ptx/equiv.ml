@@ -474,7 +474,8 @@ let validate ?(vectors = 12) ?(seed = 1337) (orig : Prog.t) (trans : Prog.t) :
       let live = Liveness.compute cfg in
       let tbl = Hashtbl.create 16 in
       List.iteri
-        (fun i (b : Prog.block) -> Hashtbl.replace tbl b.Prog.label live.Liveness.live_out.(i))
+        (fun i (b : Prog.block) ->
+          Hashtbl.replace tbl b.Prog.label (Regbits.elements live.Liveness.live_out.(i)))
         k.Prog.blocks;
       tbl
     in
@@ -529,9 +530,9 @@ let validate ?(vectors = 12) ?(seed = 1337) (orig : Prog.t) (trans : Prog.t) :
             in
             if not (List.equal eq_store (stores co) (stores ct)) then fail "store log differs";
             let outs =
-              try Hashtbl.find out_t bt.Prog.label with Not_found -> Reg.Set.empty
+              try Hashtbl.find out_t bt.Prog.label with Not_found -> []
             in
-            Reg.Set.iter
+            List.iter
               (fun r ->
                 let vo = try Some (reg_value co r) with Stuck _ -> None in
                 let vt = try Some (reg_value ct r) with Stuck _ -> None in

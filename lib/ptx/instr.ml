@@ -97,6 +97,25 @@ let operands = function
 
 let uses i = List.filter_map reg_of_operand (operands i)
 
+(* [List.iter f (uses i)] without building the lists: the dataflow
+   passes call this once per instruction per round. *)
+let iter_uses (f : Reg.t -> unit) (i : t) : unit =
+  let op = function Reg r -> f r | Imm_f _ | Imm_i _ | Spec _ | Par _ -> () in
+  match i with
+  | Mov (_, a) | F1 (_, _, a) | Cvt_f2i (_, a) | Cvt_i2f (_, a) | Pnot (_, a) -> op a
+  | F2 (_, _, a, b) | I2 (_, _, a, b) | Setp (_, _, _, a, b) | P2 (_, _, a, b) ->
+    op a;
+    op b
+  | Fmad (_, a, b, c) | Imad (_, a, b, c) | Selp (_, a, b, c) ->
+    op a;
+    op b;
+    op c
+  | Ld (_, _, { base; _ }) -> op base
+  | St (_, { base; _ }, v) ->
+    op base;
+    op v
+  | Bar -> ()
+
 (* Rewrite every register occurrence (defs and uses) through [f]. *)
 let map_regs (f : Reg.t -> Reg.t) (i : t) : t =
   let op = function Reg r -> Reg (f r) | o -> o in
@@ -137,6 +156,24 @@ let map_uses (f : operand -> operand) (i : t) : t =
   | Ld (s, d, a) -> Ld (s, d, ad a)
   | St (s, a, v) -> St (s, ad a, f v)
   | Bar -> Bar
+
+(* Bitwise structural equality.  Float immediates compare by bits:
+   OCaml's polymorphic (=) identifies 0.0 with -0.0 and fails on NaN,
+   so it would merge [x * 0.0] with [x * -0.0] and never see a kernel
+   holding a NaN immediate equal to itself.  Everything else is
+   float-free and compares structurally. *)
+let equal_operand (a : operand) (b : operand) : bool =
+  match (a, b) with
+  | Imm_f x, Imm_f y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Imm_f _, _ | _, Imm_f _ -> false
+  | _ -> a = b
+
+let equal (a : t) (b : t) : bool =
+  (* Replacing every operand with a fixed token leaves opcode, type
+     tags, destination and addressing offset — all float-free — for the
+     structural compare; the operands then compare bitwise. *)
+  let strip i = map_uses (fun _ -> Imm_i 0) i in
+  strip a = strip b && List.for_all2 equal_operand (operands a) (operands b)
 
 (* ------------------------------------------------------------------ *)
 (* Classification (drives both the timing model and the metrics)       *)

@@ -3,78 +3,85 @@
    [live_out b] = union of [live_in] of successors;
    [live_in b]  = use(b) ∪ (live_out(b) \ def(b)).
 
-   Used by dead-code elimination and by the linear-scan register
-   allocator (whose register counts feed the occupancy model, the
-   paper's `-cubin` analogue). *)
+   Facts are dense register bitsets ([Regbits]), one word loop per
+   block visit.  Only blocks reachable from the entry are solved;
+   unreachable ones keep empty sets.  The one liveness of the PTX
+   layer: dead-code elimination, the register allocator (whose counts
+   feed the occupancy model, the paper's `-cubin` analogue), the
+   peephole pass's clobber gate, the translation validator and the
+   dead-store lint all read it. *)
 
-type t = { live_in : Reg.Set.t array; live_out : Reg.Set.t array }
-
-(* Per-block (use, def) sets: [use] holds registers read before any
-   write inside the block, [def] holds registers written. *)
-let block_use_def (b : Prog.block) : Reg.Set.t * Reg.Set.t =
-  let use = ref Reg.Set.empty and def = ref Reg.Set.empty in
-  let see_uses rs = List.iter (fun r -> if not (Reg.Set.mem r !def) then use := Reg.Set.add r !use) rs in
-  List.iter
-    (fun i ->
-      see_uses (Instr.uses i);
-      match Instr.def i with Some d -> def := Reg.Set.add d !def | None -> ())
-    b.body;
-  see_uses (Prog.term_uses b.term);
-  (!use, !def)
+type t = { width : int; live_in : Regbits.t array; live_out : Regbits.t array }
 
 let compute (cfg : Cfg.t) : t =
   let n = Cfg.num_blocks cfg in
-  let use = Array.make n Reg.Set.empty in
-  let def = Array.make n Reg.Set.empty in
+  let width = Regbits.width cfg.Cfg.blocks in
+  (* Per-block (use, def): [use] holds registers read before any write
+     inside the block, [def] registers written. *)
+  let use = Array.init n (fun _ -> Regbits.create width) in
+  let def = Array.init n (fun _ -> Regbits.create width) in
   for i = 0 to n - 1 do
-    let u, d = block_use_def (Cfg.block cfg i) in
-    use.(i) <- u;
-    def.(i) <- d
+    let u = use.(i) and d = def.(i) in
+    let see r = if not (Regbits.mem d r) then Regbits.add u r in
+    let b = Cfg.block cfg i in
+    List.iter
+      (fun ins ->
+        Instr.iter_uses see ins;
+        match Instr.def ins with Some r -> Regbits.add d r | None -> ())
+      b.body;
+    List.iter see (Prog.term_uses b.term)
   done;
-  let live_in = Array.make n Reg.Set.empty in
-  let live_out = Array.make n Reg.Set.empty in
-  (* Iterate to a fixed point; postorder makes backward flow converge
-     in few passes. *)
+  let live_in = Array.init n (fun _ -> Regbits.create width) in
+  let live_out = Array.init n (fun _ -> Regbits.create width) in
+  (* Iterate to a fixed point in postorder (backward flow converges in
+     few passes), revisiting a block only when the live-in of one of
+     its successors changed since it was last computed. *)
   let order = List.rev (Cfg.reverse_postorder cfg) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
+  let succs = Cfg.succs cfg and preds = Cfg.preds cfg in
+  let dirty = Array.make n true in
+  let pending = ref true in
+  while !pending do
+    pending := false;
     List.iter
       (fun i ->
-        let out =
-          List.fold_left
-            (fun acc s -> Reg.Set.union acc live_in.(s))
-            Reg.Set.empty (Cfg.succs cfg).(i)
-        in
-        let inn = Reg.Set.union use.(i) (Reg.Set.diff out def.(i)) in
-        if not (Reg.Set.equal out live_out.(i)) then begin
-          live_out.(i) <- out;
-          changed := true
-        end;
-        if not (Reg.Set.equal inn live_in.(i)) then begin
-          live_in.(i) <- inn;
-          changed := true
+        if dirty.(i) then begin
+          dirty.(i) <- false;
+          let out = live_out.(i) in
+          Regbits.clear out;
+          List.iter (fun s -> Regbits.union_into ~into:out live_in.(s)) succs.(i);
+          if Regbits.transfer ~into:live_in.(i) ~use:use.(i) ~def:def.(i) out then
+            List.iter
+              (fun p ->
+                dirty.(p) <- true;
+                pending := true)
+              preds.(i)
         end)
       order
   done;
-  { live_in; live_out }
+  { width; live_in; live_out }
 
-(* Walk a block backwards producing, for each instruction position, the
-   set of registers live *after* that instruction.  Used by DCE and by
-   the allocator's interval construction. *)
-let live_after_each (t : t) (cfg : Cfg.t) (i : int) : Reg.Set.t array =
-  let b = Cfg.block cfg i in
+(* Walk block [bi] backwards once: [f j instr live] sees the registers
+   live *after* instruction [j], for [j] from last to first.  [live] is
+   one set updated in place, valid only during the call.  The
+   terminator reads its predicate, so that is live after the last body
+   instruction. *)
+let walk_back (t : t) (cfg : Cfg.t) (bi : int) (f : int -> Instr.t -> Regbits.t -> unit) : unit =
+  let b = Cfg.block cfg bi in
+  let live = Regbits.copy t.live_out.(bi) in
+  List.iter (Regbits.add live) (Prog.term_uses b.term);
   let body = Array.of_list b.body in
-  let n = Array.length body in
-  let after = Array.make n Reg.Set.empty in
-  let live = ref (Reg.Set.union t.live_out.(i) (Reg.Set.of_list (Prog.term_uses b.term))) in
-  (* The terminator reads its predicate, so anything the terminator
-     uses is live after the last body instruction. *)
-  for j = n - 1 downto 0 do
-    after.(j) <- !live;
-    (match Instr.def body.(j) with Some d -> live := Reg.Set.remove d !live | None -> ());
-    List.iter (fun r -> live := Reg.Set.add r !live) (Instr.uses body.(j))
-  done;
+  for j = Array.length body - 1 downto 0 do
+    let i = body.(j) in
+    f j i live;
+    (match Instr.def i with Some d -> Regbits.remove live d | None -> ());
+    Instr.iter_uses (Regbits.add live) i
+  done
+
+(* For each instruction position of block [i], a snapshot of the set
+   of registers live *after* that instruction. *)
+let live_after_each (t : t) (cfg : Cfg.t) (i : int) : Regbits.t array =
+  let after = Array.make (List.length (Cfg.block cfg i).body) (Regbits.create 0) in
+  walk_back t cfg i (fun j _ live -> after.(j) <- Regbits.copy live);
   after
 
 (* Dead-store lint: every instruction whose defined register is dead on
@@ -87,15 +94,13 @@ let live_after_each (t : t) (cfg : Cfg.t) (i : int) : Reg.Set.t array =
 let dead_defs (k : Prog.t) : (string * int * Instr.t) list =
   let cfg = Cfg.of_kernel k in
   let live = compute cfg in
-  let out = ref [] in
-  List.iteri
-    (fun bi (b : Prog.block) ->
-      let after = live_after_each live cfg bi in
-      List.iteri
-        (fun j i ->
-          match Instr.def i with
-          | Some d when not (Reg.Set.mem d after.(j)) -> out := (b.label, j, i) :: !out
-          | _ -> ())
-        b.body)
-    k.blocks;
-  List.rev !out
+  List.concat
+    (List.mapi
+       (fun bi (b : Prog.block) ->
+         let out = ref [] in
+         walk_back live cfg bi (fun j i after ->
+             match Instr.def i with
+             | Some d when not (Regbits.mem after d) -> out := (b.label, j, i) :: !out
+             | _ -> ());
+         !out)
+       k.blocks)

@@ -6,8 +6,14 @@
    and dead copies disappear.  All passes are intraprocedural and, with
    the exception of DCE, block-local.
 
-   Pass order used by [run]: copy-prop → const-fold → cse → dce,
-   iterated to a fixed point (bounded). *)
+   Pass order used by [run]: copy-prop → cse → dce, iterated to a
+   fixed point (bounded).  There is no separate constant-folding pass:
+   copy propagation folds each instruction through [simplify] as it
+   substitutes operands.  Copy-prop and CSE kill stale facts through
+   reverse indexes (source register → its aliases; register → the
+   available expressions that mention or hold it), and DCE reads the
+   bitset liveness of [Liveness] in one backward walk per block, so a
+   round costs time linear in the kernel, not in block length squared. *)
 
 open Instr
 
@@ -109,15 +115,23 @@ let simplify (i : t) : t =
    holding [Imm_i 0/1] are treated as constants by [simplify]. *)
 let propagate_block (body : t list) : t list =
   let env : operand Reg.Tbl.t = Reg.Tbl.create 16 in
+  (* Reverse index: source register -> registers recorded as its
+     aliases.  Entries go stale when an alias is rebound; [kill]
+     re-checks each one against [env]. *)
+  let aliases : Reg.t list Reg.Tbl.t = Reg.Tbl.create 16 in
   let kill d =
     Reg.Tbl.remove env d;
     (* Any alias whose source was [d] is now stale. *)
-    let stale =
-      Reg.Tbl.fold
-        (fun r src acc -> match src with Reg s when Reg.equal s d -> r :: acc | _ -> acc)
-        env []
-    in
-    List.iter (Reg.Tbl.remove env) stale
+    match Reg.Tbl.find_opt aliases d with
+    | None -> ()
+    | Some rs ->
+      Reg.Tbl.remove aliases d;
+      List.iter
+        (fun r ->
+          match Reg.Tbl.find_opt env r with
+          | Some (Reg s) when Reg.equal s d -> Reg.Tbl.remove env r
+          | _ -> ())
+        rs
   in
   let subst o =
     match o with
@@ -133,7 +147,11 @@ let propagate_block (body : t list) : t list =
       | Mov (d, src) -> (
         match src with
         | Reg s when Reg.equal s d -> ()
-        | Reg _ | Imm_f _ | Imm_i _ | Spec _ | Par _ -> Reg.Tbl.replace env d src)
+        | Reg s ->
+          Reg.Tbl.replace env d src;
+          Reg.Tbl.replace aliases s
+            (d :: Option.value ~default:[] (Reg.Tbl.find_opt aliases s))
+        | Imm_f _ | Imm_i _ | Spec _ | Par _ -> Reg.Tbl.replace env d src)
       | _ -> ());
       i)
     body
@@ -142,62 +160,85 @@ let propagate_block (body : t list) : t list =
 (* Block-local common subexpression elimination                        *)
 (* ------------------------------------------------------------------ *)
 
-(* A pure instruction keyed by (opcode, operands).  Loads are not pure
-   (memory may change); [Mov] is handled by copy propagation. *)
-type key =
-  | KF2 of fop2 * operand * operand
-  | KF1 of fop1 * operand
-  | KFmad of operand * operand * operand
-  | KI2 of iop2 * operand * operand
-  | KImad of operand * operand * operand
-  | KCvtFI of operand
-  | KCvtIF of operand
-  | KSetp of cmp * Reg.ty * operand * operand
-  | KSelp of operand * operand * operand
-  | KPnot of operand
-  | KP2 of pop2 * operand * operand
+(* A pure instruction keyed by its opcode and operands.  Loads are not
+   pure (memory may change); [Mov] is handled by copy propagation. *)
+type opcode =
+  | OF2 of fop2
+  | OF1 of fop1
+  | OFmad
+  | OI2 of iop2
+  | OImad
+  | OCvtFI
+  | OCvtIF
+  | OSetp of cmp * Reg.ty
+  | OSelp
+  | OPnot
+  | OP2 of pop2
+
+type key = opcode * operand list
 
 let key_of (i : t) : (key * Reg.t) option =
   match i with
-  | F2 (o, d, a, b) -> Some (KF2 (o, a, b), d)
-  | F1 (o, d, a) -> Some (KF1 (o, a), d)
-  | Fmad (d, a, b, c) -> Some (KFmad (a, b, c), d)
-  | I2 (o, d, a, b) -> Some (KI2 (o, a, b), d)
-  | Imad (d, a, b, c) -> Some (KImad (a, b, c), d)
-  | Cvt_f2i (d, a) -> Some (KCvtFI a, d)
-  | Cvt_i2f (d, a) -> Some (KCvtIF a, d)
-  | Setp (c, ty, d, a, b) -> Some (KSetp (c, ty, a, b), d)
-  | Selp (d, a, b, p) -> Some (KSelp (a, b, p), d)
-  | Pnot (d, a) -> Some (KPnot a, d)
-  | P2 (o, d, a, b) -> Some (KP2 (o, a, b), d)
+  | F2 (o, d, a, b) -> Some ((OF2 o, [ a; b ]), d)
+  | F1 (o, d, a) -> Some ((OF1 o, [ a ]), d)
+  | Fmad (d, a, b, c) -> Some ((OFmad, [ a; b; c ]), d)
+  | I2 (o, d, a, b) -> Some ((OI2 o, [ a; b ]), d)
+  | Imad (d, a, b, c) -> Some ((OImad, [ a; b; c ]), d)
+  | Cvt_f2i (d, a) -> Some ((OCvtFI, [ a ]), d)
+  | Cvt_i2f (d, a) -> Some ((OCvtIF, [ a ]), d)
+  | Setp (c, ty, d, a, b) -> Some ((OSetp (c, ty), [ a; b ]), d)
+  | Selp (d, a, b, p) -> Some ((OSelp, [ a; b; p ]), d)
+  | Pnot (d, a) -> Some ((OPnot, [ a ]), d)
+  | P2 (o, d, a, b) -> Some ((OP2 o, [ a; b ]), d)
   | Mov _ | Ld _ | St _ | Bar -> None
 
-let key_uses (k : key) (d : Reg.t) : bool =
-  let ops =
-    match k with
-    | KF2 (_, a, b) | KI2 (_, a, b) | KSetp (_, _, a, b) | KP2 (_, a, b) -> [ a; b ]
-    | KF1 (_, a) | KCvtFI a | KCvtIF a | KPnot a -> [ a ]
-    | KFmad (a, b, c) | KImad (a, b, c) | KSelp (a, b, c) -> [ a; b; c ]
-  in
-  List.exists (function Reg r' -> Reg.equal r' d | _ -> false) ops
+let key_uses ((_, args) : key) (d : Reg.t) : bool =
+  List.exists (function Reg r' -> Reg.equal r' d | _ -> false) args
+
+(* Immediates compare bitwise: under structural equality 0.0 and -0.0
+   (and every NaN) are one key, and reusing [x * 0.0] for [x * -0.0]
+   flips the sign of a zero product. *)
+module Avail = Hashtbl.Make (struct
+  type t = key
+
+  let equal ((o1, a1) : key) ((o2, a2) : key) = o1 = o2 && List.equal equal_operand a1 a2
+
+  let hash ((o, args) : key) =
+    List.fold_left
+      (fun h a ->
+        (h * 31)
+        + match a with Reg r -> Reg.hash r | Imm_i n -> n | a -> Hashtbl.hash a)
+      (Hashtbl.hash o) args
+end)
 
 let cse_block (body : t list) : t list =
-  let avail : (key, Reg.t) Hashtbl.t = Hashtbl.create 16 in
+  let avail : Reg.t Avail.t = Avail.create 16 in
+  (* Reverse index: register -> the available keys that mention it as
+     an operand or hold it as their value.  Entries go stale when a key
+     is killed and re-recorded; [kill] re-checks each one. *)
+  let index : key list Reg.Tbl.t = Reg.Tbl.create 16 in
+  let note r k =
+    Reg.Tbl.replace index r (k :: Option.value ~default:[] (Reg.Tbl.find_opt index r))
+  in
   let kill d =
     (* Remove every available expression mentioning [d] (as source or
        destination). *)
-    let stale =
-      Hashtbl.fold
-        (fun k r acc -> if Reg.equal r d || key_uses k d then k :: acc else acc)
-        avail []
-    in
-    List.iter (Hashtbl.remove avail) stale
+    match Reg.Tbl.find_opt index d with
+    | None -> ()
+    | Some ks ->
+      Reg.Tbl.remove index d;
+      List.iter
+        (fun k ->
+          match Avail.find_opt avail k with
+          | Some r when Reg.equal r d || key_uses k d -> Avail.remove avail k
+          | _ -> ())
+        ks
   in
   List.map
     (fun i ->
       match key_of i with
       | Some (k, d) -> (
-        match Hashtbl.find_opt avail k with
+        match Avail.find_opt avail k with
         | Some prev when not (Reg.equal prev d) ->
           kill d;
           Mov (d, Reg prev)
@@ -207,7 +248,11 @@ let cse_block (body : t list) : t list =
              (e.g. [add f1, f1, f1]) computes its key from the OLD value
              of [d]; recording it as available would equate it with later
              occurrences built from the new value. *)
-          if not (key_uses k d) then Hashtbl.replace avail k d;
+          if not (key_uses k d) then begin
+            Avail.replace avail k d;
+            note d k;
+            List.iter (function Reg r -> note r k | _ -> ()) (snd k)
+          end;
           i)
       | None ->
         (match def i with Some d -> kill d | None -> ());
@@ -221,31 +266,22 @@ let cse_block (body : t list) : t list =
 (* Instructions with no side effect whose destination is dead are
    removed.  Loads are conservatively kept only if their result is
    used (a dead load still costs bandwidth on hardware, but no
-   reasonable compiler emits one — ours may, transiently, after CSE). *)
+   reasonable compiler emits one — ours may, transiently, after CSE).
+   Liveness is judged on the input kernel, so one call removes the
+   last link of a dead chain only; the fixpoint loop removes the
+   rest in later rounds. *)
 let dce (k : Prog.t) : Prog.t =
   let cfg = Cfg.of_kernel k in
   let live = Liveness.compute cfg in
   let blocks =
     List.mapi
       (fun bi (b : Prog.block) ->
-        let after = Liveness.live_after_each live cfg bi in
-        let body = Array.of_list b.body in
-        let keep = Array.make (Array.length body) true in
-        Array.iteri
-          (fun j i ->
-            match i with
-            | St _ | Bar -> ()
-            | _ -> (
-              match def i with
-              | Some d -> if not (Reg.Set.mem d after.(j)) then keep.(j) <- false
-              | None -> ()))
-          body;
-        let body' =
-          Array.to_list body
-          |> List.mapi (fun j i -> (j, i))
-          |> List.filter_map (fun (j, i) -> if keep.(j) then Some i else None)
-        in
-        { b with body = body' })
+        let body = ref [] in
+        Liveness.walk_back live cfg bi (fun _ i after ->
+            match def i with
+            | Some d when not (Regbits.mem after d) -> ()
+            | _ -> body := i :: !body);
+        { b with body = !body })
       k.blocks
   in
   { k with blocks }
@@ -265,13 +301,14 @@ let cse (k : Prog.t) : Prog.t = map_blocks cse_block k
 
 let one_round (k : Prog.t) : Prog.t = k |> propagate |> cse |> dce
 
-(* Run optimization rounds to a fixed point (bounded at 8 rounds; in
-   practice two suffice). *)
+(* Run optimization rounds to a fixed point (bounded at 8 rounds; a
+   paper-scale SAD kernel takes about five, since DCE removes one link
+   of a dead chain per round). *)
 let run (k : Prog.t) : Prog.t =
   let rec go k n =
     if n = 0 then k
     else
       let k' = one_round k in
-      if Prog.static_size k' = Prog.static_size k && k' = k then k else go k' (n - 1)
+      if Prog.equal k' k then k else go k' (n - 1)
   in
   go k 8

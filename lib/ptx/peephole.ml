@@ -107,7 +107,7 @@ let run_stats (rules : Patterns.rule list) (k : Prog.t) : Prog.t * stats =
                           let live_after = after.(here + len - 1) in
                           let clobbered_live =
                             List.exists
-                              (fun c -> Reg.Set.mem c live_after)
+                              (fun c -> Regbits.mem live_after c)
                               (site_clobbers r window)
                           in
                           if clobbered_live then begin

@@ -87,6 +87,26 @@ let all_regs t =
     t.blocks;
   !set
 
+(* Bitwise program equality ([Instr.equal]; block weights by their
+   bits too): the convergence test of the optimization fixpoint, in
+   [Opt.run] and in the pass manager alike.  Structural [=] is false on
+   any kernel carrying a NaN immediate, so such a kernel would never
+   be seen to converge.  Block lengths are compared first: most rounds
+   remove an instruction somewhere, and that test rejects them without
+   comparing instructions. *)
+let equal (a : t) (b : t) : bool =
+  let same_length x y = List.compare_lengths x.body y.body = 0 in
+  let block x y =
+    String.equal x.label y.label
+    && Int64.equal (Int64.bits_of_float x.weight) (Int64.bits_of_float y.weight)
+    && x.term = y.term
+    && List.equal Instr.equal x.body y.body
+  in
+  String.equal a.name b.name && a.params = b.params && a.smem_words = b.smem_words
+  && a.lmem_words = b.lmem_words
+  && List.equal same_length a.blocks b.blocks
+  && List.equal block a.blocks b.blocks
+
 (* Structural sanity checks: every control-flow target exists, labels
    are unique, the entry block is first, and reconvergence labels are
    real blocks.  Raises [Invalid_argument] describing the first

@@ -23,14 +23,22 @@ type result = {
   intervals : interval list;
 }
 
-(* Build live intervals from per-position liveness. *)
+(* Build live intervals from per-position liveness.  Interval bounds
+   live in arrays indexed by register bit ([Regbits.bit]); [-1] marks a
+   register not yet seen. *)
 let intervals_of (cfg : Cfg.t) (live : Liveness.t) : interval list =
   let order = Cfg.reverse_postorder cfg in
-  let tbl : (int * int) Reg.Tbl.t = Reg.Tbl.create 64 in
+  let start = Array.make live.width (-1) and finish = Array.make live.width (-1) in
   let touch r pos =
-    match Reg.Tbl.find_opt tbl r with
-    | None -> Reg.Tbl.replace tbl r (pos, pos)
-    | Some (s, f) -> Reg.Tbl.replace tbl r (min s pos, max f pos)
+    let b = Regbits.bit r in
+    if start.(b) < 0 then begin
+      start.(b) <- pos;
+      finish.(b) <- pos
+    end
+    else begin
+      if pos < start.(b) then start.(b) <- pos;
+      if pos > finish.(b) then finish.(b) <- pos
+    end
   in
   let pos = ref 0 in
   List.iter
@@ -39,20 +47,24 @@ let intervals_of (cfg : Cfg.t) (live : Liveness.t) : interval list =
       (* Registers live into the block are live at its first position;
          live out of the block at its last. *)
       let first = !pos in
-      Reg.Set.iter (fun r -> touch r first) live.live_in.(bi);
+      Regbits.iter (fun r -> touch r first) live.live_in.(bi);
       List.iter
         (fun i ->
           (match Instr.def i with Some d -> touch d !pos | None -> ());
-          List.iter (fun r -> touch r !pos) (Instr.uses i);
+          Instr.iter_uses (fun r -> touch r !pos) i;
           incr pos)
         b.body;
       List.iter (fun r -> touch r !pos) (Prog.term_uses b.term);
       incr pos;
       let last = !pos - 1 in
-      Reg.Set.iter (fun r -> touch r last) live.live_out.(bi))
+      Regbits.iter (fun r -> touch r last) live.live_out.(bi))
     order;
-  Reg.Tbl.fold (fun reg (start, finish) acc -> { reg; start; finish } :: acc) tbl []
-  |> List.sort (fun a b -> compare (a.start, a.finish, a.reg) (b.start, b.finish, b.reg))
+  let ivs = ref [] in
+  Array.iteri
+    (fun b s ->
+      if s >= 0 then ivs := { reg = Regbits.reg_of_bit b; start = s; finish = finish.(b) } :: !ivs)
+    start;
+  List.sort (fun a b -> compare (a.start, a.finish, a.reg) (b.start, b.finish, b.reg)) !ivs
 
 (* Standard linear scan with an unbounded physical register file: the
    G80's architectural per-thread maximum (128) vastly exceeds anything
@@ -63,12 +75,16 @@ let scan (ivs : interval list) : int Reg.Map.t * int =
   let free = ref [] in
   let next = ref 0 in
   let active = ref [] in
-  (* active: (finish, phys) sorted ascending by finish *)
+  (* active: (finish, phys) sorted ascending by finish, so the expired
+     intervals are a prefix *)
   let assignment = ref Reg.Map.empty in
-  let expire now =
-    let expired, alive = List.partition (fun (f, _) -> f < now) !active in
-    List.iter (fun (_, p) -> free := p :: !free) expired;
-    active := alive
+  let rec expire now =
+    match !active with
+    | (f, p) :: rest when f < now ->
+      free := p :: !free;
+      active := rest;
+      expire now
+    | _ -> ()
   in
   List.iter
     (fun iv ->

@@ -85,22 +85,22 @@ let structural (k : Prog.t) : violation list =
 (* Def-before-use: forward must-defined dataflow                       *)
 (* ------------------------------------------------------------------ *)
 
-let def_before_use (k : Prog.t) : violation list =
-  let cfg = Cfg.of_kernel k in
+let def_before_use (cfg : Cfg.t) : violation list =
   let n = Cfg.num_blocks cfg in
-  let universe = Prog.all_regs k in
+  let width = Regbits.width cfg.Cfg.blocks in
   let defs =
     Array.init n (fun bi ->
-        List.fold_left
-          (fun s i -> match Instr.def i with Some d -> Reg.Set.add d s | None -> s)
-          Reg.Set.empty (Cfg.block cfg bi).body)
+        let s = Regbits.create width in
+        List.iter
+          (fun i -> match Instr.def i with Some d -> Regbits.add s d | None -> ())
+          (Cfg.block cfg bi).body;
+        s)
   in
   (* in(entry) = empty; in(b) = ∩ over preds p of (in(p) ∪ defs(p)).
      Non-entry blocks start at ⊤ so loop back-edges do not erase
      definitions from the preheader.  Unreachable blocks keep ⊤: dead
      code is not this check's business. *)
-  let inb = Array.make n universe in
-  if n > 0 then inb.(0) <- Reg.Set.empty;
+  let inb = Array.init n (fun bi -> if bi = 0 then Regbits.create width else Regbits.full width) in
   let preds = Cfg.preds cfg in
   let changed = ref true in
   while !changed do
@@ -108,35 +108,27 @@ let def_before_use (k : Prog.t) : violation list =
     for bi = 1 to n - 1 do
       match preds.(bi) with
       | [] -> ()
-      | p :: rest ->
-        let meet =
-          List.fold_left
-            (fun acc q -> Reg.Set.inter acc (Reg.Set.union inb.(q) defs.(q)))
-            (Reg.Set.union inb.(p) defs.(p))
-            rest
-        in
-        if not (Reg.Set.equal meet inb.(bi)) then begin
-          inb.(bi) <- meet;
+      | ps ->
+        if Regbits.meet_into ~into:inb.(bi) (List.map (fun q -> (inb.(q), defs.(q))) ps) then
           changed := true
-        end
     done
   done;
   let out = ref [] in
   for bi = 0 to n - 1 do
     let b = Cfg.block cfg bi in
-    let defined = ref inb.(bi) in
+    let defined = Regbits.copy inb.(bi) in
     List.iter
       (fun i ->
-        List.iter
+        Instr.iter_uses
           (fun r ->
-            if not (Reg.Set.mem r !defined) then
+            if not (Regbits.mem defined r) then
               out := violation b.label "use of undefined register %s" (Reg.to_string r) :: !out)
-          (Instr.uses i);
-        match Instr.def i with Some d -> defined := Reg.Set.add d !defined | None -> ())
+          i;
+        match Instr.def i with Some d -> Regbits.add defined d | None -> ())
       b.body;
     List.iter
       (fun r ->
-        if not (Reg.Set.mem r !defined) then
+        if not (Regbits.mem defined r) then
           out := violation b.label "branch predicate %s undefined" (Reg.to_string r) :: !out)
       (Prog.term_uses b.term)
   done;
@@ -150,40 +142,39 @@ let def_before_use (k : Prog.t) : violation list =
    transitive closure from the [%tid.*] specials.  Loads propagate the
    taint of their address (the loaded value varies when the address
    does). *)
-let tid_tainted (k : Prog.t) : Reg.Set.t =
-  let tainted = ref Reg.Set.empty in
+let tid_tainted (cfg : Cfg.t) : Regbits.t =
+  let tainted = Regbits.create (Regbits.width cfg.Cfg.blocks) in
   let op_tainted = function
-    | Instr.Reg r -> Reg.Set.mem r !tainted
+    | Instr.Reg r -> Regbits.mem tainted r
     | Instr.Spec (Instr.Tid_x | Instr.Tid_y | Instr.Tid_z) -> true
     | _ -> false
   in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
+    Array.iter
       (fun (b : Prog.block) ->
         List.iter
           (fun i ->
             match Instr.def i with
-            | Some d when not (Reg.Set.mem d !tainted) ->
+            | Some d when not (Regbits.mem tainted d) ->
               if List.exists op_tainted (Instr.operands i) then begin
-                tainted := Reg.Set.add d !tainted;
+                Regbits.add tainted d;
                 changed := true
               end
             | _ -> ())
           b.body)
-      k.blocks
+      cfg.Cfg.blocks
   done;
-  !tainted
+  tainted
 
-let barrier_placement (k : Prog.t) : violation list =
-  let cfg = Cfg.of_kernel k in
-  let tainted = tid_tainted k in
+let barrier_placement (cfg : Cfg.t) : violation list =
+  let tainted = tid_tainted cfg in
   let out = ref [] in
-  List.iter
+  Array.iter
     (fun (b : Prog.block) ->
       match b.term with
-      | Prog.Br { pred; if_true; if_false; reconv; _ } when Reg.Set.mem pred tainted ->
+      | Prog.Br { pred; if_true; if_false; reconv; _ } when Regbits.mem tainted pred ->
         let stop = Cfg.index cfg reconv in
         let visited = Array.make (Cfg.num_blocks cfg) false in
         let rec dfs bi =
@@ -201,7 +192,7 @@ let barrier_placement (k : Prog.t) : violation list =
         dfs (Cfg.index cfg if_true);
         dfs (Cfg.index cfg if_false)
       | _ -> ())
-    k.blocks;
+    cfg.Cfg.blocks;
   List.sort_uniq compare (List.rev !out)
 
 (* ------------------------------------------------------------------ *)
@@ -214,7 +205,8 @@ let check (k : Prog.t) : (unit, violation list) result =
   match structural k with
   | _ :: _ as vs -> Error vs
   | [] -> (
-    match def_before_use k @ barrier_placement k with
+    let cfg = Cfg.of_kernel k in
+    match def_before_use cfg @ barrier_placement cfg with
     | [] -> Ok ()
     | vs -> Error vs)
 

@@ -19,24 +19,8 @@ open Instr
 (* Bitwise structural equality                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Float immediates compare by bits: OCaml's polymorphic (=) identifies
-   0.0 with -0.0 and fails on NaN — the exact confusions the signed-zero
-   miscompile of PR 1 exploited.  Everything else is float-free and
-   compares structurally. *)
-let equal_operand (a : operand) (b : operand) : bool =
-  match (a, b) with
-  | Imm_f x, Imm_f y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Imm_f _, _ | _, Imm_f _ -> false
-  | _ -> a = b
-
-let equal_instr (a : t) (b : t) : bool =
-  (* Replacing every operand with a fixed token leaves opcode, type
-     tags, destination and addressing offset — all float-free — for the
-     structural compare; the operands then compare bitwise. *)
-  let strip i = map_uses (fun _ -> Imm_i 0) i in
-  strip a = strip b && List.for_all2 equal_operand (operands a) (operands b)
-
-let equal_seq (a : t list) (b : t list) : bool = List.equal equal_instr a b
+(* Float immediates compare by their bits ([Instr.equal]). *)
+let equal_seq (a : t list) (b : t list) : bool = List.equal Instr.equal a b
 
 (* Deterministic text key of a window (Pp round-trips floats). *)
 let key (seq : t list) : string = String.concat " " (List.map Pp.instr seq)

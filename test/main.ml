@@ -6,4 +6,4 @@ let () =
    @ Test_lang.suite @ Test_tuner.suite @ Test_fault.suite @ Test_pipeline.suite
    @ Test_apps.suite @ Test_integration.suite @ Test_analysis.suite @ Test_sim_golden.suite
    @ Test_proto.suite @ Test_store.suite @ Test_serve.suite @ Test_arch.suite
-   @ Test_superopt.suite @ Test_predict.suite)
+   @ Test_superopt.suite @ Test_predict.suite @ Test_dataflow.suite @ Test_compile_golden.suite)

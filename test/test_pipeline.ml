@@ -204,6 +204,32 @@ let pipeline_tests =
         let direct = Ptx.Opt.run (Kir.Lower.lower kir) in
         let piped = (Tuner.Pipeline.lower_opt kir).ptx in
         check_b "byte-identical kernels" true (direct = piped));
+    t "the optimization fixpoint converges on a NaN immediate (regression)" (fun () ->
+        (* The convergence test compared kernels with structural [=],
+           which is false on NaN: a kernel carrying a NaN immediate ran
+           every one of the 8 rounds.  With any other constant the same
+           kernel settles in 2 (one round rewrites, one confirms). *)
+        let rounds c =
+          let open Kir.Ast in
+          let k =
+            {
+              kname = "fold";
+              scalar_params = [];
+              array_params = [ { aname = "O"; aspace = Global } ];
+              shared_decls = [];
+              local_decls = [];
+              body = [ Let ("x", F32, f c); Store ("O", i 0, v "x" +: f 1.0) ];
+            }
+          in
+          let n = ref 0 in
+          let hook (s : Tuner.Pipeline.stat) =
+            if String.length s.stage > 4 && String.sub s.stage 0 4 = "dce#" then incr n
+          in
+          ignore (Tuner.Pipeline.lower_opt ~hook k : Tuner.Pipeline.compiled);
+          !n
+        in
+        check_i "rounds with 1.5" 2 (rounds 1.5);
+        check_i "rounds with nan" 2 (rounds Float.nan));
     t "unroll of a missing loop label raises No_such_loop" (fun () ->
         let k = Apps.Matmul.kernel ~n:64 mm_cfg in
         match Kir.Unroll.apply ~select:(Kir.Unroll.Named "nonexistent") ~factor:2 k with

@@ -91,6 +91,22 @@ let counterexample_tests =
                 "any rule on d=d+d; e=d+d must not reduce e to a copy of d" false
                 (W.equal_seq r.P.rhs (W.canonicalize rhs)))
           (Lazy.force db).So.rules);
+    t "CSE keeps x * 0.0 and x * -0.0 apart (signed-zero key regression)" (fun () ->
+        (* CSE once keyed its table by structural equality, under which
+           0.0 and -0.0 are one immediate: the second multiply became a
+           copy of the first, and for positive x the second store wrote
+           +0.0 instead of -0.0. *)
+        let src =
+          ".kernel t (.param .gbuf Out)\n.smem 0 .lmem 0\n{\nB0: .weight 1\n\
+           ld.global.f32 %f0, [$Out];\nmul.f32 %f1, %f0, 0.0;\nmul.f32 %f2, %f0, -0.0;\n\
+           st.global.f32 [$Out], %f1;\nst.global.f32 [$Out+4], %f2;\nret;\n}\n"
+        in
+        let k = Ptx.Parser.kernel_of_string src in
+        let o = Ptx.Opt.run k in
+        Alcotest.(check string) "both multiplies survive" (Ptx.Pp.kernel k) (Ptx.Pp.kernel o);
+        match E.validate k o with
+        | Ok _ -> ()
+        | Error m -> Alcotest.failf "translation validation: %s" (E.mismatch_to_string m));
   ]
 
 (* ------------------------------------------------------------------ *)
