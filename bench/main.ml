@@ -745,10 +745,10 @@ let perf () =
    sweep with seeded injected faults (a crashing thunk, a runaway
    kernel the watchdog cuts off, a corrupt pass the verifier rejects)
    reports every fault, still finds the surviving optimum exactly, and
-   a checkpointed sweep killed partway resumes to the identical
-   result. *)
+   a store-backed sweep stopped partway resumes from the store to the
+   identical result. *)
 let chaos () =
-  section "Chaos: fault-injected sweep + checkpoint/resume (matmul quick)";
+  section "Chaos: fault-injected sweep + kill/resume from the store (matmul quick)";
   let e = registry "matmul" in
   let cands = e.quick_candidates () in
   let baseline = Tuner.Search.run ~jobs:!jobs ~app_name:"matmul" cands in
@@ -777,26 +777,36 @@ let chaos () =
   check "faults off the frontier leave selected_best unchanged"
     (r.selected_best.cand.desc = baseline.selected_best.cand.desc
     && r.selected_best.time_s = baseline.selected_best.time_s);
-  (* Kill-and-resume on a checkpoint journal. *)
-  let tmp = Filename.temp_file "bench-chaos-" ".journal" in
+  (* Kill-and-resume: cancel the sweep over a fresh store once half the
+     space has settled (plus whatever was in flight), then resume with
+     a fresh sweep against the same store. *)
+  let tmp = Filename.temp_file "bench-chaos-" ".store" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
       let k = max 1 (r.space_size / 2) in
-      let interrupted =
+      let cancel = Tuner.Cancel.create () in
+      let store = Tuner.Store.open_ ~file:tmp () in
+      let stopped =
         match
-          Tuner.Search.run ~jobs:!jobs ~checkpoint:tmp ~checkpoint_budget:k ~app_name:"matmul"
-            injected_cands
+          Tuner.Search.run ~jobs:!jobs ~cancel ~store ~app_name:"matmul"
+            (Tuner.Chaos.kill_after ~cancel k injected_cands)
         with
         | (_ : Tuner.Search.result) -> false
-        | exception Tuner.Measure.Interrupted { journaled; _ } -> journaled = k
+        | exception Tuner.Cancel.Cancelled -> true
       in
-      check "checkpointed sweep interrupts after its budget" interrupted;
+      let settled = Tuner.Store.entries store in
+      Tuner.Store.close store;
+      check "sweep stops once half the space has settled" (stopped && settled >= k);
+      let store = Tuner.Store.open_ ~file:tmp () in
       let resumed =
-        Tuner.Search.run ~jobs:!jobs ~checkpoint:tmp ~app_name:"matmul" injected_cands
+        Fun.protect
+          ~finally:(fun () -> Tuner.Store.close store)
+          (fun () -> Tuner.Search.run ~jobs:!jobs ~store ~app_name:"matmul" injected_cands)
       in
       let times ms = List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) ms in
-      check "resume skips the journaled half" (resumed.engine.measure_runs = r.space_size - k);
+      check "resume skips the stored outcomes"
+        (resumed.engine.measure_runs = r.space_size - settled);
       check "resumed sweep equals the uninterrupted one"
         (times resumed.exhaustive = times r.exhaustive
         && List.map (fun ((c : Tuner.Candidate.t), f) -> (c.desc, Tuner.Fault.to_journal f))

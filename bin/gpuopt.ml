@@ -136,8 +136,9 @@ let winner_line (arch : Gpu.Arch.t) (m : Tuner.Search.measured) =
 let store_arg =
   let doc =
     "Back measurements with the content-addressed result store in $(docv) (created if absent): \
-     points already present are answered from disk, new measurements are appended.  The same \
-     file drives $(b,gpuopt serve)."
+     points already present are answered from disk, new measurements are appended as they \
+     settle, so re-running an interrupted sweep with the same file resumes it.  The same file \
+     drives $(b,gpuopt serve)."
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"FILE" ~doc)
 
@@ -238,17 +239,6 @@ let explore_cmd =
     "Exhaustively measure an application's optimization space, then compare against the \
      Pareto-pruned search (paper Table 4 / Figure 6)."
   in
-  let checkpoint_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "checkpoint" ] ~docv:"FILE"
-          ~doc:
-            "Journal every settled measurement (time or fault) to $(docv) as it lands.  \
-             Re-running with the same file skips the journaled candidates, so an interrupted \
-             sweep resumes where it stopped.  The journal is keyed by app and candidate space; \
-             a stale or foreign journal is rejected.")
-  in
   let fail_fast_arg =
     Arg.(
       value & flag
@@ -266,8 +256,8 @@ let explore_cmd =
     in
     Arg.(value & flag & info [ "predict" ] ~doc)
   in
-  let run (e : Apps.Registry.entry) jobs quick stats checkpoint fail_fast store_file arch_name
-      rules predict budget =
+  let run (e : Apps.Registry.entry) jobs quick stats fail_fast store_file arch_name rules predict
+      budget =
     if arch_name = "all" then begin
       if predict then begin
         Printf.eprintf "explore: --predict races one space at a time; not supported with --arch all\n";
@@ -276,10 +266,6 @@ let explore_cmd =
       (* Cross-arch sweep: arch is the outer enumeration axis; one
          engine (and store binding) per arch, then the per-arch winner
          table and greppable winner lines. *)
-      if checkpoint <> None then begin
-        Printf.eprintf "explore: --checkpoint is per-space; not supported with --arch all\n";
-        exit 2
-      end;
       let rs =
         with_store store_file (fun store ->
             Tuner.Search.run_archs ~jobs ~fail_fast ?store
@@ -314,19 +300,14 @@ let explore_cmd =
                 Some
                   (Tuner.Prune.spec ~rules:(Option.value db ~default:[]) ~reduced ())
             in
-            Tuner.Search.run ~jobs ~fail_fast ?checkpoint ?store ?predict:pspec
+            Tuner.Search.run ~jobs ~fail_fast ?store ?predict:pspec
               ?budget_frac:(budget_frac budget)
               ~store_scale:(if quick then "quick" else "full")
               ~app_name:e.name
               (candidates_of ~arch ?extra_ptx e quick))
-      with
-      | Tuner.Fault.Fail { desc; fault } ->
+      with Tuner.Fault.Fail { desc; fault } ->
         Printf.eprintf "fault in %s: %s\n" desc (Tuner.Fault.to_string fault);
         exit 1
-      | Tuner.Measure.Interrupted { file; journaled } ->
-        Printf.eprintf "sweep interrupted: %d measurement(s) journaled to %s; rerun with the \
-                        same --checkpoint to resume\n" journaled file;
-        exit 3
     in
     Printf.printf "%d valid configurations (%d invalid)\n\n" r.space_size r.invalid;
     print_string (Tuner.Report.figure6 r);
@@ -359,8 +340,8 @@ let explore_cmd =
   in
   Cmd.v (Cmd.info "explore" ~doc)
     Term.(
-      const run $ app_arg $ jobs_arg $ quick_arg $ stats_arg $ checkpoint_arg $ fail_fast_arg
-      $ store_arg $ arch_name_arg $ rules_flag $ predict_flag $ budget_arg)
+      const run $ app_arg $ jobs_arg $ quick_arg $ stats_arg $ fail_fast_arg $ store_arg
+      $ arch_name_arg $ rules_flag $ predict_flag $ budget_arg)
 
 let predict_cmd =
   let doc =
@@ -447,8 +428,8 @@ let chaos_cmd =
     "Prove the tuner's fault tolerance on an application: inject deterministic failures \
      (crashing thunks, watchdog-caught runaway kernels, corrupt passes) into the space, check \
      that every fault is reported and the search still finds the true optimum among the \
-     survivors, then kill a checkpointed sweep partway and check that resuming reproduces the \
-     uninterrupted result exactly.  Exits nonzero if any check fails."
+     survivors, then stop a store-backed sweep partway and check that resuming it from the \
+     store reproduces the uninterrupted result exactly.  Exits nonzero if any check fails."
   in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Victim-selection seed.")
@@ -545,27 +526,39 @@ let chaos_cmd =
         && r.selected_best.time_s = baseline.selected_best.time_s
         && r.optimum_selected = baseline.optimum_selected)
     end;
-    (* Kill-and-resume: checkpoint the injected sweep, stop it after
-       half the space, resume against the same journal, and demand the
-       merged result equals the uninterrupted one. *)
-    let tmp = Filename.temp_file "gpuopt-chaos-" ".journal" in
+    (* Kill-and-resume: cancel the injected sweep over a fresh store
+       once half the space has settled, resume with a fresh sweep of
+       the unwrapped candidates against the same store, and demand the
+       merged result equals the uninterrupted one.  With --jobs > 1
+       the thunks in flight at the kill settle too, so the store's
+       entry count is what the resume must skip. *)
+    let tmp = Filename.temp_file "gpuopt-chaos-" ".store" in
     Fun.protect
       ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
       (fun () ->
         let nvalid = r.space_size in
         let k = max 1 (nvalid / 2) in
-        let interrupted =
-          match
-            Tuner.Search.run ~jobs ~checkpoint:tmp ~checkpoint_budget:k ~app_name:e.name
-              injected_cands
-          with
+        let cancel = Tuner.Cancel.create () in
+        let killed = Tuner.Chaos.kill_after ~cancel k injected_cands in
+        let store = Tuner.Store.open_ ~file:tmp () in
+        let stopped =
+          match Tuner.Search.run ~jobs ~cancel ~store ~app_name:e.name killed with
           | (_ : Tuner.Search.result) -> false
-          | exception Tuner.Measure.Interrupted { journaled; _ } -> journaled = k
+          | exception Tuner.Cancel.Cancelled -> true
         in
-        check "sweep interrupts after the journal budget" interrupted;
-        let resumed = Tuner.Search.run ~jobs ~checkpoint:tmp ~app_name:e.name injected_cands in
-        check "resumed sweep skips the journaled measurements"
-          (resumed.engine.measure_runs = nvalid - k);
+        let settled = Tuner.Store.entries store in
+        Tuner.Store.close store;
+        Printf.printf "\nkilled after %d of %d outcome(s): %d settled in the store\n" k nvalid
+          settled;
+        check "sweep stops once k outcomes have settled" (stopped && settled >= k);
+        let store = Tuner.Store.open_ ~file:tmp () in
+        let resumed =
+          Fun.protect
+            ~finally:(fun () -> Tuner.Store.close store)
+            (fun () -> Tuner.Search.run ~jobs ~store ~app_name:e.name injected_cands)
+        in
+        check "resumed sweep skips the stored measurements"
+          (resumed.engine.measure_runs = nvalid - settled);
         check "resumed result equals the uninterrupted one"
           (times resumed.exhaustive = times r.exhaustive
           && List.map fault_key resumed.faults = List.map fault_key r.faults

@@ -38,7 +38,6 @@ let resolver () : Tuner.Serve.resolver =
     | None, _ -> Error (unknown_app app)
     | _, None -> Error (unknown_arch arch_name)
     | Some e, Some arch ->
-      let arch_d = Tuner.Store.arch_digest ~arch () in
       let scale_n = Tuner.Proto.scale_name scale in
       let memo_key = app ^ "/" ^ scale_n ^ "/" ^ arch_name in
       Mutex.protect cache_lock (fun () ->
@@ -46,15 +45,9 @@ let resolver () : Tuner.Serve.resolver =
           | Some sp -> Ok sp
           | None ->
             let cands = scale_candidates e ~arch scale in
-            let descs =
-              List.filter_map
-                (fun (c : Tuner.Candidate.t) -> if c.valid then Some c.desc else None)
-                cands
-            in
-            (* Same space digest as the direct [Search.bind_store] path:
-               arch distinctness lives in [arch_d], so served and direct
-               sweeps share warm store entries per arch. *)
-            let space = Tuner.Store.space_digest ~app_name:app ~scale:scale_n descs in
+            (* The same digests as the direct [Search.bind_store] path,
+               so served and direct sweeps share warm store entries. *)
+            let arch_d, space = Tuner.Store.space_digests ~app_name:app ~scale:scale_n cands in
             let keys = Hashtbl.create (List.length cands) in
             List.iter
               (fun (c : Tuner.Candidate.t) ->

@@ -1,13 +1,14 @@
 (* Cooperative cancellation for long-running sweeps.
 
    A token is a thread-safe flag plus an optional absolute wall-clock
-   deadline.  [Measure.measure_outcomes] polls it between candidates —
-   the same seam the checkpoint journal's budget abort uses — so a
-   cancelled sweep stops paying for the simulator at the next candidate
-   boundary and aborts with the typed [Cancelled] exception.  Nothing
-   is ever *un*-measured: every outcome settled before the token
-   tripped is cached (and journaled/stored as attached), so a retried
-   request resumes from them.
+   deadline.  [Measure.measure_outcomes] polls it between candidates,
+   so a cancelled sweep stops paying for the simulator at the next
+   candidate boundary and aborts with the typed [Cancelled] exception.
+   It is the only way to stop a sweep partway: deadlines, explicit
+   cancellation and the chaos harness's kill-at-N ([Chaos.kill_after])
+   all trip a token.  Nothing is ever *un*-measured: every outcome
+   settled before the token tripped is cached (and stored, when a store
+   is attached), so a retried request resumes from them.
 
    Determinism: a token that never trips is invisible — it changes no
    measured value and no ordering.  A token that does trip only decides

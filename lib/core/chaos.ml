@@ -23,10 +23,12 @@
                      assignment to an undeclared variable, which the
                      pipeline's per-stage typecheck rejects.
 
-   `gpuopt chaos` drives this over a real application space and checks
-   that every injected fault is reported, that the surviving search
-   still selects the true optimum, and that checkpoint/resume across a
-   simulated kill reproduces the uninterrupted result. *)
+   [kill_after] manufactures the other misbehavior a long sweep must
+   survive: being stopped partway.  `gpuopt chaos` drives both over a
+   real application space and checks that every injected fault is
+   reported, that the surviving search still selects the true optimum,
+   and that a sweep stopped partway and resumed from its result store
+   reproduces the uninterrupted result. *)
 
 type kind = Throw | Runaway | Corrupt_pass
 
@@ -178,6 +180,32 @@ let inject ~(seed : int) ~(count : int) ?(avoid : string list = []) (cands : Can
       cands
   in
   (cands', injections)
+
+(* ------------------------------------------------------------------ *)
+(* Kill-at-N                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Wrap every [run] thunk of [cands] so that [cancel] fires once [k] of
+   them have completed (a faulting thunk completes too: its fault is a
+   settled outcome).  A sweep over the wrapped list stops at the next
+   candidate boundary exactly as an expired deadline stops it, raising
+   [Cancel.Cancelled] with the first [k] outcomes — plus any still in
+   flight on other worker domains — settled in the engine and its
+   store.  Re-running the unwrapped list against that store is the
+   resume. *)
+let kill_after ~(cancel : Cancel.t) (k : int) (cands : Candidate.t list) : Candidate.t list =
+  if k < 1 then invalid_arg "Chaos.kill_after: k must be >= 1";
+  let completed = Atomic.make 0 in
+  List.map
+    (fun (c : Candidate.t) ->
+      let run () =
+        Fun.protect
+          ~finally:(fun () ->
+            if Atomic.fetch_and_add completed 1 + 1 = k then Cancel.cancel cancel)
+          c.run
+      in
+      { c with run })
+    cands
 
 (* ------------------------------------------------------------------ *)
 (* Wire-level chaos: misbehaving clients for the tuning daemon         *)

@@ -1,5 +1,5 @@
-(* Exact textual float encoding shared by the wire protocol, the
-   result store and the checkpoint journal.
+(* Exact textual float encoding shared by the wire protocol and the
+   result store.
 
    [%h] hex-floats round-trip every finite float and both infinities
    bit-for-bit, and [float_of_string] even preserves a NaN's sign

@@ -105,38 +105,6 @@ let sample ~seed k (xs : 'a list) : 'a list =
   done;
   Array.to_list (Array.sub a 0 (min k (Array.length a)))
 
-(* Bind the reduced-scale engine to the store under the REDUCED space
-   digest, so every race of the same space — warm daemon, CLI, bench —
-   shares entries (mirrors [Search.bind_store], which lives above this
-   module). *)
-let bind_reduced_store engine ~app_name ~(scale : string) (reduced : Candidate.t list) store :
-    unit =
-  match (store, reduced) with
-  | None, _ | _, [] -> ()
-  | Some st, c0 :: _ ->
-    let arch = Store.arch_digest ~arch:c0.Candidate.arch () in
-    let descs =
-      List.filter_map
-        (fun (c : Candidate.t) -> if c.valid then Some c.desc else None)
-        reduced
-    in
-    let space = Store.space_digest ~app_name ~scale descs in
-    Measure.attach_store engine ~store:st ~key:(fun c -> Store.candidate_key ~arch ~space c)
-
-(* Store key for the model + residual journal blob: the full space's
-   content address tagged with the feature version, so a refit on a
-   warm store overwrites nothing from other spaces and the blob
-   invalidates itself when the features change. *)
-let blob_key ~(app_name : string) ~(scale : string) (valid : Candidate.t list) : string =
-  match valid with
-  | [] -> Digest.to_hex (Digest.string "predict-empty")
-  | c0 :: _ ->
-    let arch = Store.arch_digest ~arch:c0.Candidate.arch () in
-    let space =
-      Store.space_digest ~app_name ~scale (List.map (fun (c : Candidate.t) -> c.desc) valid)
-    in
-    Digest.to_hex (Digest.string (String.concat "|" [ arch; space; "predict-v1" ]))
-
 let blob_content (o : outcome) : string =
   String.concat "\n"
     (Predict.to_lines o.pr_model
@@ -217,8 +185,15 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
       s.sp_reduced;
     fun (c : Candidate.t) -> Hashtbl.find_opt tbl c.desc
   in
+  (* The reduced-scale engine keys the store under the REDUCED space's
+     digests, so every race of the same space — warm daemon, CLI,
+     bench — shares entries. *)
   let rengine = Measure.create ~app_name () in
-  bind_reduced_store rengine ~app_name ~scale:reduced_scale s.sp_reduced store;
+  Option.iter
+    (fun st ->
+      let arch, space = Store.space_digests ~app_name ~scale:reduced_scale s.sp_reduced in
+      Measure.attach_store rengine ~store:st ~key:(Store.candidate_key ~arch ~space))
+    store;
   let with_twin =
     List.filter_map (fun ((c : Candidate.t), _) -> Option.map (fun r -> (c, r)) (twin c)) raced
   in
@@ -316,8 +291,12 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
     (* Journal the model and its predicted-vs-measured residuals as a
        store blob keyed by the space's content address: a warm store
        re-answers every probe from disk, so the refit costs nothing,
-       and the journal documents what the model believed when it did. *)
+       and the journal documents what the model believed when it did.
+       The feature version sits in the kernel digest's slot, so a refit
+       overwrites nothing from other spaces and the blob invalidates
+       itself when the features change. *)
+    let arch, space = Store.space_digests ~app_name ~scale:store_scale valid in
     Store.put_blob st
-      ~key:(blob_key ~app_name ~scale:store_scale valid)
+      ~key:(Store.key ~arch ~space ~kernel:"predict-v1")
       ~name:("predict/" ^ app_name) (blob_content outcome));
   outcome

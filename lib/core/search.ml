@@ -59,39 +59,26 @@ type result = {
          measured against this result's exhaustive ground truth *)
 }
 
-let measure (c : Candidate.t) : measured = { cand = c; time_s = c.run () }
-
-(* The machine model a candidate list targets.  Candidate lists are
-   homogeneous in arch (a sweep is per machine; [run_archs] builds one
-   list per registry entry), so the first candidate speaks for all. *)
-let arch_of (cands : Candidate.t list) : Gpu.Arch.t =
-  match cands with c :: _ -> c.arch | [] -> Gpu.Arch.g80
-
-(* Identity of a candidate space, for checkpoint journals: an app name
-   plus the descs of its valid configurations, digested — with the
-   arch name mixed in when the space targets a non-default machine, so
-   a G80 journal can never resume a wide32 sweep.  G80 spaces hash
-   exactly as they did before the machine model became a value, so
-   existing journals stay resumable. *)
-let space_key ~(app_name : string) (cands : Candidate.t list) : string =
-  let descs =
-    List.filter_map (fun (c : Candidate.t) -> if c.valid then Some c.desc else None) cands
-  in
-  let arch = arch_of cands in
-  let tagged =
-    if arch.Gpu.Arch.name = Gpu.Arch.g80.Gpu.Arch.name then app_name :: descs
-    else app_name :: ("arch:" ^ arch.Gpu.Arch.name) :: descs
-  in
-  Digest.to_hex (Digest.string (String.concat "\n" tagged))
+(* The engine's counters plus the simulator work since [launches0] /
+   [wi0], the [Gpu.Sim] counters read when the search started. *)
+let engine_stats engine ~launches0 ~wi0 : engine_stats =
+  {
+    measure_runs = Measure.runs engine;
+    measure_hits = Measure.hits engine;
+    measure_host_s = Measure.host_time engine;
+    sim_launches = Gpu.Sim.sim_runs () - launches0;
+    sim_warp_instrs = Gpu.Sim.warp_instrs_issued () - wi0;
+    store_hits = Measure.store_hits engine;
+    store_misses = Measure.store_misses engine;
+  }
 
 (* Bind a content-addressed result store to a measurement engine.  The
-   key function defaults to [Store.candidate_key] over the current
-   architecture and this candidate space ([store_scale] tags the
+   key function defaults to [Store.candidate_key] over this candidate
+   space's digests ([Store.space_digests]; [store_scale] tags the
    problem scale — quick and paper-scale spaces share descs but not
-   simulated times, see [Store.space_digest]).  Callers that issue many
-   sweeps over the same space (the serve daemon) pass a memoized
-   [store_key] instead, so the space digest is not recomputed per
-   request. *)
+   simulated times).  Callers that issue many sweeps over the same
+   space (the serve daemon) pass a memoized [store_key] instead, so the
+   space digest is not recomputed per request. *)
 let bind_store engine ~(app_name : string) (cands : Candidate.t list) ~store ~store_key
     ~store_scale : unit =
   match store with
@@ -101,15 +88,9 @@ let bind_store engine ~(app_name : string) (cands : Candidate.t list) ~store ~st
       match store_key with
       | Some k -> k
       | None ->
-        let arch = Store.arch_digest ~arch:(arch_of cands) () in
         let scale = Option.value store_scale ~default:"full" in
-        let descs =
-          List.filter_map
-            (fun (c : Candidate.t) -> if c.valid then Some c.desc else None)
-            cands
-        in
-        let space = Store.space_digest ~app_name ~scale descs in
-        fun c -> Store.candidate_key ~arch ~space c
+        let arch, space = Store.space_digests ~app_name ~scale cands in
+        Store.candidate_key ~arch ~space
     in
     Measure.attach_store engine ~store:st ~key
 
@@ -119,17 +100,11 @@ let bind_store engine ~(app_name : string) (cands : Candidate.t list) ~store ~st
    of [jobs]: measurement order does not affect simulated times, and
    all orderings in [result] follow the input candidate order.
 
-   [?checkpoint] attaches a measurement journal: settled outcomes are
-   appended to the file as they land, and a rerun with the same file
-   (same app, same space) skips them.  [?checkpoint_budget] bounds how
-   many new outcomes may be journaled before the sweep aborts with
-   [Measure.Interrupted] — the deterministic stand-in for killing a
-   long sweep, used by the resume tests and `gpuopt chaos`.
-
    [?store] attaches the persistent content-addressed store: points it
    already holds are answered without the simulator, and new
-   measurements are appended for every later client (see [bind_store]
-   for [?store_key] / [?store_scale]).
+   measurements are appended as they settle, for every later client
+   and for a rerun of an interrupted sweep (see [bind_store] for
+   [?store_key] / [?store_scale]).
 
    [?predict] additionally runs the model-driven race ([Prune.run])
    against the same engine.  Because the exhaustive sweep has already
@@ -142,133 +117,113 @@ let bind_store engine ~(app_name : string) (cands : Candidate.t list) ~store ~st
    candidates ([Cancel], [Measure.measure_outcomes]): a sweep whose
    token trips with measurements still outstanding aborts with
    [Cancel.Cancelled] instead of holding its worker; outcomes settled
-   before the trip stay cached/journaled/stored for the retry. *)
-let run ?jobs ?(fail_fast = false) ?checkpoint ?checkpoint_budget ?store ?store_key
-    ?store_scale ?predict ?budget_frac ?cancel ~(app_name : string) (cands : Candidate.t list)
-    : result =
+   before the trip stay cached and stored for the retry. *)
+let run ?jobs ?(fail_fast = false) ?store ?store_key ?store_scale ?predict ?budget_frac ?cancel
+    ~(app_name : string) (cands : Candidate.t list) : result =
   let valid, invalid = List.partition (fun (c : Candidate.t) -> c.valid) cands in
   if valid = [] then invalid_arg (app_name ^ ": no valid configuration in the space");
   let all = List.map (fun c -> (c, Metrics.of_candidate c)) valid in
   let wi0 = Gpu.Sim.warp_instrs_issued () and launches0 = Gpu.Sim.sim_runs () in
   let engine = Measure.create ~app_name () in
   bind_store engine ~app_name cands ~store ~store_key ~store_scale;
-  (match checkpoint with
-  | None -> ()
-  | Some file ->
-    ignore
-      (Measure.checkpoint ?stop_after:checkpoint_budget engine ~file
-         ~key:(space_key ~app_name cands)
-        : int));
-  Fun.protect
-    ~finally:(fun () -> Measure.close_journal engine)
-    (fun () ->
-      (* Exhaustive exploration: measure everything; faults settle as
-         recorded outcomes instead of killing the sweep. *)
-      let outcomes = Measure.measure_outcomes ?jobs ?cancel engine valid in
-      let faults =
-        List.filter_map
-          (fun (c, o) -> match o with Error f -> Some (c, f) | Ok _ -> None)
-          outcomes
+  (* Exhaustive exploration: measure everything; faults settle as
+     recorded outcomes instead of killing the sweep. *)
+  let outcomes = Measure.measure_outcomes ?jobs ?cancel engine valid in
+  let faults =
+    List.filter_map
+      (fun (c, o) -> match o with Error f -> Some (c, f) | Ok _ -> None)
+      outcomes
+  in
+  (if fail_fast then
+     match faults with
+     | ((c : Candidate.t), fault) :: _ -> raise (Fault.Fail { desc = c.desc; fault })
+     | [] -> ());
+  let exhaustive =
+    List.filter_map
+      (fun ((c : Candidate.t), o) ->
+        match o with Ok time_s -> Some { cand = c; time_s } | Error _ -> None)
+      outcomes
+  in
+  if exhaustive = [] then
+    invalid_arg
+      (Printf.sprintf "%s: every configuration in the space faulted (%d fault(s))" app_name
+         (List.length faults));
+  let best =
+    match Util.Stats.argmin (fun m -> m.time_s) exhaustive with
+    | Some b -> b
+    | None -> assert false
+  in
+  let full_eval_time = List.fold_left (fun a m -> a +. m.time_s) 0.0 exhaustive in
+  (* Pruned exploration over the survivors: Pareto subset on
+     (efficiency, utilization) at the paper's plot resolution
+     (metric-indistinguishable clusters survive whole, as in
+     Figure 6(b)).  With no faults this is the whole valid space —
+     the pre-fault-tolerance behavior, bit for bit. *)
+  let survivors =
+    match faults with
+    | [] -> all
+    | _ ->
+      let dead = List.map (fun ((c : Candidate.t), _) -> c.desc) faults in
+      List.filter (fun ((c : Candidate.t), _) -> not (List.mem c.desc dead)) all
+  in
+  let selected =
+    Pareto.frontier_quantized
+      (fun (_, m) -> Metrics.(m.efficiency, m.utilization))
+      survivors
+  in
+  (* The Pareto subset re-reads the exhaustive measurements from the
+     cache; [time_exn] asserts the hit.  A miss would mean a selected
+     candidate escaped the exhaustive sweep — the old ad-hoc table
+     silently re-measured in that case, double-counting
+     [selected_eval_time]. *)
+  let selected_measured =
+    List.map (fun (c, _) -> { cand = c; time_s = Measure.time_exn engine c }) selected
+  in
+  let selected_best =
+    match Util.Stats.argmin (fun m -> m.time_s) selected_measured with
+    | Some b -> b
+    | None -> assert false
+  in
+  let selected_eval_time =
+    List.fold_left (fun a m -> a +. m.time_s) 0.0 selected_measured
+  in
+  let space_size = List.length valid in
+  let n_survivors = List.length exhaustive in
+  let n_sel = List.length selected in
+  let prune =
+    match predict with
+    | None -> None
+    | Some (spec : Prune.spec) ->
+      let spec =
+        match budget_frac with
+        | None -> spec
+        | Some f ->
+          { spec with Prune.sp_plan = { spec.Prune.sp_plan with Prune.pl_budget_frac = f } }
       in
-      (if fail_fast then
-         match faults with
-         | ((c : Candidate.t), fault) :: _ -> raise (Fault.Fail { desc = c.desc; fault })
-         | [] -> ());
-      let exhaustive =
-        List.filter_map
-          (fun ((c : Candidate.t), o) ->
-            match o with Ok time_s -> Some { cand = c; time_s } | Error _ -> None)
-          outcomes
-      in
-      if exhaustive = [] then
-        invalid_arg
-          (Printf.sprintf "%s: every configuration in the space faulted (%d fault(s))" app_name
-             (List.length faults));
-      let best =
-        match Util.Stats.argmin (fun m -> m.time_s) exhaustive with
-        | Some b -> b
-        | None -> assert false
-      in
-      let full_eval_time = List.fold_left (fun a m -> a +. m.time_s) 0.0 exhaustive in
-      (* Pruned exploration over the survivors: Pareto subset on
-         (efficiency, utilization) at the paper's plot resolution
-         (metric-indistinguishable clusters survive whole, as in
-         Figure 6(b)).  With no faults this is the whole valid space —
-         the pre-fault-tolerance behavior, bit for bit. *)
-      let survivors =
-        match faults with
-        | [] -> all
-        | _ ->
-          let dead = List.map (fun ((c : Candidate.t), _) -> c.desc) faults in
-          List.filter (fun ((c : Candidate.t), _) -> not (List.mem c.desc dead)) all
-      in
-      let selected =
-        Pareto.frontier_quantized
-          (fun (_, m) -> Metrics.(m.efficiency, m.utilization))
-          survivors
-      in
-      (* The Pareto subset re-reads the exhaustive measurements from the
-         cache; [time_exn] asserts the hit.  A miss would mean a selected
-         candidate escaped the exhaustive sweep — the old ad-hoc table
-         silently re-measured in that case, double-counting
-         [selected_eval_time]. *)
-      let selected_measured =
-        List.map (fun (c, _) -> { cand = c; time_s = Measure.time_exn engine c }) selected
-      in
-      let selected_best =
-        match Util.Stats.argmin (fun m -> m.time_s) selected_measured with
-        | Some b -> b
-        | None -> assert false
-      in
-      let selected_eval_time =
-        List.fold_left (fun a m -> a +. m.time_s) 0.0 selected_measured
-      in
-      let space_size = List.length valid in
-      let n_survivors = List.length exhaustive in
-      let n_sel = List.length selected in
-      let prune =
-        match predict with
-        | None -> None
-        | Some (spec : Prune.spec) ->
-          let spec =
-            match budget_frac with
-            | None -> spec
-            | Some f ->
-              { spec with Prune.sp_plan = { spec.Prune.sp_plan with Prune.pl_budget_frac = f } }
-          in
-          Some (Prune.run ?jobs ?store ?store_scale ?cancel ~engine ~app_name spec valid)
-      in
-      {
-        app_name;
-        space_size;
-        invalid = List.length invalid;
-        faults;
-        all;
-        exhaustive;
-        best;
-        full_eval_time;
+      Some (Prune.run ?jobs ?store ?store_scale ?cancel ~engine ~app_name spec valid)
+  in
+  {
+    app_name;
+    space_size;
+    invalid = List.length invalid;
+    faults;
+    all;
+    exhaustive;
+    best;
+    full_eval_time;
+    selected;
+    selected_measured;
+    selected_best;
+    selected_eval_time;
+    reduction = 1.0 -. (float_of_int n_sel /. float_of_int n_survivors);
+    optimum_selected = selected_best.time_s <= best.time_s *. 1.02;
+    optimum_exact =
+      List.exists
+        (fun ((c : Candidate.t), _) -> String.equal c.desc best.cand.desc)
         selected;
-        selected_measured;
-        selected_best;
-        selected_eval_time;
-        reduction = 1.0 -. (float_of_int n_sel /. float_of_int n_survivors);
-        optimum_selected = selected_best.time_s <= best.time_s *. 1.02;
-        optimum_exact =
-          List.exists
-            (fun ((c : Candidate.t), _) -> String.equal c.desc best.cand.desc)
-            selected;
-        engine =
-          {
-            measure_runs = Measure.runs engine;
-            measure_hits = Measure.hits engine;
-            measure_host_s = Measure.host_time engine;
-            sim_launches = Gpu.Sim.sim_runs () - launches0;
-            sim_warp_instrs = Gpu.Sim.warp_instrs_issued () - wi0;
-            store_hits = Measure.store_hits engine;
-            store_misses = Measure.store_misses engine;
-          };
-        prune;
-      })
+    engine = engine_stats engine ~launches0 ~wi0;
+    prune;
+  }
 
 (* Pruned-only search: what a user of the methodology actually runs —
    compile + metrics for the whole space, measurement only for the
@@ -305,16 +260,7 @@ let tune_full ?jobs ?store ?store_key ?store_scale ?cancel ~(app_name : string)
       chosen = best;
       considered = selected;
       tune_space_size = List.length valid;
-      tune_engine =
-        {
-          measure_runs = Measure.runs engine;
-          measure_hits = Measure.hits engine;
-          measure_host_s = Measure.host_time engine;
-          sim_launches = Gpu.Sim.sim_runs () - launches0;
-          sim_warp_instrs = Gpu.Sim.warp_instrs_issued () - wi0;
-          store_hits = Measure.store_hits engine;
-          store_misses = Measure.store_misses engine;
-        };
+      tune_engine = engine_stats engine ~launches0 ~wi0;
     }
   | None -> invalid_arg (app_name ^ ": every selected configuration faulted")
 

@@ -1,10 +1,10 @@
 (* Persistent content-addressed measurement store.
 
    The paper's premise is that exhaustively measuring an optimization
-   space is too expensive to repeat; PR 5's checkpoint journal let one
-   interrupted sweep resume, and this module generalizes it into the
-   tuning service's shared cache: any measurement performed once — by
-   any client, in any session — is answered from disk forever after.
+   space is too expensive to repeat.  This module is the tuner's one
+   persistence path: any measurement performed once — by any client, in
+   any session — is answered from disk forever after, and resuming an
+   interrupted sweep means re-running it against the same store.
 
    Content addressing.  An entry's key is a digest of everything that
    determines the simulated time:
@@ -31,8 +31,9 @@
    interleave whole records.  On load, a record whose checksum or
    payload fails to parse is *rejected loudly and skipped* — corruption
    costs re-measuring the damaged entries, never a wrong answer and
-   never the rest of the store.  Times round-trip exactly through the
-   %h hexadecimal float format, as in the PR-5 journals. *)
+   never the rest of the store.  Times round-trip exactly through
+   [Hexfloat], so a resumed sweep is bit-identical to an uninterrupted
+   one. *)
 
 type outcome = (float, Fault.t) result
 
@@ -117,6 +118,21 @@ let key ~(arch : string) ~(space : string) ~(kernel : string) : string =
 
 let candidate_key ~(arch : string) ~(space : string) (c : Candidate.t) : string =
   key ~arch ~space ~kernel:(kernel_digest c)
+
+(* The (arch, space) digest pair every key of a candidate list shares:
+   the machine the candidates target (lists are homogeneous in arch, so
+   the first speaks for all; G80 for an empty list) and the space of
+   [app_name] at [scale] over the valid candidates' descs.  Every store
+   binding — direct sweeps, the reduced-shape race, the predict blob and
+   the daemon's memoized keys — derives its digests here, so served and
+   direct runs share entries. *)
+let space_digests ~(app_name : string) ~(scale : string) (cands : Candidate.t list) :
+    string * string =
+  let arch = match cands with c :: _ -> c.arch | [] -> Gpu.Arch.g80 in
+  let descs =
+    List.filter_map (fun (c : Candidate.t) -> if c.valid then Some c.desc else None) cands
+  in
+  (arch_digest ~arch (), space_digest ~app_name ~scale descs)
 
 (* ------------------------------------------------------------------ *)
 (* Record payloads                                                     *)
@@ -247,8 +263,11 @@ let open_ ?(durable = false) ~(file : string) () : t =
       loaded = 0;
     }
   in
-  let exists = Sys.file_exists file && (Unix.stat file).Unix.st_size > 0 in
-  if exists then begin
+  let size = if Sys.file_exists file then (Unix.stat file).Unix.st_size else 0 in
+  let exists = size > 0 in
+  let torn_tail =
+    exists
+    &&
     let ic = open_in file in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
@@ -277,11 +296,18 @@ let open_ ?(durable = false) ~(file : string) () : t =
               t.corrupt <- { cl_line = !lineno; cl_reason = reason } :: t.corrupt);
             loop ()
         in
-        loop ())
-  end;
+        loop ();
+        seek_in ic (size - 1);
+        input_char ic <> '\n')
+  in
   let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file in
-  if not exists then begin
-    output_string oc (magic ^ "\n");
+  (* A kill mid-append leaves the file ending inside a record.  End that
+     line before appending, or the first new record would join the torn
+     fragment, fail its checksum and be lost on the next load; the
+     fragment stays one corrupt line for [fsck]/[compact] to reclaim. *)
+  let prefix = if not exists then magic ^ "\n" else if torn_tail then "\n" else "" in
+  if prefix <> "" then begin
+    output_string oc prefix;
     flush oc;
     if durable then Unix.fsync (Unix.descr_of_out_channel oc)
   end;

@@ -1,7 +1,7 @@
 (* Tests for the fault-tolerance layer: exception classification, the
-   simulator watchdog, fault-aware measurement with checkpoint/resume,
-   graceful degradation in the search driver, and the chaos harness's
-   end-to-end properties on the matmul space. *)
+   simulator watchdog, fault-aware measurement with kill/resume through
+   the result store, graceful degradation in the search driver, and the
+   chaos harness's end-to-end properties on the matmul space. *)
 
 let t name f = Alcotest.test_case name `Quick f
 let check_b = Alcotest.(check bool)
@@ -150,7 +150,7 @@ let watchdog_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Fault-aware measurement + checkpoint/resume                         *)
+(* Fault-aware measurement + kill/resume from the store                *)
 (* ------------------------------------------------------------------ *)
 
 let dummy_kernel =
@@ -173,8 +173,32 @@ let fake_space n =
         ~time:(1.0 +. float_of_int k))
 
 let with_tmp f =
-  let file = Filename.temp_file "gpuopt-test-" ".journal" in
+  let file = Filename.temp_file "gpuopt-test-" ".store" in
   Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ()) (fun () -> f file)
+
+(* A kill -9 mid-append: cut [file] inside its last record, anywhere
+   from one byte into it to just its final newline ([d] picks the
+   offset). *)
+let tear_last_record file d =
+  let s = In_channel.with_open_bin file In_channel.input_all in
+  let len = String.length s in
+  let start = String.rindex_from s (len - 2) '\n' + 1 in
+  let cut = start + 1 + (d mod (len - 1 - start)) in
+  Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc (String.sub s 0 cut))
+
+(* Measure [cands] through an engine bound to [store]; returns the
+   outcomes and the simulator runs the engine paid for. *)
+let sweep_stored ~jobs ?cancel ?(app_name = "synthetic") store cands =
+  let engine = Tuner.Measure.create ~app_name () in
+  Tuner.Search.bind_store engine ~app_name cands ~store:(Some store) ~store_key:None
+    ~store_scale:None;
+  let outcomes = Tuner.Measure.measure_outcomes ~jobs ?cancel engine cands in
+  (outcomes, Tuner.Measure.runs engine)
+
+let same_outcomes a b =
+  List.equal
+    (fun ((x : Tuner.Candidate.t), ox) ((y : Tuner.Candidate.t), oy) -> x.desc = y.desc && ox = oy)
+    a b
 
 let measure_tests =
   [
@@ -193,20 +217,6 @@ let measure_tests =
           | _ -> false
         in
         check_b "both calls see the cached fault" true (is_trap o1 && is_trap o2));
-    t "measure_all raises Fail on the first fault in input order" (fun () ->
-        let bad d =
-          let c = fake ~desc:d ~instr:100.0 ~regions:10.0 ~time:1.0 in
-          { c with run = (fun () -> failwith d) }
-        in
-        let engine = Tuner.Measure.create ~app_name:"synthetic" () in
-        match
-          Tuner.Measure.measure_all ~jobs:1 engine
-            [ fake ~desc:"ok" ~instr:1.0 ~regions:1.0 ~time:1.0; bad "b1"; bad "b2" ]
-        with
-        | (_ : Tuner.Search.measured list) -> Alcotest.fail "expected Fail"
-        | exception Tuner.Fault.Fail { desc; fault } ->
-          check_b "first in input order" true
-            (desc = "b1" && Tuner.Fault.tag fault = "trap"));
     t "time_exn on a faulted candidate names app, config and fault" (fun () ->
         let bad =
           let c = fake ~desc:"bad" ~instr:100.0 ~regions:10.0 ~time:1.0 in
@@ -224,77 +234,100 @@ let measure_tests =
           in
           check_b "names everything" true
             (has "myapp" && has "bad" && has "sim exploded"));
-    t "checkpoint journals, interrupts on budget and resumes exactly" (fun () ->
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"a sweep killed after k outcomes resumes from its store exactly (qcheck)" ~count:40
+         QCheck.(triple (int_range 1 11) (int_range 1 2) (option small_nat))
+         (fun (k, jobs, tear) ->
+           (* c5 faults, so a settled fault must resume as one too. *)
+           let cands =
+             fake_space 12
+             |> List.map (fun (c : Tuner.Candidate.t) ->
+                    if c.desc = "c5" then { c with run = (fun () -> failwith "trap") } else c)
+           in
+           let n = List.length cands in
+           let reference =
+             Tuner.Measure.measure_outcomes ~jobs:1
+               (Tuner.Measure.create ~app_name:"synthetic" ())
+               cands
+           in
+           with_tmp (fun file ->
+               let store = Tuner.Store.open_ ~file () in
+               let cancel = Tuner.Cancel.create () in
+               let stopped =
+                 match sweep_stored ~jobs ~cancel store (Tuner.Chaos.kill_after ~cancel k cands) with
+                 | (_ : _ * int) -> false
+                 | exception Tuner.Cancel.Cancelled -> true
+               in
+               let settled = Tuner.Store.entries store in
+               Tuner.Store.close store;
+               Option.iter (tear_last_record file) tear;
+               let store = Tuner.Store.open_ ~file () in
+               let loaded = Tuner.Store.loaded store in
+               let resumed, runs = sweep_stored ~jobs store cands in
+               Tuner.Store.close store;
+               (* Records appended after a torn tail must survive the
+                  next load. *)
+               let store = Tuner.Store.open_ ~file () in
+               let final = Tuner.Store.loaded store in
+               Tuner.Store.close store;
+               (stopped || settled = n)
+               && settled >= k
+               && (jobs > 1 || settled = k)
+               && (if tear = None then loaded = settled else loaded >= settled - 1)
+               && runs = n - loaded
+               && final = n
+               && same_outcomes reference resumed)));
+    t "a store written for another app or space serves none of it" (fun () ->
         with_tmp (fun file ->
-            let cands = fake_space 12 in
-            let key = Tuner.Search.space_key ~app_name:"synthetic" cands in
-            (* Uninterrupted reference. *)
-            let ref_engine = Tuner.Measure.create ~app_name:"synthetic" () in
-            let reference = Tuner.Measure.measure_outcomes ~jobs:1 ref_engine cands in
-            (* Interrupted run: budget of 5 journaled outcomes. *)
-            let e1 = Tuner.Measure.create ~app_name:"synthetic" () in
-            check_i "fresh journal loads nothing" 0
-              (Tuner.Measure.checkpoint ~stop_after:5 e1 ~file ~key);
-            (match Tuner.Measure.measure_outcomes ~jobs:1 e1 cands with
-            | (_ : (Tuner.Candidate.t * (float, Tuner.Fault.t) result) list) ->
-              Alcotest.fail "expected Interrupted"
-            | exception Tuner.Measure.Interrupted { journaled; _ } ->
-              check_i "journal holds the budget" 5 journaled);
-            Tuner.Measure.close_journal e1;
-            (* Resume: loads 5, measures the remaining 7. *)
-            let e2 = Tuner.Measure.create ~app_name:"synthetic" () in
-            check_i "resume loads the journal" 5 (Tuner.Measure.checkpoint e2 ~file ~key);
-            let resumed = Tuner.Measure.measure_outcomes ~jobs:1 e2 cands in
-            Tuner.Measure.close_journal e2;
-            check_i "only the unfinished work ran" 7 (Tuner.Measure.runs e2);
-            check_b "merged result equals the uninterrupted run" true
-              (List.map2
-                 (fun ((a : Tuner.Candidate.t), oa) ((b : Tuner.Candidate.t), ob) ->
-                   a.desc = b.desc && oa = ob)
-                 reference resumed
-              |> List.for_all Fun.id)));
-    t "journals reject a different app or space, loudly" (fun () ->
-        with_tmp (fun file ->
+            let store = Tuner.Store.open_ ~file () in
             let cands = fake_space 4 in
-            let key = Tuner.Search.space_key ~app_name:"appA" cands in
-            let e1 = Tuner.Measure.create ~app_name:"appA" () in
-            ignore (Tuner.Measure.checkpoint e1 ~file ~key);
-            ignore (Tuner.Measure.measure_outcomes ~jobs:1 e1 cands);
-            Tuner.Measure.close_journal e1;
-            let rejects ~app_name ~key =
-              let e = Tuner.Measure.create ~app_name () in
-              match Tuner.Measure.checkpoint e ~file ~key with
-              | (_ : int) -> false
-              | exception Failure _ -> true
-            in
-            check_b "wrong app" true (rejects ~app_name:"appB" ~key);
-            check_b "wrong space key" true
-              (rejects ~app_name:"appA"
-                 ~key:(Tuner.Search.space_key ~app_name:"appA" (fake_space 5)))));
-    t "corrupt journal entries fail the load" (fun () ->
+            let _, first = sweep_stored ~jobs:1 ~app_name:"appA" store cands in
+            let _, same = sweep_stored ~jobs:1 ~app_name:"appA" store cands in
+            let _, other_app = sweep_stored ~jobs:1 ~app_name:"appB" store cands in
+            let _, other_space = sweep_stored ~jobs:1 ~app_name:"appA" store (fake_space 5) in
+            let entries = Tuner.Store.entries store in
+            Tuner.Store.close store;
+            check_i "the first sweep pays for every point" 4 first;
+            check_i "the same app and space resume for free" 0 same;
+            check_i "another app measures everything again" 4 other_app;
+            check_i "another space measures everything again" 5 other_space;
+            check_i "each binding keeps its own records" 13 entries));
+    t "damaged store records are re-measured on resume, the rest reused" (fun () ->
         with_tmp (fun file ->
-            let cands = fake_space 3 in
-            let key = Tuner.Search.space_key ~app_name:"appA" cands in
-            let e1 = Tuner.Measure.create ~app_name:"appA" () in
-            ignore (Tuner.Measure.checkpoint e1 ~file ~key);
-            ignore (Tuner.Measure.measure_outcomes ~jobs:1 e1 cands);
-            Tuner.Measure.close_journal e1;
-            let oc = open_out_gen [ Open_append ] 0o644 file in
-            output_string oc "ok not-a-quoted-desc zzz\n";
-            close_out oc;
-            let e2 = Tuner.Measure.create ~app_name:"appA" () in
-            match Tuner.Measure.checkpoint e2 ~file ~key with
-            | (_ : int) -> Alcotest.fail "loaded a corrupt journal"
-            | exception Failure msg ->
-              check_b "message names the file" true
-                (String.length msg > 0
-                && String.length file > 0
-                &&
-                let rec go i =
-                  i + String.length file <= String.length msg
-                  && (String.sub msg i (String.length file) = file || go (i + 1))
-                in
-                go 0)));
+            let cands = fake_space 6 in
+            let reference =
+              Tuner.Measure.measure_outcomes ~jobs:1
+                (Tuner.Measure.create ~app_name:"synthetic" ())
+                cands
+            in
+            let store = Tuner.Store.open_ ~file () in
+            ignore (sweep_stored ~jobs:1 store cands);
+            Tuner.Store.close store;
+            (* Bit rot in the third record's time, then a line that is no
+               record at all. *)
+            let lines = In_channel.with_open_bin file In_channel.input_lines in
+            let rot line =
+              let last = String.length line - 1 in
+              String.mapi (fun i ch -> if i = last then (if ch = '0' then '1' else '0') else ch) line
+            in
+            Out_channel.with_open_bin file (fun oc ->
+                List.iteri
+                  (fun i line ->
+                    Out_channel.output_string oc (if i = 3 then rot line else line);
+                    Out_channel.output_char oc '\n')
+                  lines;
+                Out_channel.output_string oc "ok not-a-quoted-desc zzz\n");
+            let store = Tuner.Store.open_ ~file () in
+            let loaded = Tuner.Store.loaded store in
+            let corrupt = List.length (Tuner.Store.corrupt_entries store) in
+            let resumed, runs = sweep_stored ~jobs:1 store cands in
+            Tuner.Store.close store;
+            check_i "the rotted record is skipped" 5 loaded;
+            check_i "both damaged lines are reported" 2 corrupt;
+            check_i "only the damaged point ran again" 1 runs;
+            check_b "the resumed result equals the uninterrupted run" true
+              (same_outcomes reference resumed)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -323,14 +356,40 @@ let search_tests =
         check_b "selection excludes it" true
           (List.for_all (fun ((c : Tuner.Candidate.t), _) -> c.desc <> "c0") r.selected));
     t "fail_fast restores the abort semantics" (fun () ->
+        (* Two victims: the first in input order is the one reported. *)
         let cands =
           fake_space 4
           |> List.mapi (fun k (c : Tuner.Candidate.t) ->
-                 if k = 2 then { c with run = (fun () -> failwith "dead") } else c)
+                 if k >= 2 then { c with run = (fun () -> failwith "dead") } else c)
         in
         match Tuner.Search.run ~jobs:1 ~fail_fast:true ~app_name:"synthetic" cands with
         | (_ : Tuner.Search.result) -> Alcotest.fail "expected Fail"
         | exception Tuner.Fault.Fail { desc; _ } -> check_b "victim" true (desc = "c2"));
+    t "fail_fast reports the first fault in input order under parallel workers" (fun () ->
+        (* c4 faults at once; c1 holds its worker until c4 has settled (or
+           a second has passed), so completion order is c4 before c1. *)
+        let c4_settled = Atomic.make false in
+        let cands =
+          fake_space 6
+          |> List.mapi (fun k (c : Tuner.Candidate.t) ->
+                 match k with
+                 | 1 ->
+                   let run () =
+                     let deadline = Unix.gettimeofday () +. 1.0 in
+                     while (not (Atomic.get c4_settled)) && Unix.gettimeofday () < deadline do
+                       Unix.sleepf 0.001
+                     done;
+                     failwith "late"
+                   in
+                   { c with run }
+                 | 4 -> { c with run = (fun () -> Atomic.set c4_settled true; failwith "early") }
+                 | _ -> c)
+        in
+        match Tuner.Search.run ~jobs:4 ~fail_fast:true ~app_name:"synthetic" cands with
+        | (_ : Tuner.Search.result) -> Alcotest.fail "expected Fail"
+        | exception Tuner.Fault.Fail { desc; fault } ->
+          check_b "first in input order" true
+            (desc = "c1" && fault = Tuner.Fault.Sim_trap { reason = "late" }));
     t "an all-faulted space is an error, not a crash" (fun () ->
         let cands =
           fake_space 3

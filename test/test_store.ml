@@ -305,12 +305,36 @@ let hardening_tests =
         (* The crash-recovery proof: kill -9 lands mid-append, so the
            file ends at an arbitrary byte of the record being written.
            For EVERY such offset, reopening must yield exactly the
-           completed records, report the torn tail, and never raise. *)
+           completed records, report the torn tail, and never raise;
+           and the restarted writer's first record must survive the
+           next reopen next to them. *)
         with_tmp (fun file ->
             fill_store file 4;
             let full = In_channel.with_open_bin file In_channel.input_all in
             let before_last = String.rindex_from full (String.length full - 2) '\n' + 1 in
             with_tmp (fun torn ->
+                let append_and_reopen what ~prefix ~corrupt =
+                  let s = S.open_ ~file:torn () in
+                  S.put s ~key:(key_of 100) ~desc:"post-restart" (Ok 100.0);
+                  S.close s;
+                  let s = S.open_ ~file:torn () in
+                  Fun.protect
+                    ~finally:(fun () -> S.close s)
+                    (fun () ->
+                      Alcotest.(check int)
+                        (what ^ ": completed prefix plus the new record")
+                        (prefix + 1) (S.loaded s);
+                      for i = 0 to prefix - 1 do
+                        if not (S.mem s (key_of i)) then Alcotest.failf "%s: key %d lost" what i
+                      done;
+                      Alcotest.(check bool)
+                        (what ^ ": new record kept") true
+                        (S.get s (key_of 100) = Some (Ok 100.0));
+                      Alcotest.(check int)
+                        (what ^ ": torn fragment stays one corrupt line")
+                        corrupt
+                        (List.length (S.corrupt_entries s)))
+                in
                 (* a cut that loses only the trailing newline leaves the
                    whole record on disk: that one must fully recover *)
                 write_prefix ~src:file ~dst:torn (String.length full - 1);
@@ -319,6 +343,7 @@ let hardening_tests =
                   ~finally:(fun () -> S.close s)
                   (fun () ->
                     Alcotest.(check int) "newline-only tear: all records recover" 4 (S.loaded s));
+                append_and_reopen "newline-only tear" ~prefix:4 ~corrupt:0;
                 for cut = before_last to String.length full - 2 do
                   write_prefix ~src:file ~dst:torn cut;
                   let s = S.open_ ~file:torn () in
@@ -341,7 +366,9 @@ let hardening_tests =
                       Alcotest.(check int)
                         (Printf.sprintf "cut %d: torn tail reported" cut)
                         (if cut > before_last then 1 else 0)
-                        (List.length (S.corrupt_entries s)))
+                        (List.length (S.corrupt_entries s)));
+                  append_and_reopen (Printf.sprintf "cut %d" cut) ~prefix:3
+                    ~corrupt:(if cut > before_last then 1 else 0)
                 done)));
     t "durable appends read back bit-exact after close and reopen" (fun () ->
         with_tmp (fun file ->

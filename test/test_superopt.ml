@@ -382,7 +382,7 @@ let apply_tests =
     t "golden digests: appending the peephole pass changes no app candidate" (fun () ->
         (* The satellite guarantee: on already-optimized kernels the
            verified pass is an identity, so every golden digest (stores,
-           checkpoints, sim goldens) is untouched by --rules. *)
+           sim goldens) is untouched by --rules. *)
         let rules = (Lazy.force db).So.rules in
         let extra = [ Tuner.Pipeline.peephole rules ] in
         List.iter

@@ -300,26 +300,25 @@ let search_tests =
         let a = fake ~desc:"a" ~instr:100.0 ~regions:10.0 ~time:1.0 in
         let b = fake ~desc:"b" ~instr:200.0 ~regions:20.0 ~time:2.0 in
         let engine = Tuner.Measure.create ~app_name:"synthetic" () in
-        ignore (Tuner.Measure.measure_all ~jobs:1 engine [ a ]);
+        ignore (Tuner.Measure.measure_outcomes ~jobs:1 engine [ a ]);
         check_b "hit" true (Tuner.Measure.time_exn engine a = 1.0);
         check_b "miss is an error" true
           (match Tuner.Measure.time_exn engine b with
           | (_ : float) -> false
           | exception Invalid_argument _ -> true);
         check_i "only one run happened" 1 (Tuner.Measure.runs engine));
-    t "measure_all memoizes across calls and within a batch" (fun () ->
+    t "measure_outcomes memoizes across calls and within a batch" (fun () ->
         let runs = Atomic.make 0 in
         let c =
           let c0 = fake ~desc:"dup" ~instr:100.0 ~regions:10.0 ~time:3.0 in
           { c0 with run = (fun () -> Atomic.incr runs; 3.0) }
         in
         let engine = Tuner.Measure.create ~app_name:"synthetic" () in
-        let m1 = Tuner.Measure.measure_all ~jobs:2 engine [ c; c; c ] in
-        let m2 = Tuner.Measure.measure_all ~jobs:2 engine [ c ] in
+        let m1 = Tuner.Measure.measure_outcomes ~jobs:2 engine [ c; c; c ] in
+        let m2 = Tuner.Measure.measure_outcomes ~jobs:2 engine [ c ] in
         check_i "one simulator run" 1 (Atomic.get runs);
         check_i "batch length preserved" 3 (List.length m1);
-        check_b "same cached value" true
-          (List.for_all (fun (m : Tuner.Search.measured) -> m.time_s = 3.0) (m1 @ m2)));
+        check_b "same cached value" true (List.for_all (fun (_, o) -> o = Ok 3.0) (m1 @ m2)));
     ts "parallel search is deterministic: jobs:1 = jobs:4 on the SAD space" (fun () ->
         (* The hard requirement behind ~jobs: parallel and sequential
            runs must produce identical result records.  A reduced SAD
