@@ -288,23 +288,21 @@ let explore_cmd =
         with_store store_file (fun store ->
             let db = rules_db ?store ~jobs rules arch in
             let extra_ptx = Option.map (fun rs -> [ Tuner.Pipeline.peephole rs ]) db in
+            let cands = candidates_of ~arch ?extra_ptx e quick in
             let pspec =
               if not predict then None
               else
                 (* A quick target IS the reduced shape already: race it
-                   against itself rather than a larger space. *)
-                let reduced =
-                  if quick then candidates_of ~arch ?extra_ptx e quick
-                  else e.reduced_candidates ~arch ?extra_ptx ()
-                in
+                   against itself (the same list, so the race reuses the
+                   sweep's measurements) rather than a larger space. *)
+                let reduced = if quick then cands else e.reduced_candidates ~arch ?extra_ptx () in
                 Some
                   (Tuner.Prune.spec ~rules:(Option.value db ~default:[]) ~reduced ())
             in
             Tuner.Search.run ~jobs ~fail_fast ?store ?predict:pspec
               ?budget_frac:(budget_frac budget)
               ~store_scale:(if quick then "quick" else "full")
-              ~app_name:e.name
-              (candidates_of ~arch ?extra_ptx e quick))
+              ~app_name:e.name cands)
       with Tuner.Fault.Fail { desc; fault } ->
         Printf.eprintf "fault in %s: %s\n" desc (Tuner.Fault.to_string fault);
         exit 1
@@ -414,9 +412,11 @@ let predict_cmd =
           o.Tuner.Prune.pr_winner.Tuner.Measure.cand.desc
           (o.Tuner.Prune.pr_winner.Tuner.Measure.time_s *. 1000.0);
         winner_line arch o.Tuner.Prune.pr_winner;
-        if store_file <> None then
-          Printf.printf "result store: %d hit(s), %d miss(es)\n" (Tuner.Measure.store_hits engine)
-            (Tuner.Measure.store_misses engine))
+        if store_file <> None then begin
+          let c = Tuner.Measure.counters engine and r = o.Tuner.Prune.pr_reduced_engine in
+          Printf.printf "result store: %d hit(s), %d miss(es)\n"
+            (c.c_store_hits + r.c_store_hits) (c.c_store_misses + r.c_store_misses)
+        end)
   in
   Cmd.v (Cmd.info "predict" ~doc)
     Term.(

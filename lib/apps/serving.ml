@@ -12,7 +12,8 @@
      of warm requests would dwarf the actual lookup.
 
    The memo tables are filled under a lock and read-only afterwards, so
-   connection-worker domains share them freely. *)
+   connection-worker domains share them freely.  The one lazy field,
+   [sp_reduced], is forced by [Serve] under its own lock. *)
 
 let scale_candidates (e : Registry.entry) ~(arch : Gpu.Arch.t) (scale : Tuner.Proto.scale) :
     Tuner.Candidate.t list =
@@ -63,7 +64,13 @@ let resolver () : Tuner.Serve.resolver =
                on the same arch — the shared [Workbench.Reduced] shapes,
                so served predict-explores race exactly what the CLI and
                the lint workbenches use.  A quick space already is a
-               reduced shape, so it races against itself. *)
+               reduced shape, so it races against itself: [lazy cands]
+               is the very list the sweep measures, each twin is the
+               candidate record itself, and [Prune.run] reads its race
+               time from the sweep's engine instead of re-keying it.  A
+               bench or full space's list compiles on first use;
+               [Serve] forces it under a lock, because connection
+               workers on other domains share it. *)
             let sp_reduced =
               match scale with
               | Tuner.Proto.Quick -> lazy cands

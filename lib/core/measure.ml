@@ -197,14 +197,27 @@ let measure_outcomes ?jobs ?cancel t (cands : Candidate.t list) : (Candidate.t *
          uniformly. *)
       List.map (fun (c : Candidate.t) -> (c, find_exn t c)) cands)
 
-(* Bookkeeping accessors. *)
+(* Simulator invocations actually performed. *)
 let runs t = Mutex.protect t.lock (fun () -> t.runs)
-let hits t = Mutex.protect t.lock (fun () -> t.hits)
-let store_hits t = Mutex.protect t.lock (fun () -> t.store_hits)
-let store_misses t = Mutex.protect t.lock (fun () -> t.store_misses)
 
-(* Total host wall-clock seconds spent inside [run] thunks.  Under
-   parallel measurement this is the summed per-worker time, which can
-   exceed elapsed time. *)
-let host_time t =
-  Mutex.protect t.lock (fun () -> Hashtbl.fold (fun _ s acc -> acc +. s) t.host 0.0)
+(* One engine's bookkeeping at a point in time, for callers that report
+   the work of several engines together.  [c_host_s] is the summed host
+   wall-clock time spent inside [run] thunks: under parallel
+   measurement, the per-worker sum, which can exceed elapsed time. *)
+type counters = {
+  c_runs : int;  (* simulator invocations actually performed *)
+  c_hits : int;  (* measurements answered from the cache *)
+  c_store_hits : int;  (* ...of which answered by the result store *)
+  c_store_misses : int;  (* store consulted, simulator paid anyway *)
+  c_host_s : float;
+}
+
+let counters t : counters =
+  Mutex.protect t.lock (fun () ->
+      {
+        c_runs = t.runs;
+        c_hits = t.hits;
+        c_store_hits = t.store_hits;
+        c_store_misses = t.store_misses;
+        c_host_s = Hashtbl.fold (fun _ s acc -> acc +. s) t.host 0.0;
+      })

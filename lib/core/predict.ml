@@ -61,15 +61,10 @@ let of_candidate ?(rules = []) (c : Candidate.t) : float array =
   let instr = Float.max p.instr 1.0 in
   let w_tb = float_of_int o.Gpu.Arch.warps_per_block in
   let b_sm = float_of_int o.Gpu.Arch.blocks_per_sm in
-  let classes = Ptx.Count.class_breakdown c.kernel in
-  let dyn_total =
-    List.fold_left (fun a (r : Ptx.Count.class_row) -> a +. r.dynamic_count) 0.0 classes
-  in
-  let class_frac name =
-    match List.find_opt (fun (r : Ptx.Count.class_row) -> r.class_name = name) classes with
-    | Some r when dyn_total > 0.0 -> r.dynamic_count /. dyn_total
-    | _ -> 0.0
-  in
+  (* The class mix is tallied with the rest of the profile, once per
+     kernel at compile time. *)
+  let classes = Ptx.Count.class_tally p in
+  let dyn_total = List.fold_left ( +. ) 0.0 classes in
   let ph_matched, ph_saved =
     if rules = [] then (0.0, 0.0)
     else
@@ -97,7 +92,7 @@ let of_candidate ?(rules = []) (c : Candidate.t) : float array =
        Metrics.demanded_bytes_per_cycle_per_sm c;
        (if Metrics.bandwidth_bound c then 1.0 else 0.0);
      ]
-    @ List.map class_frac Ptx.Count.class_order
+    @ List.map (fun d -> if dyn_total > 0.0 then d /. dyn_total else 0.0) classes
     @ [ ph_matched; ph_saved ])
 
 (* ------------------------------------------------------------------ *)

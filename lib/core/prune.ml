@@ -47,9 +47,10 @@ let default_plan =
   { pl_budget_frac = 0.10; pl_probe_frac = 0.4; pl_race_frac = 1.0; pl_lambda = 1e-2 }
 
 (* Everything the racing stage needs beyond the candidate list itself:
-   the same space compiled at the reduced launch shape, and the
-   verified peephole database feeding the rule-win feature (empty is
-   fine: the feature reads zero). *)
+   the same space compiled at the reduced launch shape (for a quick
+   space, the searched list itself — see the twin rule in [run]), and
+   the verified peephole database feeding the rule-win feature (empty
+   is fine: the feature reads zero). *)
 type spec = {
   sp_plan : plan;
   sp_reduced : Candidate.t list;
@@ -73,6 +74,10 @@ type outcome = {
   pr_residuals : (string * float * float) list;
       (* desc, predicted s, measured s — every fully simulated point,
          space order; journaled to the store for later refits *)
+  pr_reduced_engine : Measure.counters;
+      (* the reduced-shape engine's runs and store traffic: race work
+         that the caller's [engine] does not see (all zero when the
+         space races against itself) *)
 }
 
 (* 1-based rung-0 rank of a desc (how early prediction alone would have
@@ -185,27 +190,36 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
       s.sp_reduced;
     fun (c : Candidate.t) -> Hashtbl.find_opt tbl c.desc
   in
-  (* The reduced-scale engine keys the store under the REDUCED space's
-     digests, so every race of the same space — warm daemon, CLI,
-     bench — shares entries. *)
-  let rengine = Measure.create ~app_name () in
-  Option.iter
-    (fun st ->
-      let arch, space = Store.space_digests ~app_name ~scale:reduced_scale s.sp_reduced in
-      Measure.attach_store rengine ~store:st ~key:(Store.candidate_key ~arch ~space))
-    store;
   let with_twin =
     List.filter_map (fun ((c : Candidate.t), _) -> Option.map (fun r -> (c, r)) (twin c)) raced
   in
-  let reduced_times =
-    let outs = Measure.measure_outcomes ?jobs ?cancel rengine (List.map snd with_twin) in
-    let tbl = Hashtbl.create 64 in
+  (* The twin rule.  A quick space races against itself: the daemon's
+     resolver and the CLI's quick modes pass the searched list as the
+     reduced space, so such a twin is the very same candidate record.
+     It is measured through [engine], whose cache and store binding the
+     sweep already filled: no second key per candidate (a PTX render
+     and an md5), no second simulation.  Twins that are different
+     kernels (bench- and full-scale spaces) race through a reduced-scale
+     engine keyed under the REDUCED space's digests, so every race of
+     the same space — warm daemon, CLI, bench — shares entries. *)
+  let self_raced, copies = List.partition (fun ((c : Candidate.t), r) -> r == c) with_twin in
+  let rengine = Measure.create ~app_name () in
+  if copies <> [] then
+    Option.iter
+      (fun st ->
+        let arch, space = Store.space_digests ~app_name ~scale:reduced_scale s.sp_reduced in
+        Measure.attach_store rengine ~store:st ~key:(Store.candidate_key ~arch ~space))
+      store;
+  let reduced_times = Hashtbl.create 64 in
+  let race via pairs =
     List.iter2
       (fun ((c : Candidate.t), _) (_, o) ->
-        match o with Ok t -> Hashtbl.replace tbl c.desc t | Error _ -> ())
-      with_twin outs;
-    tbl
+        match o with Ok t -> Hashtbl.replace reduced_times c.desc t | Error _ -> ())
+      pairs
+      (Measure.measure_outcomes ?jobs ?cancel via (List.map snd pairs))
   in
+  race engine self_raced;
+  race rengine copies;
   let missing =
     List.length (List.filter (fun ((c : Candidate.t), _) -> not (Hashtbl.mem reduced_times c.desc)) raced)
   in
@@ -283,6 +297,7 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
         List.map
           (fun ((c : Candidate.t), t) -> (c.desc, Float.exp (Predict.predict model (feat_of c)), t))
           pool;
+      pr_reduced_engine = Measure.counters rengine;
     }
   in
   (match store with
@@ -290,8 +305,11 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
   | Some st ->
     (* Journal the model and its predicted-vs-measured residuals as a
        store blob keyed by the space's content address: a warm store
-       re-answers every probe from disk, so the refit costs nothing,
-       and the journal documents what the model believed when it did.
+       re-answers every probe, race time and survivor without the
+       simulator, so a refit costs the fit itself (about 3.5 ms above
+       a warm explore for SAD's 543 quick points on g80, one job on a
+       2-core Xeon VM), and the journal documents what the model
+       believed when it did.
        The feature version sits in the kernel digest's slot, so a refit
        overwrites nothing from other spaces and the blob invalidates
        itself when the features change. *)

@@ -59,17 +59,20 @@ type result = {
          measured against this result's exhaustive ground truth *)
 }
 
-(* The engine's counters plus the simulator work since [launches0] /
-   [wi0], the [Gpu.Sim] counters read when the search started. *)
-let engine_stats engine ~launches0 ~wi0 : engine_stats =
+(* The summed counters of every engine the search measured through
+   (its own, plus the race's reduced-shape engine) and the simulator
+   work since [launches0] / [wi0], the [Gpu.Sim] counters read when the
+   search started. *)
+let engine_stats (engines : Measure.counters list) ~launches0 ~wi0 : engine_stats =
+  let sum f = List.fold_left (fun a c -> a + f c) 0 engines in
   {
-    measure_runs = Measure.runs engine;
-    measure_hits = Measure.hits engine;
-    measure_host_s = Measure.host_time engine;
+    measure_runs = sum (fun c -> c.Measure.c_runs);
+    measure_hits = sum (fun c -> c.Measure.c_hits);
+    measure_host_s = List.fold_left (fun a c -> a +. c.Measure.c_host_s) 0.0 engines;
     sim_launches = Gpu.Sim.sim_runs () - launches0;
     sim_warp_instrs = Gpu.Sim.warp_instrs_issued () - wi0;
-    store_hits = Measure.store_hits engine;
-    store_misses = Measure.store_misses engine;
+    store_hits = sum (fun c -> c.Measure.c_store_hits);
+    store_misses = sum (fun c -> c.Measure.c_store_misses);
   }
 
 (* Bind a content-addressed result store to a measurement engine.  The
@@ -109,8 +112,11 @@ let bind_store engine ~(app_name : string) (cands : Candidate.t list) ~store ~st
    [?predict] additionally runs the model-driven race ([Prune.run])
    against the same engine.  Because the exhaustive sweep has already
    filled the cache, the race's probe and survivor measurements cost
-   nothing extra here — its structural counts still report what a
-   budget-only run would have simulated.  [?budget_frac] overrides the
+   nothing extra here, nor does the race rung of a space that races
+   against itself — its structural counts still report what a
+   budget-only run would have simulated.  The race's reduced-shape
+   engine, which measures twins that are different kernels, is counted
+   in [result.engine] with the sweep's.  [?budget_frac] overrides the
    spec's full-simulation budget.
 
    [?cancel] is a cooperative cancellation token checked between
@@ -221,7 +227,11 @@ let run ?jobs ?(fail_fast = false) ?store ?store_key ?store_scale ?predict ?budg
       List.exists
         (fun ((c : Candidate.t), _) -> String.equal c.desc best.cand.desc)
         selected;
-    engine = engine_stats engine ~launches0 ~wi0;
+    engine =
+      engine_stats
+        (Measure.counters engine
+        :: Option.to_list (Option.map (fun (o : Prune.outcome) -> o.pr_reduced_engine) prune))
+        ~launches0 ~wi0;
     prune;
   }
 
@@ -260,7 +270,7 @@ let tune_full ?jobs ?store ?store_key ?store_scale ?cancel ~(app_name : string)
       chosen = best;
       considered = selected;
       tune_space_size = List.length valid;
-      tune_engine = engine_stats engine ~launches0 ~wi0;
+      tune_engine = engine_stats [ Measure.counters engine ] ~launches0 ~wi0;
     }
   | None -> invalid_arg (app_name ^ ": every selected configuration faulted")
 

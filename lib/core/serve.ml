@@ -48,7 +48,11 @@ type resolved_space = {
   sp_reduced : Candidate.t list Lazy.t;
       (* the app's reduced-shape (quick) space on the same arch — the
          racing rung of a predict-flagged explore; lazy because most
-         requests never ask for it *)
+         requests never ask for it.  A quick space's is [lazy sp_cands]
+         itself, so its race reuses the sweep's measurements ([Prune.run]
+         measures a twin that is the same record through the sweep's
+         engine).  Connection workers share it across domains, so the
+         server forces it only under [reduced_lock]. *)
 }
 
 type resolver = {
@@ -77,6 +81,9 @@ type t = {
   resolver : resolver;
   jobs : int option;  (* measurement worker domains per request *)
   lock : Mutex.t;
+  reduced_lock : Mutex.t;
+      (* serializes forcing [sp_reduced]: in OCaml 5 a domain forcing a
+         lazy that another domain is forcing raises [Lazy.Undefined] *)
   mutable requests : int;
   mutable errors : int;
   mutable runs : int;  (* simulator measurements performed *)
@@ -95,6 +102,7 @@ let create ?jobs ~(store : Store.t) (resolver : resolver) : t =
     resolver;
     jobs;
     lock = Mutex.create ();
+    reduced_lock = Mutex.create ();
     requests = 0;
     errors = 0;
     runs = 0;
@@ -167,16 +175,23 @@ let handle_explore t ~app ~scale ~(chaos : Proto.chaos_spec option) ~(arch : str
         (* The model-driven race runs on the server's default plan with
            no rule database: rule discovery is a per-store artifact and
            pulling it in here would make replies depend on superopt
-           state.  Probes and survivors flow through the same
-           store-bound engine as the exhaustive sweep, so a warm store
-           answers the race for free. *)
+           state.  Probes and survivors — and, for a quick space,
+           which races against itself, the race rung too — flow through
+           the same store-bound engine as the exhaustive sweep, so a
+           warm request re-answers them from that engine's cache.  The
+           model blob is keyed under the request's scale, like the
+           CLI's. *)
         let pspec =
           if predict then
-            Some (Prune.spec ~reduced:(Lazy.force sp.sp_reduced) ())
+            (* No [Lazy.is_val] shortcut: it is also true while another
+               domain is forcing. *)
+            let reduced = Mutex.protect t.reduced_lock (fun () -> Lazy.force sp.sp_reduced) in
+            Some (Prune.spec ~reduced ())
           else None
         in
         Search.run ?jobs:t.jobs ?cancel ?predict:pspec ~store:t.store
-          ~store_key:sp.sp_store_key ~app_name:app sp.sp_cands
+          ~store_key:sp.sp_store_key ~store_scale:(Proto.scale_name scale) ~app_name:app
+          sp.sp_cands
       | Some { ch_seed; ch_count } ->
         (* Injected faults are synthetic: measuring them through the
            store would record them under healthy candidates' content

@@ -15,6 +15,11 @@
    block's expected executions per thread as [Prog.block.weight], so
    the estimate is a weighted sum over blocks. *)
 
+(* Every field is a float, so OCaml stores the record flat (no boxed
+   float per field); keep it that way.  The instruction-class mix
+   ([class_order]) is part of it: [alu], [sfu], [mem_global],
+   [mem_shared], [mem_const], [barriers] and [branch] are the dynamic
+   instructions per thread of each issue class ([class_of]). *)
 type profile = {
   instr : float;  (* dynamic instructions per thread (incl. branches, barriers) *)
   regions : float;  (* paper's Regions term (see [effective_events]) *)
@@ -24,7 +29,45 @@ type profile = {
   mem : float;  (* dynamic memory instructions per thread *)
   global_bytes : float;  (* off-chip bytes transferred per thread *)
   barriers : float;  (* dynamic barriers per thread *)
+  alu : float;  (* dynamic ALU instructions per thread *)
+  mem_global : float;  (* dynamic global/local loads and stores per thread *)
+  mem_shared : float;  (* dynamic shared-memory loads and stores per thread *)
+  mem_const : float;  (* dynamic constant-memory loads and stores per thread *)
+  branch : float;  (* dynamic block terminators per thread *)
 }
+
+(* Issue class of one instruction: where it executes and what latency
+   table prices it.  Branches are block terminators, never body
+   instructions. *)
+type iclass = Alu | Sfu | Mem_global | Mem_shared | Mem_const | Barrier | Branch
+
+let class_of (i : Instr.t) : iclass =
+  if Instr.is_barrier i then Barrier
+  else if Instr.is_sfu i then Sfu
+  else
+    match i with
+    | Instr.Ld ((Instr.Global | Instr.Local), _, _) | Instr.St ((Instr.Global | Instr.Local), _, _)
+      -> Mem_global
+    | Instr.Ld (Instr.Shared, _, _) | Instr.St (Instr.Shared, _, _) -> Mem_shared
+    | Instr.Ld (Instr.Const, _, _) | Instr.St (Instr.Const, _, _) -> Mem_const
+    | _ -> Alu
+
+let classes = [ Alu; Sfu; Mem_global; Mem_shared; Mem_const; Barrier; Branch ]
+
+let class_name = function
+  | Alu -> "alu"
+  | Sfu -> "sfu"
+  | Mem_global -> "mem.global"
+  | Mem_shared -> "mem.shared"
+  | Mem_const -> "mem.const"
+  | Barrier -> "barrier"
+  | Branch -> "branch"
+
+let class_order = List.map class_name classes
+
+(* A profile's dynamic per-class tally, in [class_order]. *)
+let class_tally (p : profile) : float list =
+  [ p.alu; p.sfu; p.mem_global; p.mem_shared; p.mem_const; p.barriers; p.branch ]
 
 (* Count blocking events inside one block body, separately for
    memory/barrier events and for SFU-instruction events.
@@ -85,6 +128,11 @@ let profile_of (k : Prog.t) : profile =
   let mem = ref 0.0 in
   let bytes = ref 0.0 in
   let barriers = ref 0.0 in
+  let alu = ref 0.0 in
+  let mem_global = ref 0.0 in
+  let mem_shared = ref 0.0 in
+  let mem_const = ref 0.0 in
+  let branch = ref 0.0 in
   List.iter
     (fun (b : Prog.block) ->
       let w = b.weight in
@@ -95,11 +143,18 @@ let profile_of (k : Prog.t) : profile =
       sfu_ev := !sfu_ev +. (w *. float_of_int se);
       List.iter
         (fun i ->
-          if Instr.is_sfu i then sfu := !sfu +. w;
+          (match class_of i with
+          | Alu -> alu := !alu +. w
+          | Sfu -> sfu := !sfu +. w
+          | Mem_global -> mem_global := !mem_global +. w
+          | Mem_shared -> mem_shared := !mem_shared +. w
+          | Mem_const -> mem_const := !mem_const +. w
+          | Barrier -> barriers := !barriers +. w
+          | Branch -> branch := !branch +. w);
           if Instr.is_mem i then mem := !mem +. w;
-          if Instr.is_barrier i then barriers := !barriers +. w;
           bytes := !bytes +. (w *. float_of_int (Instr.global_bytes i)))
-        b.body)
+        b.body;
+      branch := !branch +. w)
     k.blocks;
   {
     instr = !instr;
@@ -110,6 +165,11 @@ let profile_of (k : Prog.t) : profile =
     mem = !mem;
     global_bytes = !bytes;
     barriers = !barriers;
+    alu = !alu;
+    mem_global = !mem_global;
+    mem_shared = !mem_shared;
+    mem_const = !mem_const;
+    branch = !branch;
   }
 
 (* Fraction of the dynamic instruction stream that is memory
@@ -126,40 +186,22 @@ type class_row = {
   dynamic_count : float;  (* executions per thread, weight-estimated *)
 }
 
-(* Issue-class of one instruction: where it executes and what latency
-   table prices it.  Branches are block terminators, counted
-   separately. *)
-let class_of (i : Instr.t) : string =
-  if Instr.is_barrier i then "barrier"
-  else if Instr.is_sfu i then "sfu"
-  else
-    match i with
-    | Instr.Ld ((Instr.Global | Instr.Local), _, _) | Instr.St ((Instr.Global | Instr.Local), _, _)
-      -> "mem.global"
-    | Instr.Ld (Instr.Shared, _, _) | Instr.St (Instr.Shared, _, _) -> "mem.shared"
-    | Instr.Ld (Instr.Const, _, _) | Instr.St (Instr.Const, _, _) -> "mem.const"
-    | _ -> "alu"
-
-let class_order = [ "alu"; "sfu"; "mem.global"; "mem.shared"; "mem.const"; "barrier"; "branch" ]
-
+(* Static counts come from the program text; the dynamic column is the
+   profile's own class tally. *)
 let class_breakdown (k : Prog.t) : class_row list =
-  let stat : (string, int) Hashtbl.t = Hashtbl.create 8 in
-  let dyn : (string, float) Hashtbl.t = Hashtbl.create 8 in
-  let bump name w =
-    Hashtbl.replace stat name (1 + Option.value ~default:0 (Hashtbl.find_opt stat name));
-    Hashtbl.replace dyn name (w +. Option.value ~default:0.0 (Hashtbl.find_opt dyn name))
-  in
+  let static = Hashtbl.create 8 in
+  let bump cls = Hashtbl.replace static cls (1 + Option.value ~default:0 (Hashtbl.find_opt static cls)) in
   List.iter
     (fun (b : Prog.block) ->
-      List.iter (fun i -> bump (class_of i) b.weight) b.body;
-      (* The terminator issues like any instruction (Jump/CBr/Ret). *)
-      bump "branch" b.weight)
+      List.iter (fun i -> bump (class_of i)) b.body;
+      bump Branch)
     k.blocks;
-  List.map
-    (fun name ->
+  List.map2
+    (fun cls dynamic_count ->
       {
-        class_name = name;
-        static_count = Option.value ~default:0 (Hashtbl.find_opt stat name);
-        dynamic_count = Option.value ~default:0.0 (Hashtbl.find_opt dyn name);
+        class_name = class_name cls;
+        static_count = Option.value ~default:0 (Hashtbl.find_opt static cls);
+        dynamic_count;
       })
-    class_order
+    classes
+    (class_tally (profile_of k))

@@ -54,10 +54,10 @@ let golden : (string * string * int * string) list =
     ("mri", "paper", 175, "32372eaa27e0b49deeba6050a47e9824");
   ]
 
-let candidates_of (e : Apps.Registry.entry) = function
-  | "quick" -> e.quick_candidates ()
-  | "reduced" -> e.reduced_candidates ()
-  | "paper" -> e.candidates ()
+let candidates_of ?arch (e : Apps.Registry.entry) = function
+  | "quick" -> e.quick_candidates ?arch ()
+  | "reduced" -> e.reduced_candidates ?arch ()
+  | "paper" -> e.candidates ?arch ()
   | s -> failwith ("no scale " ^ s)
 
 let tests =
@@ -76,4 +76,55 @@ let tests =
           end))
     golden
 
-let suite = [ ("compile-golden", tests) ]
+(* Feature golden: what the model-driven race sees of each candidate.
+   [Tuner.Predict.of_candidate] reads the static profile, occupancy,
+   resources and the instruction-class mix; any drift in how those are
+   accumulated changes every ranking, every fitted model digest and
+   every race outcome, even when the compiled kernels are unchanged.
+
+   One md5 per (app, arch, scale) over every candidate of the space, in
+   enumeration order: its kernel digest and its feature vector (floats
+   as exact hex, no rule database). *)
+
+let feature_line (c : Tuner.Candidate.t) : string =
+  String.concat " "
+    (Tuner.Store.kernel_digest c
+    :: Array.to_list (Array.map Tuner.Hexfloat.to_string (Tuner.Predict.of_candidate c)))
+
+let feature_digest (cands : Tuner.Candidate.t list) : string =
+  Digest.to_hex (Digest.string (String.concat "\n" (List.map feature_line cands)))
+
+(* (app, arch, scale, md5 over [feature_line] of each candidate). *)
+let feature_golden : (string * string * string * string) list =
+  [
+    ("matmul", "g80", "quick", "9ba05cf41464b339a44ac8f873c30847");
+    ("cp", "g80", "quick", "2fa4dab17e56e7a97184c790a13707be");
+    ("sad", "g80", "quick", "edc1dd54b15909607ccad1b5ee18bccf");
+    ("mri", "g80", "quick", "33baaf5e0a53e588f32a55a80602b737");
+    ("matmul", "wide32", "quick", "0df4f516d25aafe6f819aa8a780fcaee");
+    ("cp", "wide32", "quick", "de6236b6e1387bcb7a99460a34759b92");
+    ("sad", "wide32", "quick", "932ee2fe04a96de2e31a795424d7ff34");
+    ("mri", "wide32", "quick", "36292d1a7d478914a6875228d6a120eb");
+    ("matmul", "fpga_soft", "quick", "10607d35d9a5bebfbd1486e420e814c5");
+    ("cp", "fpga_soft", "quick", "9750f2f9505f5f2e84768afa7f28029b");
+    ("sad", "fpga_soft", "quick", "a21e65d0cdd39cbdca43617150a9eb2a");
+    ("mri", "fpga_soft", "quick", "0daedd7224cf716ee51ddde4676e5d13");
+    ("matmul", "g80", "reduced", "424cec717ab9cd8f76fc64fea295db9c");
+    ("cp", "g80", "reduced", "732698a1dc0fce2c868db6b648ca4b94");
+    ("sad", "g80", "reduced", "1a9984ea0dd16d5413a2d166db8bf951");
+    ("mri", "g80", "reduced", "362c3dd071cd77a908735a74731812a6");
+  ]
+
+let feature_tests =
+  List.map
+    (fun (app, arch_name, scale, md5) ->
+      Alcotest.test_case (Printf.sprintf "features of %s/%s/%s unchanged" app arch_name scale)
+        `Quick (fun () ->
+          let e = Option.get (Apps.Registry.find app) in
+          let arch = Option.get (Gpu.Arch.find arch_name) in
+          let got = feature_digest (candidates_of ~arch e scale) in
+          if capture then Printf.printf "    (%S, %S, %S, %S);\n%!" app arch_name scale got
+          else Alcotest.(check string) "md5 of kernel digests and feature vectors" md5 got))
+    feature_golden
+
+let suite = [ ("compile-golden", tests); ("feature-golden", feature_tests) ]

@@ -147,6 +147,39 @@ let prune_tests =
         let a = self_race ~jobs:1 "matmul" cands in
         let b = self_race ~jobs:4 "matmul" cands in
         check_b "outcome key" true (outcome_key a = outcome_key b));
+    t "a space raced against itself reuses its sweep: same outcome, half the simulator runs"
+      (fun () ->
+        (* The twin of a candidate in a self-raced space is the record
+           itself, measured through the sweep's engine; a separately
+           compiled copy of the same space is a different list, so its
+           twins race through the reduced-shape engine.  Both must land
+           on the same outcome, and each search must account for every
+           simulator launch it caused. *)
+        let run reduced cands =
+          let launches0 = Gpu.Sim.sim_runs () in
+          let r =
+            Tuner.Search.run ~jobs:2 ~predict:(R.spec ~reduced ()) ~app_name:"matmul" cands
+          in
+          (r, Gpu.Sim.sim_runs () - launches0)
+        in
+        let cands = (entry "matmul").quick_candidates () in
+        let self, self_launches = run cands cands in
+        let copy, copy_launches = run ((entry "matmul").quick_candidates ()) cands in
+        let key (r : Tuner.Search.result) =
+          let o = Option.get r.Tuner.Search.prune in
+          ( P.digest o.R.pr_model,
+            o.R.pr_ranked,
+            o.R.pr_probes,
+            o.R.pr_survivors,
+            o.R.pr_winner.Tuner.Measure.cand.desc,
+            Int64.bits_of_float o.R.pr_winner.Tuner.Measure.time_s,
+            o.R.pr_simulated )
+        in
+        check_b "identical outcomes" true (key self = key copy);
+        check_i "self-raced launches" 96 self_launches;
+        check_i "copy-raced launches" 192 copy_launches;
+        check_i "self-raced runs = launches" self_launches self.Tuner.Search.engine.measure_runs;
+        check_i "copy-raced runs = launches" copy_launches copy.Tuner.Search.engine.measure_runs);
     t "per-arch recovery (g80, wide32, fpga_soft)" (fun () ->
         List.iter
           (fun (arch : Gpu.Arch.t) ->

@@ -99,6 +99,25 @@ let cache_tests =
             match S.handle server (P.Tune { app = "matmul"; scale = P.Quick; arch = None; deadline_ms = None }) with
             | P.Tune_r r -> Alcotest.(check int) "tune runs" 0 r.t_runs
             | _ -> Alcotest.fail "tune failed on a warm store"));
+    t "a served predict-explore keys its model blob under the request's scale" (fun () ->
+        with_server (fun server _ ->
+            (match
+               S.handle server
+                 (P.Explore
+                    { app = "matmul"; scale = P.Quick; chaos = None; arch = None; predict = true; deadline_ms = None })
+             with
+            | P.Explore_r { x_prune = Some _; _ } -> ()
+            | _ -> Alcotest.fail "predict-explore did not return a race outcome");
+            let e = Option.get (Apps.Registry.find "matmul") in
+            let blob scale =
+              let arch, space =
+                Tuner.Store.space_digests ~app_name:"matmul" ~scale (e.quick_candidates ())
+              in
+              Tuner.Store.get_blob server.S.store
+                (Tuner.Store.key ~arch ~space ~kernel:"predict-v1")
+            in
+            Alcotest.(check bool) "blob under the quick key" true (blob "quick" <> None);
+            Alcotest.(check bool) "nothing under the full key" true (blob "full" = None)));
     t "a chaos-faulted stream degrades gracefully and never poisons the store" (fun () ->
         with_server (fun server _ ->
             let clean = explore_reply server "matmul" in
@@ -295,6 +314,35 @@ let hardening_tests =
               Alcotest.failf "warm sweep failed under deadline: %s: %s"
                 (P.error_code_name e_code) e_msg
             | _ -> Alcotest.fail "warm sweep: wrong reply type"));
+    t "concurrent first predict-explores on a bench-scale space both answer deadline-exceeded"
+      (fun () ->
+        (* Both connection workers reach the space's reduced race list
+           while it is still unforced; the second must wait for the
+           first to force it, not observe a lazy mid-force. *)
+        let req =
+          P.Explore
+            { app = "cp"; scale = P.Bench; chaos = None; arch = None; predict = true; deadline_ms = Some 1 }
+        in
+        for round = 1 to 5 do
+          with_server (fun server _ ->
+              let ready = Atomic.make 0 in
+              let worker () =
+                Atomic.incr ready;
+                while Atomic.get ready < 2 do
+                  Domain.cpu_relax ()
+                done;
+                S.handle server req
+              in
+              let a = Domain.spawn worker and b = Domain.spawn worker in
+              List.iter
+                (fun resp ->
+                  match resp with
+                  | P.Error_r { e_code = P.Deadline_exceeded; _ } -> ()
+                  | P.Error_r { e_code; e_msg } ->
+                    Alcotest.failf "round %d: %s: %s" round (P.error_code_name e_code) e_msg
+                  | _ -> Alcotest.failf "round %d: a cold sweep beat a 1 ms deadline" round)
+                [ Domain.join a; Domain.join b ])
+        done);
     t "tune under an expired deadline is typed too" (fun () ->
         with_server (fun server _ ->
             match
