@@ -773,9 +773,27 @@ let lint_cmd =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"minicuda source file")
 
+(* The single-kernel commands' error boundary: a source or launch the
+   user got wrong prints one typed line and exits 1.  Lexer and parser
+   errors carry their line; whatever compiling or simulating raises is
+   classified the way the tuner classifies a candidate's failure. *)
+let kernel_error ~cmd ~file fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "%s: %s: %s\n" cmd file msg;
+      exit 1)
+    fmt
+
+let with_kernel_errors ~cmd ~file f =
+  try f () with
+  | Minicuda.Lexer.Error { line; msg } | Minicuda.Parser.Error { line; msg } ->
+    kernel_error ~cmd ~file "line %d: %s" line msg
+  | e -> kernel_error ~cmd ~file "%s" (Tuner.Fault.to_string (Tuner.Fault.classify ~backtrace:"" e))
+
 let compile_cmd =
   let doc = "Compile a minicuda file to the PTX-like ISA and report resources and profile." in
   let run file =
+    with_kernel_errors ~cmd:"compile" ~file @@ fun () ->
     List.iter
       (fun k ->
         let c = Tuner.Pipeline.lower_opt k in
@@ -810,7 +828,12 @@ let run_cmd =
   in
   let show = Arg.(value & opt int 8 & info [ "show" ] ~docv:"N" ~doc:"words of output to print") in
   let run file (gx, gy) (bx, by) bufs ramps ints floats show =
-    let kir = List.hd (Minicuda.Parser.parse_file file) in
+    with_kernel_errors ~cmd:"run" ~file @@ fun () ->
+    let kir =
+      match Minicuda.Parser.parse_file file with
+      | k :: _ -> k
+      | [] -> kernel_error ~cmd:"run" ~file "no kernel to run"
+    in
     let ptx = (Tuner.Pipeline.lower_opt kir).ptx in
     let dev = Gpu.Device.create () in
     let buffers =
@@ -819,7 +842,8 @@ let run_cmd =
           let space =
             match List.find_opt (fun (a : Kir.Ast.array_param) -> a.aname = name) kir.array_params with
             | Some a -> a.aspace
-            | None -> failwith (Printf.sprintf "kernel has no array parameter %S" name)
+            | None ->
+              kernel_error ~cmd:"run" ~file "kernel %s has no array parameter %S" kir.kname name
           in
           let b =
             match space with
@@ -837,7 +861,13 @@ let run_cmd =
       @ List.map (fun (n, v) -> (n, Gpu.Sim.F v)) floats
     in
     let launch = { Gpu.Sim.kernel = ptx; grid = (gx, gy); block = (bx, by); args } in
-    let stats = Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks = Gpu.Sim.default_max_blocks }) dev launch in
+    (* The timing pass executes its blocks too; it runs on a copy so
+       the printed buffers hold exactly one functional execution. *)
+    let stats =
+      Gpu.Sim.run
+        ~mode:(Gpu.Sim.Timing { max_blocks = Gpu.Sim.default_max_blocks })
+        (Gpu.Device.clone dev) launch
+    in
     ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional dev launch);
     Printf.printf
       "simulated %.0f cycles = %.4f ms  (B_SM=%d, %d regs/thread, %d gmem transactions)\n"
@@ -1153,7 +1183,7 @@ let superopt_cmd =
     "Discover a verified peephole rule database for the target machine: enumerate short \
      canonical windows, propose cheaper rewrites, and push each pair through the equivalence \
      funnel (quick vectors, adversarial bounded sweep, exhaustive proof on narrow domains).  \
-     With $(docv), additionally apply the database to the app's default configuration and \
+     With $(i,APP), additionally apply the database to the app's default configuration and \
      validate the result.  $(b,--quick) bounds discovery to single-instruction windows."
   in
   let opt_app_arg =

@@ -32,9 +32,10 @@
    accessors, write paths and latency classes resolved once per launch,
    so the per-issue path performs no instruction-set dispatch, no
    operand validation and no allocation.  The scheduler keeps runnable
-   warps in a min-heap keyed by earliest-issue cycle (see [run_sm]);
-   a linear-scan reference scheduler is retained behind [?scheduler]
-   for differential testing.  Both produce bit-identical statistics. *)
+   warps in a min-heap keyed by their exact earliest-issue cycle (see
+   [run_sm]); a linear-scan reference scheduler is retained behind
+   [?scheduler] for differential testing.  Both produce bit-identical
+   statistics. *)
 
 open Ptx
 
@@ -295,20 +296,31 @@ let bank_conflict_degree ?(banks = g80_banks) (addrs : int array) (mask : int) (
   bank_degree (Array.make banks 0) addrs mask half
 
 (* Distinct addresses among active lanes of the whole warp (constant
-   cache broadcast: one issue slot per distinct address). *)
+   cache broadcast: one issue slot per distinct address).  The common
+   case, every active lane reading one address, answers 1 after a
+   single pass; only a divergent access pays the pairwise scan. *)
 let distinct_addresses (addrs : int array) (mask : int) : int =
-  let n = ref 0 in
+  let first = ref (-1) and uniform = ref true in
   for l = 0 to 31 do
-    if mask land (1 lsl l) <> 0 then begin
-      let a = addrs.(l) in
-      let dup = ref false in
-      for m = 0 to l - 1 do
-        if (not !dup) && mask land (1 lsl m) <> 0 && addrs.(m) = a then dup := true
-      done;
-      if not !dup then incr n
-    end
+    if mask land (1 lsl l) <> 0 then
+      if !first < 0 then first := l else if addrs.(l) <> addrs.(!first) then uniform := false
   done;
-  !n
+  if !first < 0 then 0
+  else if !uniform then 1
+  else begin
+    let n = ref 0 in
+    for l = 0 to 31 do
+      if mask land (1 lsl l) <> 0 then begin
+        let a = addrs.(l) in
+        let dup = ref false in
+        for m = 0 to l - 1 do
+          if (not !dup) && mask land (1 lsl m) <> 0 && addrs.(m) = a then dup := true
+        done;
+        if not !dup then incr n
+      end
+    done;
+    !n
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Compiled kernel form                                                *)
@@ -374,36 +386,49 @@ let[@inline] put_ld (ty : Reg.ty) (fr : float array) (ir : int array) (pr : bool
   | Reg.S32 -> ir.(doff + l) <- int_of_float v
   | Reg.Pred -> pr.(doff + l) <- v <> 0.0
 
-(* Same-module binary32 rounding, identical to [Util.Float32.round] by
-   construction.  The non-flambda compiler does not inline across
-   modules, and a non-inlined float call boxes its arguments and result
-   on every lane; spelled here, the round-trip compiles to unboxed
-   bit-level moves and the lane loops allocate nothing. *)
-let[@inline] f32 (x : float) : float = Int32.float_of_bits (Int32.bits_of_float x)
+(* Same-module binary32 rounding, bit-identical to [Util.Float32.round]:
+   storing a float into a float32 Bigarray cell and reading it back is
+   the same double -> single -> double conversion pair that the
+   reference's [Int32] round-trip performs inside two C calls.  With the
+   element kind known statically, ocamlopt compiles the store and load
+   to inline [cvtsd2ss]/[cvtss2sd], so a rounding is two instructions
+   and no call; the non-flambda compiler does not inline across
+   modules, which is why the helpers live here.  The cell is scratch
+   that one rounding writes and reads back with nothing in between, so
+   one per domain is enough: a launch runs on a single domain, and
+   [compile_kernel] fetches the cell once per launch. *)
+type f32cell = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let f32_cell : f32cell Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1)
+
+let[@inline] f32 (cell : f32cell) (x : float) : float =
+  Bigarray.Array1.unsafe_set cell 0 x;
+  Bigarray.Array1.unsafe_get cell 0
 
 (* The ALU operator semantics, spelled as inline functions over unboxed
    floats (binary32 semantics as in [Util.Float32]).  The operator is a
    constant constructor, so the per-lane dispatch is a jump table. *)
-let[@inline] fbin (op : Instr.fop2) (x : float) (y : float) : float =
+let[@inline] fbin (cell : f32cell) (op : Instr.fop2) (x : float) (y : float) : float =
   match op with
-  | Instr.FAdd -> f32 (x +. y)
-  | Instr.FSub -> f32 (x -. y)
-  | Instr.FMul -> f32 (x *. y)
-  | Instr.FDiv -> f32 (x /. y)
+  | Instr.FAdd -> f32 cell (x +. y)
+  | Instr.FSub -> f32 cell (x -. y)
+  | Instr.FMul -> f32 cell (x *. y)
+  | Instr.FDiv -> f32 cell (x /. y)
   | Instr.FMin -> if x < y || y <> y then x else y
   | Instr.FMax -> if x > y || y <> y then x else y
 
-let[@inline] funop (op : Instr.fop1) (x : float) : float =
+let[@inline] funop (cell : f32cell) (op : Instr.fop1) (x : float) : float =
   match op with
   | Instr.FNeg -> -.x
   | Instr.FAbs -> Float.abs x
-  | Instr.FSqrt -> f32 (Float.sqrt x)
-  | Instr.FRsqrt -> f32 (1.0 /. Float.sqrt x)
-  | Instr.FRcp -> f32 (1.0 /. x)
-  | Instr.FSin -> f32 (Float.sin x)
-  | Instr.FCos -> f32 (Float.cos x)
-  | Instr.FEx2 -> f32 (Float.pow 2.0 x)
-  | Instr.FLg2 -> f32 (Float.log x /. Float.log 2.0)
+  | Instr.FSqrt -> f32 cell (Float.sqrt x)
+  | Instr.FRsqrt -> f32 cell (1.0 /. Float.sqrt x)
+  | Instr.FRcp -> f32 cell (1.0 /. x)
+  | Instr.FSin -> f32 cell (Float.sin x)
+  | Instr.FCos -> f32 cell (Float.cos x)
+  | Instr.FEx2 -> f32 cell (Float.pow 2.0 x)
+  | Instr.FLg2 -> f32 cell (Float.log x /. Float.log 2.0)
 
 let[@inline] ctest (cmp : Instr.cmp) (c : int) : bool =
   match cmp with
@@ -465,6 +490,7 @@ let no_def : warp -> int = fun _ -> 0
 let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
     (site_rows : site_counter option array array) : ckernel =
   let lat = env.lat in
+  let cell = Domain.DLS.get f32_cell in
   let idx = Prog.block_index k in
   let find l =
     match Hashtbl.find_opt idx l with
@@ -656,19 +682,19 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
             let fr = w.fregs in
             for l = 0 to 31 do
               if mask land (1 lsl l) <> 0 then
-                fr.(doff + l) <- fbin op fr.(ao + l) fr.(bo + l)
+                fr.(doff + l) <- fbin cell op fr.(ao + l) fr.(bo + l)
             done)
       | FR ao, FK y ->
         alu [ a; b ] d (fun w mask ->
             let fr = w.fregs in
             for l = 0 to 31 do
-              if mask land (1 lsl l) <> 0 then fr.(doff + l) <- fbin op fr.(ao + l) y
+              if mask land (1 lsl l) <> 0 then fr.(doff + l) <- fbin cell op fr.(ao + l) y
             done)
       | FK x, FR bo ->
         alu [ a; b ] d (fun w mask ->
             let fr = w.fregs in
             for l = 0 to 31 do
-              if mask land (1 lsl l) <> 0 then fr.(doff + l) <- fbin op x fr.(bo + l)
+              if mask land (1 lsl l) <> 0 then fr.(doff + l) <- fbin cell op x fr.(bo + l)
             done)
       | _ ->
         alu [ a; b ] d (fun w mask ->
@@ -676,7 +702,7 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
             fill_f a' fr w mask va;
             fill_f b' fr w mask vb;
             for l = 0 to 31 do
-              if mask land (1 lsl l) <> 0 then fr.(doff + l) <- fbin op va.(l) vb.(l)
+              if mask land (1 lsl l) <> 0 then fr.(doff + l) <- fbin cell op va.(l) vb.(l)
             done))
     | Instr.F1 (op, d, a) ->
       let a' = fsrc_of a in
@@ -687,14 +713,14 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
           fun w mask ->
             let fr = w.fregs in
             for l = 0 to 31 do
-              if mask land (1 lsl l) <> 0 then fr.(doff + l) <- funop op fr.(ao + l)
+              if mask land (1 lsl l) <> 0 then fr.(doff + l) <- funop cell op fr.(ao + l)
             done
         | _ ->
           fun w mask ->
             let fr = w.fregs in
             fill_f a' fr w mask va;
             for l = 0 to 31 do
-              if mask land (1 lsl l) <> 0 then fr.(doff + l) <- funop op va.(l)
+              if mask land (1 lsl l) <> 0 then fr.(doff + l) <- funop cell op va.(l)
             done
       in
       if Instr.is_sfu_op op then begin
@@ -722,7 +748,7 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
             let fr = w.fregs in
             for l = 0 to 31 do
               if mask land (1 lsl l) <> 0 then
-                fr.(doff + l) <- f32 (f32 (fr.(ao + l) *. fr.(bo + l)) +. fr.(co + l))
+                fr.(doff + l) <- f32 cell (f32 cell (fr.(ao + l) *. fr.(bo + l)) +. fr.(co + l))
             done)
       | _ ->
         alu [ a; b; cc ] d (fun w mask ->
@@ -732,7 +758,7 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
             fill_f c' fr w mask vc;
             for l = 0 to 31 do
               if mask land (1 lsl l) <> 0 then
-                fr.(doff + l) <- f32 (f32 (va.(l) *. vb.(l)) +. vc.(l))
+                fr.(doff + l) <- f32 cell (f32 cell (va.(l) *. vb.(l)) +. vc.(l))
             done))
     | Instr.I2 (op, d, a, b) ->
       let a' = isrc_of a and b' = isrc_of b in
@@ -791,7 +817,7 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
           let fr = w.fregs and ir = w.iregs in
           for l = 0 to 31 do
             if mask land (1 lsl l) <> 0 then
-              fr.(doff + l) <- f32 (float_of_int (get_i a' ir w l))
+              fr.(doff + l) <- f32 cell (float_of_int (get_i a' ir w l))
           done)
     | Instr.Setp (cmp, ty, d, a, b) -> (
       let doff = Reg.idx d * 32 in
@@ -1307,9 +1333,11 @@ let record_pending (w : warp) (completion : int) =
   end
 
 (* Earliest cycle warp [w] could issue its next instruction, given its
-   scoreboard (ignores the SM issue pipe).  This only reads and
-   monotonically updates per-warp state, so the heap scheduler may call
-   it lazily — only when the warp surfaces at the top. *)
+   scoreboard (ignores the SM issue pipe).  It reads only the warp's own
+   state — pc, wake cycle, register ready cycles, pending slots — which
+   changes only when the warp issues or a barrier releases it, and
+   repeated calls on unchanged state agree ([drop_retired] is
+   idempotent at a fixed cycle). *)
 let warp_earliest (env : env) (ck : ckernel) (w : warp) : int =
   if not env.timing then w.wake
   else begin
@@ -1426,12 +1454,12 @@ let make_block (env : env) (ck : ckernel) ~(seq : int ref) (cta_x : int) (cta_y 
   blk
 
 (* Binary min-heap of runnable warps, ordered lexicographically by
-   (key, admission seq).  Keys are lower bounds on a warp's true
-   earliest-issue cycle (a warp's earliest only grows between its own
-   issues), so [run_sm] pops, recomputes the exact value, and either
-   issues or reinserts — the classic lazy priority queue.  Entries are
-   unique per warp ([in_heap]), so the (key, seq) order is total and
-   pop order is deterministic. *)
+   (key, admission seq).  A key is the warp's exact [warp_earliest],
+   computed when it is pushed: a queued warp does not issue, and a
+   barrier releases only warps parked outside the heap, so nothing
+   changes a key while its warp waits, and the top is the warp the
+   linear scan would pick.  Entries are unique per warp ([in_heap]), so
+   the (key, seq) order is total and pop order is deterministic. *)
 type wheap = {
   mutable hkey : int array;
   mutable hw : warp array;
@@ -1539,12 +1567,11 @@ let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
   (match scheduler with
   | Heap ->
     let heap = { hkey = Array.make 0 0; hw = [||]; hn = 0 } in
+    let push w = heap_push heap (warp_earliest env ck w) w in
     let release blk c =
       base_release blk c;
       Array.iter
-        (fun w' ->
-          if (not w'.finished) && (not w'.at_barrier) && not w'.in_heap then
-            heap_push heap w'.wake w')
+        (fun w' -> if (not w'.finished) && (not w'.at_barrier) && not w'.in_heap then push w')
         blk.warps
     in
     let admit c =
@@ -1556,29 +1583,18 @@ let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
           let blk = make_block env ck ~seq bx by c in
           incr resident_blocks;
           n_unfinished := !n_unfinished + Array.length blk.warps;
-          Array.iter (fun w -> heap_push heap w.wake w) blk.warps
+          Array.iter push blk.warps
       done
     in
     let retire (_ : block_st) = () (* finished warps are never in the heap *) in
     admit 0;
     while heap.hn > 0 do
+      let e = heap.hkey.(0) in
       let w = heap_pop heap in
-      let e = warp_earliest env ck w in
-      if
-        heap.hn > 0
-        && not
-             (e < heap.hkey.(0) || (e = heap.hkey.(0) && w.seq < heap.hw.(0).seq))
-      then
-        (* Another warp may be earlier: reinsert with the exact key and
-           look again.  Keys only grow, so this terminates. *)
-        heap_push heap e w
-      else begin
-        let c = if env.timing then max e env.sm.issue_free else e in
-        let cost = issue env ck ~release w c in
-        if (not w.finished) && (not w.at_barrier) && not w.in_heap then
-          heap_push heap w.wake w;
-        post_issue ~release ~retire ~admit w c cost
-      end
+      let c = if env.timing then max e env.sm.issue_free else e in
+      let cost = issue env ck ~release w c in
+      if (not w.finished) && (not w.at_barrier) && not w.in_heap then push w;
+      post_issue ~release ~retire ~admit w c cost
     done;
     if !n_unfinished > 0 then failwith "Sim: deadlock — all live warps waiting at a barrier"
   | Scan ->
@@ -1753,7 +1769,7 @@ let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev
   in
   let ck = compile_kernel env l.kernel l.args (Array.of_list site_rows) in
   let total_blocks = gx * gy in
-  let all_coords = List.init total_blocks (fun i -> (i mod gx, i / gx)) in
+  let coord i = (i mod gx, i / gx) in
   let note_run () =
     ignore (Atomic.fetch_and_add instrs_issued_total sm.n_warp_instrs);
     Atomic.incr runs_total
@@ -1761,7 +1777,9 @@ let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev
   match mode with
   | Functional ->
     (* Execute every block; blocks are independent, so one at a time. *)
-    List.iter (fun coord -> ignore (run_sm env ck ~scheduler [ coord ] 1)) all_coords;
+    for i = 0 to total_blocks - 1 do
+      ignore (run_sm env ck ~scheduler [ coord i ] 1)
+    done;
     note_run ();
     {
       cycles = 0.0;
@@ -1778,9 +1796,10 @@ let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev
     }
   | Timing { max_blocks } ->
     (* Blocks are distributed round-robin over SMs; simulate SM 0's
-       share, capped, and extrapolate. *)
-    let assigned = List.filteri (fun i _ -> i mod limits.Arch.num_sms = 0) all_coords in
-    let n_assigned = List.length assigned in
+       share (grid blocks 0, num_sms, 2 num_sms, ...), capped, and
+       extrapolate. *)
+    let num_sms = limits.Arch.num_sms in
+    let n_assigned = Util.Stats.cdiv total_blocks num_sms in
     let n_sim = min n_assigned (max 1 max_blocks) in
     (* Simulate whole residency waves where possible: a trailing
        partial wave under-fills the SM and, in a small sample, biases
@@ -1791,7 +1810,7 @@ let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev
         n_sim / occ.blocks_per_sm * occ.blocks_per_sm
       else n_sim
     in
-    let simulated = List.filteri (fun i _ -> i < n_sim) assigned in
+    let simulated = List.init n_sim (fun j -> coord (j * num_sms)) in
     let cycles_sim = run_sm env ck ~scheduler simulated occ.blocks_per_sm in
     note_run ();
     let scale = float_of_int n_assigned /. float_of_int n_sim in

@@ -38,8 +38,12 @@ type state = {
   mutable unrolls : (string * int) list;  (* loop var -> factor *)
 }
 
-let peek st = fst st.toks.(st.pos)
-let line st = snd st.toks.(st.pos)
+(* The lexer ends every stream with EOF, and reading past it answers
+   EOF again: a truncated source then fails with a typed [Error] at the
+   expecting rule, never with an out-of-bounds read. *)
+let current st = st.toks.(min st.pos (Array.length st.toks - 1))
+let peek st = fst (current st)
+let line st = snd (current st)
 let advance st = st.pos <- st.pos + 1
 
 let next st =

@@ -8,10 +8,13 @@
 
 type t = float
 
-(* The [@inline] annotations matter: simulator lane loops apply these
-   per thread, and without inlining the (non-flambda) compiler boxes
-   every float crossing the call — inlined, the round-trip compiles to
-   unboxed bit-level moves. *)
+(* The [@inline] annotations keep callers' floats unboxed: without
+   inlining, the (non-flambda) compiler boxes every float crossing the
+   call.  The round-trip itself stays two calls into the runtime
+   ([Int32.bits_of_float] and back; unboxed and non-allocating, but
+   calls).  [Gpu.Sim] rounds through a float32 Bigarray cell instead,
+   two inline conversion instructions; this module is the reference
+   its tests compare against. *)
 let[@inline] round (x : float) : float = Int32.float_of_bits (Int32.bits_of_float x)
 
 let[@inline] add a b = round (a +. b)

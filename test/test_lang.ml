@@ -189,6 +189,39 @@ let parser_tests =
             "kernel k() { unknown(3.0); }";
             "kernel k(global float O) { O[0] = notdeclared; }";
           ]);
+    t "every prefix of a source parses or raises a typed error" (fun () ->
+        (* A file cut off anywhere (inside a parameter list, a statement
+           or a block) must fail with a typed error, never with a read
+           past the token array's EOF. *)
+        let src =
+          {|// y[i] = a * x[i] + y[i]
+kernel saxpy(global float X, global float Y, float a, int n) {
+  int gid = blockIdx_x * blockDim_x + threadIdx_x;
+  if (gid >= n) { return; }
+  Y[gid] = a * X[gid] + Y[gid];
+}
+kernel k(global float O, const float T, int n) {
+  shared float s[32];
+  float acc = 0.0f;
+  #pragma unroll 2
+  for (int i = 0; i < 4; i++) { acc += T[i] * 1.5e0; }
+  s[threadIdx_x] = acc;
+  __syncthreads();
+  if (threadIdx_x < n) { O[threadIdx_x] = s[31 - threadIdx_x] > 0.0 ? sqrtf(acc) : -acc; }
+  else { O[threadIdx_x] = minf(acc, float(n)); }
+}
+|}
+        in
+        check_i "whole source" 2 (List.length (Minicuda.Parser.parse src));
+        for len = 0 to String.length src - 1 do
+          match Minicuda.Parser.parse (String.sub src 0 len) with
+          | _ -> ()
+          | exception
+              (Minicuda.Parser.Error _ | Minicuda.Lexer.Error _ | Kir.Typecheck.Type_error _) ->
+            ()
+          | exception e ->
+            Alcotest.failf "prefix of %d bytes raised %s" len (Printexc.to_string e)
+        done);
     t "elaborated kernels typecheck by construction" (fun () ->
         (* Parser.kernel runs Typecheck.check; a second run must agree. *)
         let k =

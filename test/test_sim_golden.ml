@@ -188,7 +188,9 @@ and gen_leaf rng : expr =
   | 4 -> Un (ToF, tid_x)
   | _ -> Un (ToF, v "g")
 
-let gen_kernel rng : kernel =
+(* [threads] is the block width the kernel's shared tile is sized for
+   (the launch's block must be [threads] x 1). *)
+let gen_kernel ?(threads = 32) rng : kernel =
   let use_shared = Util.Rng.int rng 2 = 0 in
   let use_loop = Util.Rng.int rng 2 = 0 in
   let diverge = Util.Rng.int rng 2 = 0 in
@@ -197,7 +199,7 @@ let gen_kernel rng : kernel =
       [
         Store ("sh", tid_x, v "x0");
         Sync;
-        Let ("y", F32, Ld ("sh", (tid_x +: i 1) %: i 32));
+        Let ("y", F32, Ld ("sh", (tid_x +: i 1) %: i threads));
       ]
     else [ Let ("y", F32, v "x0" *: f 2.0) ]
   in
@@ -225,7 +227,7 @@ let gen_kernel rng : kernel =
     kname = "rand";
     scalar_params = [ ("alpha", F32); ("n", S32) ];
     array_params = [ { aname = "O"; aspace = Global }; { aname = "A"; aspace = Global } ];
-    shared_decls = (if use_shared then [ ("sh", 32) ] else []);
+    shared_decls = (if use_shared then [ ("sh", threads) ] else []);
     local_decls = [];
     body =
       [
@@ -364,4 +366,190 @@ let qcheck_tests =
            sim_matches_interp k ~input ~alpha));
   ]
 
-let suite = [ ("sim-golden", golden_tests @ nan_setp_tests @ qcheck_tests) ]
+(* ------------------------------------------------------------------ *)
+(* Heap scheduler = scan scheduler on generated launches               *)
+(* ------------------------------------------------------------------ *)
+
+(* The heap keys each queued warp by its exact earliest-issue cycle,
+   computed when the warp is pushed.  The golden rows pin that on the
+   four apps; this property pins it on random kernels: barriers over
+   blocks of one to four warps, loops and divergence, in timing mode
+   with two to ten blocks on the measured SM, several resident at once
+   and, on many draws, more than fit (so blocks retire and new ones are
+   admitted), on every registry machine.  Every statistic must render
+   identically under both schedulers. *)
+let heap_matches_scan seed : bool =
+  let rng = Util.Rng.create seed in
+  let threads = 32 * (1 + Util.Rng.int rng 4) in
+  let k = gen_kernel ~threads rng in
+  Kir.Typecheck.check k;
+  let ptx = Ptx.Opt.run (Kir.Lower.lower k) in
+  let per_sm = 2 + Util.Rng.int rng 9 in
+  let values = Array.init 64 (fun _ -> Util.Float32.round (Util.Rng.float_range rng (-2.0) 2.0)) in
+  List.for_all
+    (fun (arch : Gpu.Arch.t) ->
+      let blocks = arch.limits.num_sms * per_sm in
+      let n = blocks * threads in
+      let render scheduler =
+        let d = Gpu.Device.create () in
+        let out = Gpu.Device.alloc d n and a = Gpu.Device.alloc d n in
+        Gpu.Device.to_device d a (Array.init n (fun j -> values.(j mod 64)));
+        let args =
+          [ ("O", Gpu.Sim.Buf out); ("A", Gpu.Sim.Buf a); ("alpha", Gpu.Sim.F 0.5); ("n", Gpu.Sim.I n) ]
+        in
+        render_stats
+          (Gpu.Sim.run ~arch ~scheduler
+             ~mode:(Gpu.Sim.Timing { max_blocks = Gpu.Sim.default_max_blocks })
+             d
+             { Gpu.Sim.kernel = ptx; grid = (blocks, 1); block = (threads, 1); args })
+      in
+      render Gpu.Sim.Heap = render Gpu.Sim.Scan)
+    Gpu.Arch.archs
+
+(* ------------------------------------------------------------------ *)
+(* Binary32 rounding on special values                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The simulator rounds through a float32 cell, [Util.Float32] through
+   the [Int32] bit round-trip; the two must agree bit for bit exactly
+   where rounding is delicate, which [gen_kernel]'s finite, small
+   values never reach.  One row (x, y, z, k) per thread feeds NaN
+   payloads, signed zeros, f32 subnormals, results past FLT_MAX and
+   round-half-to-even ties through add, sub, mul, div, mad, sqrt,
+   rsqrt, rcp and int->float conversion.  A row holds at most one NaN
+   operand, so no expected bit pattern depends on which of two NaNs an
+   operation propagates. *)
+let f32_results = 9
+
+let f32_special_kernel : kernel =
+  let out j value = Store ("O", (v "g" *: i f32_results) +: i j, value) in
+  let arr name = { aname = name; aspace = Global } in
+  {
+    kname = "f32_special";
+    scalar_params = [ ("n", S32) ];
+    array_params = [ arr "O"; arr "X"; arr "Y"; arr "Z"; arr "K" ];
+    shared_decls = [];
+    local_decls = [];
+    body =
+      [
+        Let ("g", S32, (bid_x *: bdim_x) +: tid_x);
+        If
+          ( v "g" <: Param "n",
+            [
+              Let ("x", F32, Ld ("X", v "g"));
+              Let ("y", F32, Ld ("Y", v "g"));
+              Let ("z", F32, Ld ("Z", v "g"));
+              Let ("k", S32, Un (ToI, Ld ("K", v "g")));
+              out 0 (v "x" +: v "y");
+              out 1 (v "x" -: v "y");
+              out 2 (v "x" *: v "y");
+              out 3 (v "x" /: v "y");
+              out 4 ((v "x" *: v "y") +: v "z");
+              out 5 (Un (Sqrt, v "x"));
+              out 6 (Un (Rsqrt, v "x"));
+              out 7 (Un (Rcp, v "x"));
+              out 8 (Un (ToF, v "k"));
+            ],
+            [] );
+      ];
+  }
+
+let f32_special_rows : (float * float * float * int) list =
+  let bits = Int32.float_of_bits and p2 = Float.ldexp 1.0 in
+  let nan_payload = bits 0x7fc12345l and neg_nan = bits 0xffc00001l in
+  let snan = Int64.float_of_bits 0x7ff0000000000001L in
+  let tiny = p2 (-149) and flt_max = bits 0x7f7fffffl in
+  let max_sub = bits 0x007fffffl in
+  [
+    (nan_payload, 1.5, 0.0, 0);
+    (1.5, neg_nan, 2.0, 16777217);
+    (2.0, 3.0, nan_payload, -16777217);
+    (snan, 1.0, 1.0, 16777219);
+    (0.0, -0.0, -0.0, 16777221);
+    (-0.0, 0.0, 0.0, 2147483647);
+    (-0.0, -0.0, 0.0, -2147483647);
+    (tiny, 0.5, tiny, 33554435);
+    (3.0 *. tiny, 0.5, -.tiny, 1);
+    (max_sub, tiny, -.max_sub, -1);
+    (max_sub, 0.5, 1.0, 3);
+    (tiny, tiny, 0.0, 7);
+    (flt_max, flt_max, -.flt_max, 5);
+    (flt_max, p2 103, 0.0, 9);
+    (flt_max, p2 102, 1.0, 11);
+    (-.flt_max, p2 103, -.flt_max, 13);
+    (flt_max, 0.5, flt_max, 15);
+    (1.0, p2 (-24), 0.0, 17);
+    (1.0 +. p2 (-23), p2 (-24), 1.0, 19);
+    (1.0 +. p2 (-23), -.p2 (-24), -1.0, 21);
+    (1.0 /. 3.0, 3.0, -1.0, 23);
+    (-1.0, 0.0, Float.infinity, 25);
+    (Float.infinity, Float.neg_infinity, 1.0, 27);
+    (Float.infinity, 0.0, 1.0, 29);
+    (p2 (-126), p2 (-1), 0.0, 31);
+    (p2 127, 4.0, -.p2 127, 33);
+    (p2 (-140), p2 (-10), p2 (-149), 35);
+    (0.1, 0.2, 0.3, 37);
+  ]
+
+let f32_special_tests =
+  [
+    t "binary32 rounding on special values: sim equals Util.Float32 bitwise" (fun () ->
+        let k = f32_special_kernel in
+        Kir.Typecheck.check k;
+        let n = List.length f32_special_rows in
+        let d = Gpu.Device.create () in
+        let buf () = Gpu.Device.alloc d n in
+        let out = Gpu.Device.alloc d (n * f32_results) in
+        let xs = buf () and ys = buf () and zs = buf () and ks = buf () in
+        let column sel = Array.of_list (List.map sel f32_special_rows) in
+        Gpu.Device.to_device d xs (column (fun (x, _, _, _) -> x));
+        Gpu.Device.to_device d ys (column (fun (_, y, _, _) -> y));
+        Gpu.Device.to_device d zs (column (fun (_, _, z, _) -> z));
+        Gpu.Device.to_device d ks (column (fun (_, _, _, k) -> float_of_int k));
+        let args =
+          [
+            ("O", Gpu.Sim.Buf out);
+            ("X", Gpu.Sim.Buf xs);
+            ("Y", Gpu.Sim.Buf ys);
+            ("Z", Gpu.Sim.Buf zs);
+            ("K", Gpu.Sim.Buf ks);
+            ("n", Gpu.Sim.I n);
+          ]
+        in
+        let ptx = Ptx.Opt.run (Kir.Lower.lower k) in
+        ignore
+          (Gpu.Sim.run ~mode:Gpu.Sim.Functional d
+             { Gpu.Sim.kernel = ptx; grid = (1, 1); block = (32, 1); args });
+        let sim = Gpu.Device.of_device d out in
+        let module F = Util.Float32 in
+        let names = [| "add"; "sub"; "mul"; "div"; "mad"; "sqrt"; "rsqrt"; "rcp"; "i2f" |] in
+        List.iteri
+          (fun row (x, y, z, ki) ->
+            let expected =
+              [| F.add x y; F.sub x y; F.mul x y; F.div x y; F.mad x y z; F.sqrt x; F.rsqrt x; F.rcp x;
+                 F.of_int ki |]
+            in
+            Array.iteri
+              (fun j e ->
+                let got = sim.((row * f32_results) + j) in
+                if Int64.bits_of_float got <> Int64.bits_of_float e then
+                  Alcotest.failf "row %d %s(%h, %h, %h, %d): sim %h (%Lx), Util.Float32 %h (%Lx)"
+                    row names.(j) x y z ki got (Int64.bits_of_float got) e (Int64.bits_of_float e))
+              expected)
+          f32_special_rows);
+  ]
+
+let heap_scan_tests =
+  [
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      (QCheck.Test.make ~name:"heap scheduler equals scan on generated timing launches (qcheck)"
+         ~count:100
+         QCheck.(int_range 0 100_000)
+         heap_matches_scan);
+  ]
+
+let suite =
+  [
+    ( "sim-golden",
+      golden_tests @ nan_setp_tests @ f32_special_tests @ heap_scan_tests @ qcheck_tests );
+  ]
