@@ -1,17 +1,20 @@
-(* Benchmark harness: regenerates every table and figure of the
-   paper's evaluation, plus a Bechamel micro-benchmark suite with one
-   test per table/figure covering the static pipeline that the paper's
-   methodology relies on being fast.
+(* Exhibit harness: regenerates every table and figure of the paper's
+   evaluation (table1-4, fig3-6, ablation), the per-pass pipeline trace
+   and the static lints, and runs the robustness exhibits nothing else
+   runs: the daemon under load (serve) and under wire faults and kill -9
+   (chaos_net), rule discovery (superopt) and the model-driven race
+   (prune).  The last four also write a BENCH_<name>.json.
 
    Usage:
      bench/main.exe                 -- run everything
      bench/main.exe table1 fig5 ... -- run selected experiments
-     bench/main.exe bechamel        -- only the Bechamel suite
      bench/main.exe --jobs 4 ...    -- parallel candidate measurement
                                        (same results for any N)
 
    Shape checks (the qualitative claims the reproduction must satisfy)
-   are printed as CHECK lines with pass/fail. *)
+   are printed as CHECK lines with pass/fail.  Performance is measured
+   by perfbench/, not here; bench/counters.sh gates its
+   host-independent counters. *)
 
 let printf = Printf.printf
 
@@ -21,6 +24,13 @@ let section title =
   printf "==========================================================\n"
 
 let check name ok = printf "CHECK %-60s %s\n" name (if ok then "[pass]" else "[FAIL]")
+
+(* Every BENCH_*.json goes through the library's one JSON encoder. *)
+let write_json file (v : Util.Json.t) =
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc (Util.Json.to_string v);
+      output_char oc '\n');
+  printf "wrote %s\n" file
 
 (* Measurement worker domains; set from --jobs before any search is
    forced.  The search results are identical for every value. *)
@@ -544,279 +554,6 @@ let lint () =
     check "store-transposed matmul mutant has bank conflicts" has_conflict
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: the static pipeline                      *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  section "Bechamel: static-pipeline micro-benchmarks (one per exhibit)";
-  let open Bechamel in
-  let mm_cfg = { Apps.Matmul.tile = 16; rect = 2; unroll = 4; prefetch = true; spill = false } in
-  let mm_ptx = (Apps.Matmul.compile ~n:matmul_n mm_cfg).ptx in
-  let cp_ptx = (Apps.Cp.compile ~natoms:128 { block_y = 8; tiling = 4; coalesce = true }).ptx in
-  let sad_ptx =
-    (Apps.Sad.compile ~w:176 ~h:144 ~sr:8 { tpb = 64; tiling = 2; u_vec = 2; u_py = 2; u_px = 4 }).ptx
-  in
-  let mri_ptx =
-    (Apps.Mri_fhd.compile ~nsamples:64 ~nvox:107520 { tpb = 128; unroll = 4; wpt = 2 }).ptx
-  in
-  let mk_metric ptx tpb threads () =
-    let res = Ptx.Resource.of_kernel ptx in
-    let prof = Ptx.Count.profile_of ptx in
-    let occ =
-      Gpu.Arch.occupancy ~threads_per_block:tpb ~regs_per_thread:res.regs_per_thread
-        ~smem_per_block:res.smem_bytes_per_block ()
-    in
-    Tuner.Metrics.compute ~instr:prof.instr ~regions:prof.regions ~threads
-      ~warps_per_block:occ.warps_per_block ~blocks_per_sm:occ.blocks_per_sm
-  in
-  let pareto_points =
-    List.init 1000 (fun k ->
-        let x = float_of_int (k * 7919 mod 1000) /. 1000.0 in
-        let y = float_of_int (k * 104729 mod 1000) /. 1000.0 in
-        { Tuner.Pareto.x; y })
-  in
-  let tests =
-    [
-      Test.make ~name:"table1/arch-occupancy"
-        (Staged.stage (fun () ->
-             Gpu.Arch.occupancy ~threads_per_block:256 ~regs_per_thread:10 ~smem_per_block:4096 ()));
-      Test.make ~name:"table2/resource-report"
-        (Staged.stage (fun () -> Ptx.Resource.of_kernel mm_ptx));
-      Test.make ~name:"fig3/matmul-compile"
-        (Staged.stage (fun () -> Apps.Matmul.compile ~n:matmul_n mm_cfg));
-      Test.make ~name:"fig4/sad-metrics" (Staged.stage (mk_metric sad_ptx 64 1e6));
-      Test.make ~name:"fig5/cp-metrics" (Staged.stage (mk_metric cp_ptx 128 1e5));
-      Test.make ~name:"fig6/pareto-frontier"
-        (Staged.stage (fun () -> Tuner.Pareto.frontier_points pareto_points));
-      Test.make ~name:"table3/mri-metrics" (Staged.stage (mk_metric mri_ptx 128 53760.0));
-      Test.make ~name:"table4/instr-count" (Staged.stage (fun () -> Ptx.Count.profile_of mm_ptx));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let instances = Toolkit.Instance.[ monotonic_clock ] in
-      let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 0.25) () in
-      let results = Benchmark.all cfg instances test in
-      let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-      let analyzed = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ t ] -> printf "  %-28s %12.1f ns/run\n%!" name t
-          | _ -> printf "  %-28s (no estimate)\n%!" name)
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
-(* Simulator throughput: the quick-scale measurement sweep             *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall-clock of the quick-scale candidate sweep per application (the
-   tuner's measurement inner loop), with simulator throughput derived
-   from the global warp-instruction counter.  Results are also written
-   to BENCH_sim.json so the perf trajectory is machine-checkable across
-   commits.
-
-   The baseline walls are the same sweep on the pre-refactor
-   interpretive execution core (commit 1601625, identical methodology:
-   one warm-up sweep, then best of the timed sweeps, same host class).
-   The compiled core's acceptance bar is >= 2.5x on matmul.
-
-   The sweeps are deterministic CPU-bound work, so the minimum wall is
-   the measurement least disturbed by the host.  Reps are split into
-   two passes with the other apps' sweeps in between: transient host
-   interference (steal time on shared machines) tends to persist for
-   seconds, and a single burst of reps can fall entirely inside one
-   such window. *)
-let perf_baseline_wall_s =
-  [ ("matmul", 0.945); ("cp", 0.140); ("sad", 1.086); ("mri", 1.173) ]
-
-let perf_apps = [ "matmul"; "cp"; "sad"; "mri" ]
-
-let perf () =
-  section "Simulator throughput: quick-scale sweep (compiled execution core)";
-  let reps_per_pass = 3 and passes = 2 in
-  let sweeps =
-    List.map
-      (fun app ->
-        let e = registry app in
-        let cands =
-          List.filter (fun (c : Tuner.Candidate.t) -> c.valid) (e.quick_candidates ())
-        in
-        let sweep () = List.iter (fun (c : Tuner.Candidate.t) -> ignore (c.run ())) cands in
-        (app, List.length cands, sweep))
-      perf_apps
-  in
-  let counters =
-    List.map
-      (fun (app, _, sweep) ->
-        sweep () (* warm-up: faults in lazy compilation, warms the allocator *);
-        let wi0 = Gpu.Sim.warp_instrs_issued () and r0 = Gpu.Sim.sim_runs () in
-        sweep ();
-        (app, (Gpu.Sim.warp_instrs_issued () - wi0, Gpu.Sim.sim_runs () - r0)))
-      sweeps
-  in
-  let walls = Hashtbl.create 4 in
-  for _ = 1 to passes do
-    List.iter
-      (fun (app, _, sweep) ->
-        for _ = 1 to reps_per_pass do
-          let t0 = Unix.gettimeofday () in
-          sweep ();
-          let dt = Unix.gettimeofday () -. t0 in
-          let prev = Option.value (Hashtbl.find_opt walls app) ~default:infinity in
-          Hashtbl.replace walls app (Float.min prev dt)
-        done)
-      sweeps
-  done;
-  (* Adaptive: if the headline matmul number lands near the acceptance
-     threshold, take extra passes — host-interference windows can
-     outlast the main measurement on shared machines. *)
-  let matmul_sweep =
-    let _, _, sweep = List.find (fun (a, _, _) -> a = "matmul") sweeps in
-    sweep
-  in
-  let matmul_base = List.assoc "matmul" perf_baseline_wall_s in
-  let extra = ref 0 in
-  while !extra < 2 && matmul_base /. Hashtbl.find walls "matmul" < 2.6 do
-    incr extra;
-    for _ = 1 to reps_per_pass do
-      let t0 = Unix.gettimeofday () in
-      matmul_sweep ();
-      let dt = Unix.gettimeofday () -. t0 in
-      Hashtbl.replace walls "matmul" (Float.min (Hashtbl.find walls "matmul") dt)
-    done
-  done;
-  let rows =
-    List.map
-      (fun (app, cands, _) ->
-        let winstrs, runs = List.assoc app counters in
-        let wall = Hashtbl.find walls app in
-        let baseline = List.assoc app perf_baseline_wall_s in
-        (app, cands, runs, winstrs, wall, baseline, baseline /. wall))
-      sweeps
-  in
-  print_string
-    (Tuner.Report.table
-       [ "App"; "Configs"; "Sim runs"; "Warp instrs"; "Wall (s)"; "Baseline (s)"; "Speedup" ]
-       (List.map
-          (fun (app, cands, runs, wi, wall, base, speedup) ->
-            [
-              app;
-              string_of_int cands;
-              string_of_int runs;
-              string_of_int wi;
-              Printf.sprintf "%.3f" wall;
-              Printf.sprintf "%.3f" base;
-              Printf.sprintf "%.2fx" speedup;
-            ])
-          rows));
-  let total_wi = List.fold_left (fun a (_, _, _, wi, _, _, _) -> a + wi) 0 rows in
-  let total_wall = List.fold_left (fun a (_, _, _, _, w, _, _) -> a +. w) 0.0 rows in
-  printf "\naggregate: %.2f M warp-instrs/s over the four sweeps\n"
-    (float_of_int total_wi /. total_wall /. 1e6);
-  let json = Buffer.create 1024 in
-  Printf.bprintf json "{\n  \"bench\": \"sim_throughput\",\n  \"scale\": \"quick\",\n  \"reps\": %d,\n  \"apps\": [\n" (reps_per_pass * passes);
-  List.iteri
-    (fun idx (app, cands, runs, wi, wall, base, speedup) ->
-      Printf.bprintf json
-        "    {\"app\": %S, \"candidates\": %d, \"sim_runs\": %d, \"warp_instrs\": %d, \"wall_s\": %.6f, \"winstr_per_s\": %.0f, \"baseline_wall_s\": %.3f, \"speedup\": %.3f}%s\n"
-        app cands runs wi wall
-        (float_of_int wi /. wall)
-        base speedup
-        (if idx = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.bprintf json "  ],\n  \"aggregate_winstr_per_s\": %.0f\n}\n"
-    (float_of_int total_wi /. total_wall);
-  let oc = open_out "BENCH_sim.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  printf "wrote BENCH_sim.json\n";
-  let speedup_of app = let (_, _, _, _, _, _, s) = List.find (fun (a, _, _, _, _, _, _) -> a = app) rows in s in
-  check "matmul sweep >= 2.5x over the interpretive core" (speedup_of "matmul" >= 2.5);
-  check "every app's sweep faster than the interpretive core"
-    (List.for_all (fun (_, _, _, _, _, _, s) -> s > 1.0) rows)
-
-(* ------------------------------------------------------------------ *)
-(* Chaos: fault-tolerance exhibit                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* The robustness claim, demonstrated on the quick matmul space: a
-   sweep with seeded injected faults (a crashing thunk, a runaway
-   kernel the watchdog cuts off, a corrupt pass the verifier rejects)
-   reports every fault, still finds the surviving optimum exactly, and
-   a store-backed sweep stopped partway resumes from the store to the
-   identical result. *)
-let chaos () =
-  section "Chaos: fault-injected sweep + kill/resume from the store (matmul quick)";
-  let e = registry "matmul" in
-  let cands = e.quick_candidates () in
-  let baseline = Tuner.Search.run ~jobs:!jobs ~app_name:"matmul" cands in
-  let avoid = List.map (fun ((c : Tuner.Candidate.t), _) -> c.desc) baseline.selected in
-  let injected_cands, injections =
-    Tuner.Chaos.inject ~seed:2008 ~count:6 ~avoid cands
-  in
-  let r = Tuner.Search.run ~jobs:!jobs ~app_name:"matmul" injected_cands in
-  print_string (Tuner.Report.fault_table r.faults);
-  let injected_descs =
-    List.sort compare (List.map (fun (i : Tuner.Chaos.injection) -> i.inj_desc) injections)
-  in
-  check "all injected faults reported"
-    (List.sort compare (List.map (fun ((c : Tuner.Candidate.t), _) -> c.desc) r.faults)
-    = injected_descs);
-  check "watchdog faults present among the injections"
-    (List.exists (fun (_, f) -> Tuner.Fault.tag f = "watchdog") r.faults);
-  let surviving_best =
-    List.filter
-      (fun (m : Tuner.Search.measured) -> not (List.mem m.cand.desc injected_descs))
-      baseline.exhaustive
-    |> fun ms -> Option.get (Util.Stats.argmin (fun (m : Tuner.Search.measured) -> m.time_s) ms)
-  in
-  check "exhaustive optimum over survivors is exact"
-    (r.best.cand.desc = surviving_best.cand.desc && r.best.time_s = surviving_best.time_s);
-  check "faults off the frontier leave selected_best unchanged"
-    (r.selected_best.cand.desc = baseline.selected_best.cand.desc
-    && r.selected_best.time_s = baseline.selected_best.time_s);
-  (* Kill-and-resume: cancel the sweep over a fresh store once half the
-     space has settled (plus whatever was in flight), then resume with
-     a fresh sweep against the same store. *)
-  let tmp = Filename.temp_file "bench-chaos-" ".store" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
-    (fun () ->
-      let k = max 1 (r.space_size / 2) in
-      let cancel = Tuner.Cancel.create () in
-      let store = Tuner.Store.open_ ~file:tmp () in
-      let stopped =
-        match
-          Tuner.Search.run ~jobs:!jobs ~cancel ~store ~app_name:"matmul"
-            (Tuner.Chaos.kill_after ~cancel k injected_cands)
-        with
-        | (_ : Tuner.Search.result) -> false
-        | exception Tuner.Cancel.Cancelled -> true
-      in
-      let settled = Tuner.Store.entries store in
-      Tuner.Store.close store;
-      check "sweep stops once half the space has settled" (stopped && settled >= k);
-      let store = Tuner.Store.open_ ~file:tmp () in
-      let resumed =
-        Fun.protect
-          ~finally:(fun () -> Tuner.Store.close store)
-          (fun () -> Tuner.Search.run ~jobs:!jobs ~store ~app_name:"matmul" injected_cands)
-      in
-      let times ms = List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) ms in
-      check "resume skips the stored outcomes"
-        (resumed.engine.measure_runs = r.space_size - settled);
-      check "resumed sweep equals the uninterrupted one"
-        (times resumed.exhaustive = times r.exhaustive
-        && List.map (fun ((c : Tuner.Candidate.t), f) -> (c.desc, Tuner.Fault.to_journal f))
-             resumed.faults
-           = List.map (fun ((c : Tuner.Candidate.t), f) -> (c.desc, Tuner.Fault.to_journal f))
-               r.faults
-        && resumed.best.cand.desc = r.best.cand.desc
-        && resumed.selected_eval_time = r.selected_eval_time))
-
-(* ------------------------------------------------------------------ *)
 (* Serve: tuning-as-a-service load harness                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1026,26 +763,43 @@ let serve () =
           Domain.join daemon;
           check "daemon shut down cleanly; socket unlinked" (not (Sys.file_exists socket));
           (* ---- BENCH_serve.json ---------------------------------- *)
-          let json = Buffer.create 1024 in
-          Printf.bprintf json
-            "{\n  \"bench\": \"serve\",\n  \"requests\": %d,\n  \"clients\": %d,\n  \"conn_workers\": %d,\n  \"jobs\": %d,\n  \"wall_s\": %.6f,\n  \"throughput_rps\": %.1f,\n  \"p50_ms\": %.3f,\n  \"p99_ms\": %.3f,\n  \"hit_rate\": %.6f,\n  \"store\": {\"hits\": %d, \"misses\": %d, \"entries\": %d, \"sim_runs\": %d},\n  \"cold_ms\": {%s},\n  \"classes\": [\n"
-            total nclients conn_workers !jobs wall
-            (float_of_int total /. wall)
-            (p50_all *. 1000.0) (p99_all *. 1000.0) hit_rate hits misses entries runs
-            (String.concat ", "
-               (List.map (fun (app, dt, _) -> Printf.sprintf "\"%s\": %.3f" app (dt *. 1000.0)) cold));
-          List.iteri
-            (fun idx (k, n, p50, p99, mx) ->
-              Printf.bprintf json
-                "    {\"class\": %S, \"count\": %d, \"p50_ms\": %.3f, \"p99_ms\": %.3f, \"max_ms\": %.3f}%s\n"
-                k n (p50 *. 1000.0) (p99 *. 1000.0) (mx *. 1000.0)
-                (if idx = List.length per_class - 1 then "" else ","))
-            per_class;
-          Printf.bprintf json "  ]\n}\n";
-          let oc = open_out "BENCH_serve.json" in
-          output_string oc (Buffer.contents json);
-          close_out oc;
-          printf "wrote BENCH_serve.json\n"))
+          let ms x = Util.Json.Float (x *. 1000.0) in
+          write_json "BENCH_serve.json"
+            (Obj
+               [
+                 ("bench", Str "serve");
+                 ("requests", Int total);
+                 ("clients", Int nclients);
+                 ("conn_workers", Int conn_workers);
+                 ("jobs", Int !jobs);
+                 ("wall_s", Float wall);
+                 ("throughput_rps", Float (float_of_int total /. wall));
+                 ("p50_ms", ms p50_all);
+                 ("p99_ms", ms p99_all);
+                 ("hit_rate", Float hit_rate);
+                 ( "store",
+                   Obj
+                     [
+                       ("hits", Int hits);
+                       ("misses", Int misses);
+                       ("entries", Int entries);
+                       ("sim_runs", Int runs);
+                     ] );
+                 ("cold_ms", Obj (List.map (fun (app, dt, _) -> (app, ms dt)) cold));
+                 ( "classes",
+                   List
+                     (List.map
+                        (fun (k, n, p50, p99, mx) ->
+                          Util.Json.Obj
+                            [
+                              ("class", Str k);
+                              ("count", Int n);
+                              ("p50_ms", ms p50);
+                              ("p99_ms", ms p99);
+                              ("max_ms", ms mx);
+                            ])
+                        per_class) );
+               ])))
 
 (* ------------------------------------------------------------------ *)
 (* Chaos-net: the hardened daemon under wire-level fire                *)
@@ -1252,18 +1006,25 @@ let chaos_net () =
       reap !pid;
       check "socket unlinked on clean shutdown" (not (Sys.file_exists socket));
       (* ---- BENCH_chaos_net.json ------------------------------------ *)
-      let json = Buffer.create 512 in
-      Printf.bprintf json
-        "{\n  \"bench\": \"chaos_net\",\n  \"strikes\": %d,\n  \"availability\": %.6f,\n  \"honest_ok\": %d,\n  \"honest_total\": %d,\n  \"faults\": {%s},\n  \"fsck_after_kill\": {\"records\": %d, \"valid\": %d, \"corrupt\": %d, \"reclaimable_bytes\": %d},\n  \"compact_reclaimed_bytes\": %d\n}\n"
-        strikes avail !honest_ok !honest_total
-        (String.concat ", " (List.map (fun (n, c) -> Printf.sprintf "\"%s\": %d" n c) tally))
-        report.Tuner.Store.fs_records report.Tuner.Store.fs_valid
-        (List.length report.Tuner.Store.fs_corrupt)
-        report.Tuner.Store.fs_reclaimable reclaimed;
-      let oc = open_out "BENCH_chaos_net.json" in
-      output_string oc (Buffer.contents json);
-      close_out oc;
-      printf "wrote BENCH_chaos_net.json\n")
+      write_json "BENCH_chaos_net.json"
+        (Obj
+           [
+             ("bench", Str "chaos_net");
+             ("strikes", Int strikes);
+             ("availability", Float avail);
+             ("honest_ok", Int !honest_ok);
+             ("honest_total", Int !honest_total);
+             ("faults", Obj (List.map (fun (n, c) -> (n, Util.Json.Int c)) tally));
+             ( "fsck_after_kill",
+               Obj
+                 [
+                   ("records", Int report.Tuner.Store.fs_records);
+                   ("valid", Int report.Tuner.Store.fs_valid);
+                   ("corrupt", Int (List.length report.Tuner.Store.fs_corrupt));
+                   ("reclaimable_bytes", Int report.Tuner.Store.fs_reclaimable);
+                 ] );
+             ("compact_reclaimed_bytes", Int reclaimed);
+           ]))
 
 (* ------------------------------------------------------------------ *)
 (* Superopt: the tiered rule-discovery funnel                          *)
@@ -1346,16 +1107,29 @@ let superopt () =
     check "peephole pass rewrites matmul's raw lowering" (st.Ptx.Peephole.matched >= 1);
     check "rewritten kernel passes translation validation"
       (match Ptx.Equiv.validate before after with Ok _ -> true | Error _ -> false));
-  let json = Buffer.create 1024 in
-  Printf.bprintf json
-    "{\n  \"bench\": \"superopt\",\n  \"arch\": \"g80\",\n  \"jobs\": %d,\n  \"rules\": %d,\n  \"tiers\": {\"quick\": %d, \"bounded\": %d, \"exhaustive\": %d},\n  \"funnel\": {\"windows\": %d, \"pairs\": %d, \"rejected_quick\": %d, \"rejected_bounded\": %d, \"rejected_exhaustive\": %d, \"unsupported\": %d, \"passed\": %d},\n  \"elapsed_s\": %.6f,\n  \"pairs_per_s\": %.0f,\n  \"db_digest\": %S\n}\n"
-    !jobs nrules q b e f.So.fn_lhs f.So.fn_pairs f.So.fn_quick f.So.fn_bounded
-    f.So.fn_exhaustive f.So.fn_unsupported f.So.fn_passed r.So.elapsed_s rate
-    (P.digest r.So.rules);
-  let oc = open_out "BENCH_superopt.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  printf "wrote BENCH_superopt.json\n"
+  write_json "BENCH_superopt.json"
+    (Obj
+       [
+         ("bench", Str "superopt");
+         ("arch", Str "g80");
+         ("jobs", Int !jobs);
+         ("rules", Int nrules);
+         ("tiers", Obj [ ("quick", Int q); ("bounded", Int b); ("exhaustive", Int e) ]);
+         ( "funnel",
+           Obj
+             [
+               ("windows", Int f.So.fn_lhs);
+               ("pairs", Int f.So.fn_pairs);
+               ("rejected_quick", Int f.So.fn_quick);
+               ("rejected_bounded", Int f.So.fn_bounded);
+               ("rejected_exhaustive", Int f.So.fn_exhaustive);
+               ("unsupported", Int f.So.fn_unsupported);
+               ("passed", Int f.So.fn_passed);
+             ] );
+         ("elapsed_s", Float r.So.elapsed_s);
+         ("pairs_per_s", Float rate);
+         ("db_digest", Str (P.digest r.So.rules));
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Predictive pruning: the model-driven race                           *)
@@ -1387,13 +1161,7 @@ let prune () =
   printf "rule database: %d rule(s) feeding the rule-win feature\n%!" (List.length rules);
   let race ~jobs ~budget name =
     let e = registry name in
-    let spec =
-      Tuner.Prune.spec
-        ~plan:{ Tuner.Prune.default_plan with Tuner.Prune.pl_budget_frac = budget }
-        ~rules
-        ~reduced:(e.reduced_candidates ())
-        ()
-    in
+    let spec = Tuner.Prune.spec ~budget_frac:budget ~rules ~reduced:(e.reduced_candidates ()) () in
     let engine = Tuner.Measure.create ~app_name:name () in
     Tuner.Prune.run ~jobs ~engine ~app_name:name spec (e.bench_candidates ())
   in
@@ -1450,33 +1218,36 @@ let prune () =
   let d4 = race ~jobs:4 ~budget:0.10 "matmul" in
   check "jobs 1 vs 4: model, ranking and winner bit-identical" (key d1 = key d4);
   (* ---- BENCH_prune.json -------------------------------------------- *)
-  let json = Buffer.create 1024 in
-  Printf.bprintf json "{\n  \"bench\": \"prune\",\n  \"arch\": \"g80\",\n  \"jobs\": %d,\n  \"apps\": [\n"
-    !jobs;
-  List.iteri
-    (fun i (name, (r : Tuner.Search.result), budget, (o : Tuner.Prune.outcome)) ->
-      let frac =
-        float_of_int o.Tuner.Prune.pr_simulated /. float_of_int o.Tuner.Prune.pr_total
-      in
-      Printf.bprintf json
-        "    {\"app\": %S, \"space\": %d, \"budget_frac\": %.6f, \"probes\": %d, \"raced\": %d, \
-         \"survivors\": %d, \"simulated\": %d, \"simulated_frac\": %.6f, \"pareto_reduction\": \
-         %.6f, \"optimum_rank\": %d, \"recovered\": %b, \"model\": %S}%s\n"
-        name o.Tuner.Prune.pr_total budget
-        (List.length o.Tuner.Prune.pr_probes)
-        o.Tuner.Prune.pr_raced
-        (List.length o.Tuner.Prune.pr_survivors)
-        o.Tuner.Prune.pr_simulated frac r.reduction
-        (Option.value (Tuner.Prune.rank_of o r.best.cand.desc) ~default:0)
-        (Tuner.Prune.recovered o ~best:r.best)
-        (Tuner.Predict.digest o.Tuner.Prune.pr_model)
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.bprintf json "  ],\n  \"jobs_bit_identical\": %b\n}\n" (key d1 = key d4);
-  let oc = open_out "BENCH_prune.json" in
-  output_string oc (Buffer.contents json);
-  close_out oc;
-  printf "wrote BENCH_prune.json\n"
+  write_json "BENCH_prune.json"
+    (Obj
+       [
+         ("bench", Str "prune");
+         ("arch", Str "g80");
+         ("jobs", Int !jobs);
+         ( "apps",
+           List
+             (List.map
+                (fun (name, (r : Tuner.Search.result), budget, (o : Tuner.Prune.outcome)) ->
+                  Util.Json.Obj
+                    [
+                      ("app", Str name);
+                      ("space", Int o.pr_total);
+                      ("budget_frac", Float budget);
+                      ("probes", Int (List.length o.pr_probes));
+                      ("raced", Int o.pr_raced);
+                      ("survivors", Int (List.length o.pr_survivors));
+                      ("simulated", Int o.pr_simulated);
+                      ( "simulated_frac",
+                        Float (float_of_int o.pr_simulated /. float_of_int o.pr_total) );
+                      ("pareto_reduction", Float r.reduction);
+                      ( "optimum_rank",
+                        Int (Option.value (Tuner.Prune.rank_of o r.best.cand.desc) ~default:0) );
+                      ("recovered", Bool (Tuner.Prune.recovered o ~best:r.best));
+                      ("model", Str (Tuner.Predict.digest o.pr_model));
+                    ])
+                rows) );
+         ("jobs_bit_identical", Bool (key d1 = key d4));
+       ])
 
 (* ------------------------------------------------------------------ *)
 
@@ -1493,9 +1264,6 @@ let experiments =
     ("ablation", ablation);
     ("trace", trace);
     ("lint", lint);
-    ("perf", perf);
-    ("bechamel", bechamel);
-    ("chaos", chaos);
     ("serve", serve);
     ("chaos_net", chaos_net);
     ("superopt", superopt);

@@ -250,8 +250,8 @@ let explore_cmd =
   let predict_flag =
     let doc =
       "Also run the model-driven race: fit a ridge predictor on a seeded probe set, rank the \
-       whole space by predicted runtime, race the top of the ranking at the reduced (quick) \
-       launch shape, and fully simulate only the survivors (see $(b,--budget)).  Reported \
+       whole space by predicted runtime, race the ranking at the reduced (quick) launch \
+       shape, and fully simulate only the survivors (see $(b,--budget)).  Reported \
        next to the Pareto pruning, with whether the race recovered the true optimum."
     in
     Arg.(value & flag & info [ "predict" ] ~doc)
@@ -297,10 +297,10 @@ let explore_cmd =
                    sweep's measurements) rather than a larger space. *)
                 let reduced = if quick then cands else e.reduced_candidates ~arch ?extra_ptx () in
                 Some
-                  (Tuner.Prune.spec ~rules:(Option.value db ~default:[]) ~reduced ())
+                  (Tuner.Prune.spec ?budget_frac:(budget_frac budget)
+                     ~rules:(Option.value db ~default:[]) ~reduced ())
             in
             Tuner.Search.run ~jobs ~fail_fast ?store ?predict:pspec
-              ?budget_frac:(budget_frac budget)
               ~store_scale:(if quick then "quick" else "full")
               ~app_name:e.name cands)
       with Tuner.Fault.Fail { desc; fault } ->
@@ -345,7 +345,7 @@ let predict_cmd =
   let doc =
     "Run the model-driven race alone, without the exhaustive sweep: measure a seeded probe \
      set, fit the ridge runtime predictor on it, rank the whole space by prediction, race the \
-     top of the ranking at the reduced launch shape, and fully simulate only the survivors.  \
+     ranking at the reduced launch shape, and fully simulate only the survivors.  \
      Prints the fitted model (standardized weights, largest first), the head of the predicted \
      ranking, and the winner.  Unlike $(b,gpuopt explore --predict) this never measures the \
      rest of the space, so it cannot say whether the winner is the true optimum — it is the \
@@ -363,13 +363,9 @@ let predict_cmd =
         let extra_ptx = Option.map (fun rs -> [ Tuner.Pipeline.peephole rs ]) db in
         let cands = candidates_of ~arch ?extra_ptx e quick in
         let reduced = if quick then cands else e.reduced_candidates ~arch ?extra_ptx () in
-        let plan =
-          match budget_frac budget with
-          | None -> Tuner.Prune.default_plan
-          | Some f -> { Tuner.Prune.default_plan with Tuner.Prune.pl_budget_frac = f }
-        in
         let spec =
-          Tuner.Prune.spec ~plan ~rules:(Option.value db ~default:[]) ~reduced ()
+          Tuner.Prune.spec ?budget_frac:(budget_frac budget)
+            ~rules:(Option.value db ~default:[]) ~reduced ()
         in
         let scale = if quick then "quick" else "full" in
         let engine = Tuner.Measure.create ~app_name:e.name () in

@@ -252,17 +252,6 @@ let compile ?(verify = true) ?hook ?analyze (sched : schedule) (kernel : Kir.Ast
     };
   { source = kir; ptx; resource; profile; lint }
 
-(* Fault-surfacing wrapper around [compile]: a verifier rejection or a
-   raising pass becomes a classified [Fault.t] instead of an exception,
-   so callers building candidates in bulk can record one bad config and
-   keep compiling the rest. *)
-let try_compile ?verify ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) :
-    (compiled, Fault.t) result =
-  try Ok (compile ?verify ?hook ?analyze sched kernel)
-  with e ->
-    let bt = Printexc.get_backtrace () in
-    Error (Fault.classify ~backtrace:bt e)
-
 (* Lower + standard PTX optimization, no KIR passes: the entry point
    for already-configured kernels (minicuda files, examples). *)
 let lower_opt ?verify ?hook ?analyze (k : Kir.Ast.kernel) : compiled =

@@ -9,12 +9,11 @@
                        model, fit on a small seeded probe set that is
                        measured at full scale (and is part of the
                        final answer pool);
-     rung 1  race      measure the space at the REDUCED launch shape
-                       (the same quick scales the lint workbenches
-                       use — [Apps.Workbench.Reduced]), which costs a
-                       fraction of a full simulation per candidate;
-                       [pl_race_frac] < 1 admits only the top
-                       predicted slice, trading safety for speed;
+     rung 1  race      measure the whole space at the REDUCED launch
+                       shape (the same quick scales the lint
+                       workbenches use — [Apps.Workbench.Reduced]),
+                       which costs a fraction of a full simulation per
+                       candidate;
      rung 2  simulate  fully simulate only the race's survivors — most
                        survivor slots go to the fastest-at-reduced-
                        shape candidates, with up to two reserved for
@@ -36,29 +35,26 @@
    ranking, winner — is therefore bit-identical for every [?jobs]
    value. *)
 
-type plan = {
-  pl_budget_frac : float;  (* full-simulation budget, fraction of the valid space *)
-  pl_probe_frac : float;  (* fraction of that budget spent on the probe/fit set *)
-  pl_race_frac : float;  (* fraction of the space admitted to the reduced-scale race *)
-  pl_lambda : float;  (* ridge regularization *)
-}
+(* Fraction of the full-simulation budget spent on the probe/fit set. *)
+let probe_frac = 0.4
 
-let default_plan =
-  { pl_budget_frac = 0.10; pl_probe_frac = 0.4; pl_race_frac = 1.0; pl_lambda = 1e-2 }
+(* Ridge regularization of the rung-0 fit. *)
+let lambda = 1e-2
 
 (* Everything the racing stage needs beyond the candidate list itself:
-   the same space compiled at the reduced launch shape (for a quick
-   space, the searched list itself — see the twin rule in [run]), and
-   the verified peephole database feeding the rule-win feature (empty
-   is fine: the feature reads zero). *)
+   the full-simulation budget as a fraction of the valid space (10% by
+   default), the same space compiled at the reduced launch shape (for
+   a quick space, the searched list itself — see the twin rule in
+   [run]), and the verified peephole database feeding the rule-win
+   feature (empty is fine: the feature reads zero). *)
 type spec = {
-  sp_plan : plan;
+  sp_budget_frac : float;
   sp_reduced : Candidate.t list;
   sp_rules : Ptx.Patterns.rule list;
 }
 
-let spec ?(plan = default_plan) ?(rules = []) ~(reduced : Candidate.t list) () : spec =
-  { sp_plan = plan; sp_reduced = reduced; sp_rules = rules }
+let spec ?(budget_frac = 0.10) ?(rules = []) ~(reduced : Candidate.t list) () : spec =
+  { sp_budget_frac = budget_frac; sp_reduced = reduced; sp_rules = rules }
 
 type outcome = {
   pr_total : int;  (* valid candidates in the space *)
@@ -128,15 +124,14 @@ let blob_content (o : outcome) : string =
 let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cancel
     ~(engine : Measure.t) ~(app_name : string) (s : spec) (cands : Candidate.t list) : outcome
     =
-  let plan = s.sp_plan in
   let valid = List.filter (fun (c : Candidate.t) -> c.valid) cands in
   let n = List.length valid in
   if n = 0 then invalid_arg (app_name ^ ": no valid configuration to prune");
   let budget =
-    min n (max 3 (int_of_float (Float.floor (plan.pl_budget_frac *. float_of_int n))))
+    min n (max 3 (int_of_float (Float.floor (s.sp_budget_frac *. float_of_int n))))
   in
   let nprobe =
-    max 2 (min (budget - 1) (int_of_float (Float.round (plan.pl_probe_frac *. float_of_int budget))))
+    max 2 (min (budget - 1) (int_of_float (Float.round (probe_frac *. float_of_int budget))))
   in
   let nprobe = min nprobe n in
   let descs = List.map (fun (c : Candidate.t) -> c.desc) valid in
@@ -160,7 +155,7 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
     fun (c : Candidate.t) -> Hashtbl.find tbl c.desc
   in
   let model =
-    Predict.fit ~lambda:plan.pl_lambda
+    Predict.fit ~lambda
       (List.filter_map
          (fun ((c : Candidate.t), t) ->
            if t > 0.0 then Some (feat_of c, Float.log t) else None)
@@ -173,16 +168,12 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
       (List.mapi (fun i (c, f) -> (c, Predict.predict model f, i)) features)
     |> List.map (fun ((c : Candidate.t), p, _) -> (c, Float.exp p))
   in
-  (* rung 1: race the top predicted slice at the reduced shape.  A
-     candidate without a valid reduced twin (validity can differ across
-     shapes) cannot be raced; it keeps its prediction-order position
-     AFTER every raced candidate, so the race can only promote. *)
+  (* rung 1: race the whole ranking at the reduced shape.  A candidate
+     without a valid reduced twin (validity can differ across shapes)
+     cannot be raced; it keeps its prediction-order position AFTER
+     every raced candidate, so the race can only promote. *)
   let probe_descs = List.map (fun (c : Candidate.t) -> c.desc) probes in
   let is_probe d = List.mem d probe_descs in
-  let nrace =
-    min n (max budget (int_of_float (Float.ceil (plan.pl_race_frac *. float_of_int n))))
-  in
-  let raced = List.filteri (fun i _ -> i < nrace) ranked in
   let twin =
     let tbl = Hashtbl.create 64 in
     List.iter
@@ -191,7 +182,7 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
     fun (c : Candidate.t) -> Hashtbl.find_opt tbl c.desc
   in
   let with_twin =
-    List.filter_map (fun ((c : Candidate.t), _) -> Option.map (fun r -> (c, r)) (twin c)) raced
+    List.filter_map (fun ((c : Candidate.t), _) -> Option.map (fun r -> (c, r)) (twin c)) ranked
   in
   (* The twin rule.  A quick space races against itself: the daemon's
      resolver and the CLI's quick modes pass the searched list as the
@@ -221,7 +212,7 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
   race engine self_raced;
   race rengine copies;
   let missing =
-    List.length (List.filter (fun ((c : Candidate.t), _) -> not (Hashtbl.mem reduced_times c.desc)) raced)
+    List.length (List.filter (fun ((c : Candidate.t), _) -> not (Hashtbl.mem reduced_times c.desc)) ranked)
   in
   (* rung 2: fill the survivor slots that remain in the budget next to
      the probes.  Most slots go by reduced-shape time (sort key
@@ -233,7 +224,7 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
   let nsurv = max 1 (budget - List.length probes) in
   let npred = min 2 (max 0 (nsurv - 2)) in
   let contenders =
-    List.filteri (fun _ ((c : Candidate.t), _) -> not (is_probe c.desc)) raced
+    List.filter (fun ((c : Candidate.t), _) -> not (is_probe c.desc)) ranked
     |> List.mapi (fun i ((c : Candidate.t), _) ->
            let rt =
              match Hashtbl.find_opt reduced_times c.desc with
@@ -286,7 +277,7 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
       pr_total = n;
       pr_budget = budget;
       pr_probes = probe_descs;
-      pr_raced = List.length raced;
+      pr_raced = n;
       pr_reduced_missing = missing;
       pr_survivors = List.map (fun (c : Candidate.t) -> c.desc) survivors;
       pr_simulated = List.length probes + List.length survivors;

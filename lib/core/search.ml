@@ -116,15 +116,14 @@ let bind_store engine ~(app_name : string) (cands : Candidate.t list) ~store ~st
    against itself — its structural counts still report what a
    budget-only run would have simulated.  The race's reduced-shape
    engine, which measures twins that are different kernels, is counted
-   in [result.engine] with the sweep's.  [?budget_frac] overrides the
-   spec's full-simulation budget.
+   in [result.engine] with the sweep's.
 
    [?cancel] is a cooperative cancellation token checked between
    candidates ([Cancel], [Measure.measure_outcomes]): a sweep whose
    token trips with measurements still outstanding aborts with
    [Cancel.Cancelled] instead of holding its worker; outcomes settled
    before the trip stay cached and stored for the retry. *)
-let run ?jobs ?(fail_fast = false) ?store ?store_key ?store_scale ?predict ?budget_frac ?cancel
+let run ?jobs ?(fail_fast = false) ?store ?store_key ?store_scale ?predict ?cancel
     ~(app_name : string) (cands : Candidate.t list) : result =
   let valid, invalid = List.partition (fun (c : Candidate.t) -> c.valid) cands in
   if valid = [] then invalid_arg (app_name ^ ": no valid configuration in the space");
@@ -197,16 +196,9 @@ let run ?jobs ?(fail_fast = false) ?store ?store_key ?store_scale ?predict ?budg
   let n_survivors = List.length exhaustive in
   let n_sel = List.length selected in
   let prune =
-    match predict with
-    | None -> None
-    | Some (spec : Prune.spec) ->
-      let spec =
-        match budget_frac with
-        | None -> spec
-        | Some f ->
-          { spec with Prune.sp_plan = { spec.Prune.sp_plan with Prune.pl_budget_frac = f } }
-      in
-      Some (Prune.run ?jobs ?store ?store_scale ?cancel ~engine ~app_name spec valid)
+    Option.map
+      (fun spec -> Prune.run ?jobs ?store ?store_scale ?cancel ~engine ~app_name spec valid)
+      predict
   in
   {
     app_name;
@@ -314,8 +306,3 @@ let run_archs ?jobs ?fail_fast ?store ?store_scale ~(app_name : string)
       let r = run ?jobs ?fail_fast ?store ?store_scale ~app_name cands in
       { ar_arch = arch; ar_result = r })
     (Space.configs axis)
-
-(* The per-arch winner table's raw rows: (arch, pruned-search choice,
-   true optimum) per machine. *)
-let winners (rs : arch_result list) : (Gpu.Arch.t * measured * measured) list =
-  List.map (fun r -> (r.ar_arch, r.ar_result.selected_best, r.ar_result.best)) rs

@@ -316,8 +316,13 @@ let kernel st : Prog.t =
     blocks := block st :: !blocks
   done;
   advance st;
-  Prog.validate
-    (Prog.make ~name ~params:(List.rev !params) ~smem_words ~lmem_words (List.rev !blocks))
+  (* A kernel that parses but names an unknown block or parameter (or
+     has no blocks) is still malformed input: report it as this
+     parser's [Error], like every other rejection. *)
+  try
+    Prog.validate
+      (Prog.make ~name ~params:(List.rev !params) ~smem_words ~lmem_words (List.rev !blocks))
+  with Invalid_argument msg -> raise (Error msg)
 
 let kernel_of_string (src : string) : Prog.t =
   let toks = Array.of_list (Lexer.tokenize src) in

@@ -264,8 +264,8 @@ let hardened_tests =
             in
             let r =
               Tuner.Search.run ~jobs:2
-                ~predict:(R.spec ~rules ~reduced:cands ())
-                ~budget_frac:0.10 ~app_name:name cands
+                ~predict:(R.spec ~budget_frac:0.10 ~rules ~reduced:cands ())
+                ~app_name:name cands
             in
             let o = Option.get r.Tuner.Search.prune in
             check_b (name ^ ": optimum recovered under rules + 10% budget") true

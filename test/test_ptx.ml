@@ -279,6 +279,23 @@ let roundtrip_tests =
              ignore (Parser.kernel_of_string ".kernel x () .smem 0 .lmem 0 { A: frobnicate; }");
              false
            with Parser.Error _ | Lexer.Error _ -> true));
+    t "parser reports malformed structure as its own Error" (fun () ->
+        (* Each parses token by token but fails [Prog.validate]; that
+           must surface as [Parser.Error], not [Invalid_argument]. *)
+        List.iter
+          (fun (what, src) ->
+            match Parser.kernel_of_string src with
+            | _ -> Alcotest.failf "%s: accepted" what
+            | exception Parser.Error msg ->
+              check_b (what ^ ": " ^ msg) true (String.starts_with ~prefix:"Prog.validate: " msg))
+          [
+            ("unknown jump target", ".kernel x () .smem 0 .lmem 0 { A: jump B; }");
+            ( "unknown reconvergence label",
+              ".kernel x () .smem 0 .lmem 0 { A: @%p0 bra A else A join Z; }" );
+            ( "undeclared parameter",
+              ".kernel x (.param .gbuf A) .smem 0 .lmem 0 { B: mov.s32 %r0, $N; ret; }" );
+            ("no blocks", ".kernel x () .smem 0 .lmem 0 { }");
+          ]);
     t "parser rejects trailing input" (fun () ->
         check_b "raises" true
           (try
