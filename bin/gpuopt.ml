@@ -593,15 +593,15 @@ let tune_cmd =
       exit 0
     end;
     let arch = resolve_arch arch_name in
-    let cands =
+    let cands, tuned =
       with_store store_file (fun store ->
-          candidates_of ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) e quick)
-    in
-    let tuned =
-      with_store store_file (fun store ->
-          Tuner.Search.tune_full ~jobs ?store
-            ~store_scale:(if quick then "quick" else "full")
-            ~app_name:e.name cands)
+          let cands =
+            candidates_of ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) e quick
+          in
+          ( cands,
+            Tuner.Search.tune_full ~jobs ?store
+              ~store_scale:(if quick then "quick" else "full")
+              ~app_name:e.name cands ))
     in
     let best = tuned.Tuner.Search.chosen and selected = tuned.Tuner.Search.considered in
     Printf.printf "space: %d configurations, measured only %d (%.0f%% pruned)\n"

@@ -9,13 +9,12 @@
    Run with:  dune exec examples/video_sad.exe *)
 
 let () =
-  let w = 96 and h = 64 and sr = 4 in
-  let p = Apps.Sad.setup ~w ~h ~sr () in
+  let ({ w; h; sr; _ } as shape : Apps.Sad.shape) = { w = 96; h = 64; sr = 4; max_blocks = 8 } in
   Printf.printf "frames: %dx%d, search +-%d (global motion in the input: +3,-2)\n\n" w h sr;
 
   (* Tune on a reduced space (the full sweep lives in bench/). *)
   let cands =
-    Apps.Sad.candidates ~w ~h ~sr ~max_blocks:8 ()
+    Apps.Sad.candidates shape
     |> List.filter (fun (c : Tuner.Candidate.t) ->
            (* keep a manageable slice: one unroll setting per loop *)
            List.assoc "unroll py" c.params = "4" && List.assoc "unroll px" c.params = "4")
@@ -28,8 +27,7 @@ let () =
   let cfg =
     Option.get (Tuner.Space.find ~describe:Apps.Sad.describe Apps.Sad.space best.cand.desc)
   in
-  let ptx = (Apps.Sad.compile ~w ~h ~sr cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (Apps.Sad.launch_of p cfg ptx));
+  let p = Apps.Sad.run_functional shape cfg in
   let sads = Gpu.Device.of_device p.dev p.sads in
 
   (* Extract the best motion vector per macroblock. *)

@@ -44,9 +44,22 @@ let describe (c : config) =
    pass, so the schedule is the bare default pipeline. *)
 let schedule (_ : config) : Tuner.Pipeline.schedule = Tuner.Pipeline.default_schedule
 
+(* ------------------------------------------------------------------ *)
+(* Problem shapes                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* An npx x npy grid slice and [natoms] atoms; [max_blocks] bounds the
+   timing run. *)
+type shape = { npx : int; npy : int; natoms : int; max_blocks : int }
+
+let paper = { npx = 2048; npy = 128; natoms = 128; max_blocks = 8 }
+let bench = paper
+let reduced = { paper with natoms = 8 }
+let smoke = { npx = 256; npy = 16; natoms = 16; max_blocks = 2 }
+
 (* Atom data layout in constant memory: [x; y; z; q] per atom.  The
    grid slice lies at z = z0 with unit spacing scaled by [1/scale]. *)
-let kernel ~natoms (c : config) : kernel =
+let kernel ({ natoms; _ } : shape) (c : config) : kernel =
   let t = c.tiling in
   let sums = List.init t (fun j -> Printf.sprintf "pot%d" j) in
   (* Point x-coordinates per accumulator.  Coalesced: thread [tid_x]
@@ -109,9 +122,7 @@ let kernel ~natoms (c : config) : kernel =
 (* ------------------------------------------------------------------ *)
 
 type problem = {
-  npx : int;  (* grid points in x *)
-  npy : int;
-  natoms : int;
+  shape : shape;
   scale : float;
   z0 : float;
   dev : Gpu.Device.t;
@@ -120,69 +131,61 @@ type problem = {
   hatoms : float array;
 }
 
-let default_npx = 2048
-let default_npy = 128
-let default_natoms = 128
-
-let setup ?(npx = default_npx) ?(npy = default_npy) ?(natoms = default_natoms) ?(seed = 13) ()
-    : problem =
+let setup ({ npx; npy; natoms; _ } as shape : shape) : problem =
   let dev = Gpu.Device.create ~global_words:(2 * npx * npy) () in
   let atoms_buf = Gpu.Device.alloc_const dev (4 * natoms) in
   let out = Gpu.Device.alloc dev (npx * npy) in
   let scale = Util.Float32.round 0.1 in
-  let hatoms = Workload.atoms ~seed ~n:natoms ~extent:(float_of_int npx *. scale) () in
+  let hatoms = Workload.atoms ~seed:13 ~n:natoms ~extent:(float_of_int npx *. scale) () in
   Gpu.Device.to_device dev atoms_buf hatoms;
-  { npx; npy; natoms; scale; z0 = Util.Float32.round 0.5; dev; atoms = atoms_buf; out; hatoms }
+  { shape; scale; z0 = Util.Float32.round 0.5; dev; atoms = atoms_buf; out; hatoms }
 
-(* Launch geometry and arguments, independent of the compiled kernel —
-   the static analyzer consumes these before any PTX exists. *)
 let launch_shape (p : problem) (c : config) : (int * int) * (int * int) =
-  ((p.npx / (block_x * c.tiling), p.npy / c.block_y), (block_x, c.block_y))
+  ((p.shape.npx / (block_x * c.tiling), p.shape.npy / c.block_y), (block_x, c.block_y))
 
 let args_of (p : problem) : (string * Gpu.Sim.arg) list =
   [
-    ("npx", Gpu.Sim.I p.npx);
+    ("npx", Gpu.Sim.I p.shape.npx);
     ("scale", Gpu.Sim.F p.scale);
     ("z0", Gpu.Sim.F p.z0);
     ("atoms", Gpu.Sim.Buf p.atoms);
     ("V", Gpu.Sim.Buf p.out);
   ]
 
-let launch_of (p : problem) (c : config) (k : Ptx.Prog.t) : Gpu.Sim.launch =
-  let grid, block = launch_shape p c in
-  { Gpu.Sim.kernel = k; grid; block; args = args_of p }
+include App.Make (struct
+  type nonrec config = config
+  type nonrec shape = shape
+  type nonrec problem = problem
 
-let analysis_input_of ?(arch = Gpu.Arch.g80) (p : problem) (c : config) :
-    Tuner.Pipeline.analysis_input =
-  let grid, block = launch_shape p c in
-  { Tuner.Pipeline.an_grid = grid; an_block = block; an_args = args_of p; an_arch = arch }
-
-let compile ?(natoms = default_natoms) ?verify ?hook ?analyze (c : config) : Tuner.Pipeline.compiled =
-  Tuner.Pipeline.compile ?verify ?hook ?analyze (schedule c) (kernel ~natoms c)
-
-let candidates ?(arch = Gpu.Arch.g80) ?extra_ptx ?(npx = default_npx) ?(npy = default_npy)
-    ?(natoms = default_natoms) ?(max_blocks = 8) () : Tuner.Candidate.t list =
-  let p = setup ~npx ~npy ~natoms () in
-  Tuner.Pipeline.candidates_of_space ~arch ?extra_ptx ~space ~describe ~schedule
-    ~kernel:(fun cfg -> kernel ~natoms cfg)
-    ~threads_per_block:(fun cfg -> block_x * cfg.block_y)
-    ~threads_total:(fun cfg -> npx / cfg.tiling * npy)
-    ~run:(fun cfg ptx () ->
-      (* Private device clone: thunks may run on concurrent domains. *)
-      let dev = Gpu.Device.clone p.dev in
-      (Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks }) ~arch dev (launch_of p cfg ptx)).time_s)
-    ()
+  let name = "cp"
+  let display = "CP"
+  let title = "coulombic potential over a grid slice (Figure 5)"
+  let space = space
+  let describe = describe
+  let schedule = schedule
+  let kernel = kernel
+  let setup = setup
+  let device p = p.dev
+  let launch_shape = launch_shape
+  let args_of = args_of
+  let max_blocks s = s.max_blocks
+  let paper = paper
+  let bench = bench
+  let smoke = smoke
+  let reduced = reduced
+end)
 
 (* Single-thread CPU reference: the same math with sqrt+divide (the SFU
    rsqrt shortcut is a GPU feature). *)
 let cpu_reference (p : problem) : float array =
-  let out = Array.make (p.npx * p.npy) 0.0 in
-  for row = 0 to p.npy - 1 do
-    for x = 0 to p.npx - 1 do
+  let { npx; npy; natoms; _ } = p.shape in
+  let out = Array.make (npx * npy) 0.0 in
+  for row = 0 to npy - 1 do
+    for x = 0 to npx - 1 do
       let py = Util.Float32.mul (Util.Float32.of_int row) p.scale in
       let px = Util.Float32.mul (Util.Float32.of_int x) p.scale in
       let s = ref 0.0 in
-      for j = 0 to p.natoms - 1 do
+      for j = 0 to natoms - 1 do
         let ax = p.hatoms.(4 * j) in
         let ay = p.hatoms.((4 * j) + 1) in
         let az = p.hatoms.((4 * j) + 2) in
@@ -197,22 +200,19 @@ let cpu_reference (p : problem) : float array =
         in
         s := Util.Float32.add !s (Util.Float32.mul aq (Util.Float32.rsqrt r2))
       done;
-      out.((row * p.npx) + x) <- !s
+      out.((row * npx) + x) <- !s
     done
   done;
   out
 
-let validate ?(npx = 256) ?(npy = 16) ?(natoms = 32) (cfg : config) : bool =
-  let p = setup ~npx ~npy ~natoms () in
-  let ptx = (compile ~natoms cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (launch_of p cfg ptx));
-  let got = Gpu.Device.of_device p.dev p.out in
-  let want = cpu_reference p in
-  let ok = ref true in
-  Array.iteri
-    (fun idx g -> if not (Util.Float32.close ~rtol:1e-3 ~atol:1e-3 g want.(idx)) then ok := false)
-    got;
-  !ok
+(* Functional validation of one configuration at [shape] against the
+   reference. *)
+let validate (shape : shape) (cfg : config) : bool =
+  let p = run_functional shape cfg in
+  Array.for_all2
+    (Util.Float32.close ~rtol:1e-3 ~atol:1e-3)
+    (Gpu.Device.of_device p.dev p.out)
+    (cpu_reference p)
 
 (* Pairwise interactions for Table 3 accounting. *)
-let interactions (p : problem) = float_of_int (p.npx * p.npy * p.natoms)
+let interactions ({ npx; npy; natoms; _ } : shape) = float_of_int (npx * npy * natoms)

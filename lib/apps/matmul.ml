@@ -63,10 +63,22 @@ let schedule (c : config) : Tuner.Pipeline.schedule =
     ptx_passes = default_ptx_passes;
   }
 
-(* The baseline KIR kernel for a (tile, rect) shape: block (tile x
-   tile); each thread accumulates [rect] outputs whose columns are
-   [col + r*tile].  Shared tiles: As[tile][tile], Bs[tile][tile*rect]. *)
-let kernel ~n (c : config) : kernel =
+(* ------------------------------------------------------------------ *)
+(* Problem shapes                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* n x n matrices; [max_blocks] bounds the timing run. *)
+type shape = { n : int; max_blocks : int }
+
+let paper = { n = 512; max_blocks = 12 }
+let bench = { n = 256; max_blocks = 8 }
+let reduced = { n = 128; max_blocks = 8 }
+let smoke = { n = 64; max_blocks = 2 }
+
+(* The baseline KIR kernel for a (tile, rect) configuration: block
+   (tile x tile); each thread accumulates [rect] outputs whose columns
+   are [col + r*tile].  Shared tiles: As[tile][tile], Bs[tile][tile*rect]. *)
+let kernel ({ n; _ } : shape) (c : config) : kernel =
   let t = c.tile and r = c.rect in
   let sums = List.init r (fun j -> Printf.sprintf "sum%d" j) in
   let base =
@@ -135,7 +147,7 @@ let kernel ~n (c : config) : kernel =
 (* ------------------------------------------------------------------ *)
 
 type problem = {
-  n : int;
+  shape : shape;
   dev : Gpu.Device.t;
   a : Gpu.Device.buffer;
   b : Gpu.Device.buffer;
@@ -144,57 +156,46 @@ type problem = {
   hb : float array;
 }
 
-let default_n = 512
-
-let setup ?(n = default_n) ?(seed = 11) () : problem =
+let setup ({ n; _ } as shape : shape) : problem =
   let dev = Gpu.Device.create ~global_words:(4 * n * n) () in
   let a = Gpu.Device.alloc dev (n * n) in
   let b = Gpu.Device.alloc dev (n * n) in
   let c = Gpu.Device.alloc dev (n * n) in
-  let ha = Workload.matrix ~seed n in
-  let hb = Workload.matrix ~seed:(seed + 1) n in
+  let ha = Workload.matrix ~seed:11 n in
+  let hb = Workload.matrix ~seed:12 n in
   Gpu.Device.to_device dev a ha;
   Gpu.Device.to_device dev b hb;
-  { n; dev; a; b; c; ha; hb }
+  { shape; dev; a; b; c; ha; hb }
 
-(* Launch geometry and arguments, independent of the compiled kernel —
-   the static analyzer consumes these before any PTX exists. *)
 let launch_shape (p : problem) (cfg : config) : (int * int) * (int * int) =
-  ((p.n / (cfg.tile * cfg.rect), p.n / cfg.tile), (cfg.tile, cfg.tile))
+  let n = p.shape.n in
+  ((n / (cfg.tile * cfg.rect), n / cfg.tile), (cfg.tile, cfg.tile))
 
 let args_of (p : problem) : (string * Gpu.Sim.arg) list =
   [ ("A", Gpu.Sim.Buf p.a); ("B", Gpu.Sim.Buf p.b); ("C", Gpu.Sim.Buf p.c) ]
 
-let launch_of (p : problem) (cfg : config) (k : Ptx.Prog.t) : Gpu.Sim.launch =
-  let grid, block = launch_shape p cfg in
-  { Gpu.Sim.kernel = k; grid; block; args = args_of p }
+include App.Make (struct
+  type nonrec config = config
+  type nonrec shape = shape
+  type nonrec problem = problem
 
-let analysis_input_of ?(arch = Gpu.Arch.g80) (p : problem) (cfg : config) :
-    Tuner.Pipeline.analysis_input =
-  let grid, block = launch_shape p cfg in
-  { Tuner.Pipeline.an_grid = grid; an_block = block; an_args = args_of p; an_arch = arch }
-
-(* The one compile entry point: [schedule c] applied to the base kernel
-   through the verified pipeline. *)
-let compile ?(n = default_n) ?verify ?hook ?analyze (c : config) : Tuner.Pipeline.compiled =
-  Tuner.Pipeline.compile ?verify ?hook ?analyze (schedule c) (kernel ~n c)
-
-(* Build the full candidate list for the tuner: compile every
-   configuration through the pipeline, characterize it statically, and
-   provide a simulated measurement thunk. *)
-let candidates ?(arch = Gpu.Arch.g80) ?extra_ptx ?(n = default_n) ?(max_blocks = 12) () :
-    Tuner.Candidate.t list =
-  let p = setup ~n () in
-  Tuner.Pipeline.candidates_of_space ~arch ?extra_ptx ~space ~describe ~schedule
-    ~kernel:(fun cfg -> kernel ~n cfg)
-    ~threads_per_block:(fun cfg -> cfg.tile * cfg.tile)
-    ~threads_total:(fun cfg -> n / cfg.rect * n)
-    ~run:(fun cfg ptx () ->
-      (* Run against a private clone of the staged device: measurement
-         thunks may execute on concurrent domains (Search ~jobs). *)
-      let dev = Gpu.Device.clone p.dev in
-      (Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks }) ~arch dev (launch_of p cfg ptx)).time_s)
-    ()
+  let name = "matmul"
+  let display = "Matrix Multiplication"
+  let title = "dense matrix multiplication (paper's running example, Figure 3)"
+  let space = space
+  let describe = describe
+  let schedule = schedule
+  let kernel = kernel
+  let setup = setup
+  let device p = p.dev
+  let launch_shape = launch_shape
+  let args_of = args_of
+  let max_blocks s = s.max_blocks
+  let paper = paper
+  let bench = bench
+  let smoke = smoke
+  let reduced = reduced
+end)
 
 (* Single-thread CPU reference (binary32 semantics, same accumulation
    order as the kernel: k-major). *)
@@ -211,18 +212,10 @@ let cpu_reference ~n (ha : float array) (hb : float array) : float array =
   done;
   out
 
-(* Functional validation of one configuration against the reference.
-   Compiles through the same pipeline as [candidates], so the validated
-   kernel can never diverge from the measured one. *)
-let validate ?(n = 64) (cfg : config) : bool =
-  let p = setup ~n () in
-  let ptx = (compile ~n cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (launch_of p cfg ptx));
-  let got = Gpu.Device.of_device p.dev p.c in
-  let want = cpu_reference ~n p.ha p.hb in
-  let ok = ref true in
-  Array.iteri (fun idx g -> if not (Util.Float32.close g want.(idx)) then ok := false) got;
-  !ok
-
-(* Useful work for Table 3: 2*N^3 flops. *)
-let flops ~n = 2.0 *. (float_of_int n ** 3.0)
+(* Functional validation of one configuration at [shape] against the
+   reference. *)
+let validate (shape : shape) (cfg : config) : bool =
+  let p = run_functional shape cfg in
+  Array.for_all2 Util.Float32.close
+    (Gpu.Device.of_device p.dev p.c)
+    (cpu_reference ~n:shape.n p.ha p.hb)

@@ -56,10 +56,27 @@ let schedule (c : config) : Tuner.Pipeline.schedule =
 
 let two_pi = Util.Float32.round (2.0 *. Float.pi)
 
+(* ------------------------------------------------------------------ *)
+(* Problem shapes                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [nvox] voxels and [nsamples] k-space samples; [max_blocks] bounds the
+   timing run. *)
+type shape = { nsamples : int; nvox : int; max_blocks : int }
+
+(* 107520 = 420 * 256: divisible by every wpt in 1..7 and large enough
+   that even the smallest grids (wpt = 7, 256-thread blocks) still give
+   every SM several blocks, so cluster members differ only through real
+   machine effects. *)
+let paper = { nsamples = 64; nvox = 107520; max_blocks = 3 }
+let bench = paper
+let reduced = { paper with nsamples = 16 }
+let smoke = { nsamples = 8; nvox = 3360; max_blocks = 1 }
+
 (* Sample layout in constant memory: [kx; ky; kz; re; im] per sample.
    Voxel coordinates are three global arrays; outputs two global
    arrays. *)
-let kernel ~nsamples ~nvox (c : config) : kernel =
+let kernel ({ nsamples; nvox; _ } : shape) (c : config) : kernel =
   let base =
     {
       kname = "mri_" ^ String.map (function '/' -> '_' | ch -> ch) (describe c);
@@ -119,8 +136,7 @@ let kernel ~nsamples ~nvox (c : config) : kernel =
 (* ------------------------------------------------------------------ *)
 
 type problem = {
-  nsamples : int;
-  nvox : int;
+  shape : shape;
   dev : Gpu.Device.t;
   samp : Gpu.Device.buffer;
   vx : Gpu.Device.buffer;
@@ -134,15 +150,7 @@ type problem = {
   hvz : float array;
 }
 
-let default_nsamples = 64
-
-(* 107520 = 420 * 256: divisible by every wpt in 1..7 and large enough
-   that even the smallest grids (wpt = 7, 256-thread blocks) still give
-   every SM several blocks, so cluster members differ only through real
-   machine effects. *)
-let default_nvox = 107520
-
-let setup ?(nsamples = default_nsamples) ?(nvox = default_nvox) ?(seed = 19) () : problem =
+let setup ({ nsamples; nvox; _ } as shape : shape) : problem =
   let dev = Gpu.Device.create ~global_words:(8 * nvox) () in
   let samp = Gpu.Device.alloc_const dev (5 * nsamples) in
   let vx = Gpu.Device.alloc dev nvox in
@@ -150,18 +158,16 @@ let setup ?(nsamples = default_nsamples) ?(nvox = default_nvox) ?(seed = 19) () 
   let vz = Gpu.Device.alloc dev nvox in
   let outre = Gpu.Device.alloc dev nvox in
   let outim = Gpu.Device.alloc dev nvox in
-  let hsamp = Workload.mri_samples ~seed ~n:nsamples () in
+  let hsamp = Workload.mri_samples ~seed:19 ~n:nsamples () in
   let hvx, hvy, hvz = Workload.mri_voxels ~n:nvox in
   Gpu.Device.to_device dev samp hsamp;
   Gpu.Device.to_device dev vx hvx;
   Gpu.Device.to_device dev vy hvy;
   Gpu.Device.to_device dev vz hvz;
-  { nsamples; nvox; dev; samp; vx; vy; vz; outre; outim; hsamp; hvx; hvy; hvz }
+  { shape; dev; samp; vx; vy; vz; outre; outim; hsamp; hvx; hvy; hvz }
 
-(* Launch geometry and arguments, independent of the compiled kernel —
-   the static analyzer consumes these before any PTX exists. *)
 let launch_shape (p : problem) (c : config) : (int * int) * (int * int) =
-  let threads = p.nvox / c.wpt in
+  let threads = p.shape.nvox / c.wpt in
   ((Util.Stats.cdiv threads c.tpb, 1), (c.tpb, 1))
 
 let args_of (p : problem) : (string * Gpu.Sim.arg) list =
@@ -174,40 +180,38 @@ let args_of (p : problem) : (string * Gpu.Sim.arg) list =
     ("outim", Gpu.Sim.Buf p.outim);
   ]
 
-let launch_of (p : problem) (c : config) (k : Ptx.Prog.t) : Gpu.Sim.launch =
-  let grid, block = launch_shape p c in
-  { Gpu.Sim.kernel = k; grid; block; args = args_of p }
+include App.Make (struct
+  type nonrec config = config
+  type nonrec shape = shape
+  type nonrec problem = problem
 
-let analysis_input_of ?(arch = Gpu.Arch.g80) (p : problem) (c : config) :
-    Tuner.Pipeline.analysis_input =
-  let grid, block = launch_shape p c in
-  { Tuner.Pipeline.an_grid = grid; an_block = block; an_args = args_of p; an_arch = arch }
-
-let compile ?(nsamples = default_nsamples) ?(nvox = default_nvox) ?verify ?hook ?analyze
-    (c : config) : Tuner.Pipeline.compiled =
-  Tuner.Pipeline.compile ?verify ?hook ?analyze (schedule c) (kernel ~nsamples ~nvox c)
-
-let candidates ?(arch = Gpu.Arch.g80) ?extra_ptx ?(nsamples = default_nsamples)
-    ?(nvox = default_nvox) ?(max_blocks = 3) () : Tuner.Candidate.t list =
-  let p = setup ~nsamples ~nvox () in
-  Tuner.Pipeline.candidates_of_space ~arch ?extra_ptx ~space ~describe ~schedule
-    ~kernel:(fun cfg -> kernel ~nsamples ~nvox cfg)
-    ~threads_per_block:(fun cfg -> cfg.tpb)
-    ~threads_total:(fun cfg -> Util.Stats.cdiv (nvox / cfg.wpt) cfg.tpb * cfg.tpb)
-    ~run:(fun cfg ptx () ->
-      (* Private device clone: thunks may run on concurrent domains. *)
-      let dev = Gpu.Device.clone p.dev in
-      (Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks }) ~arch dev (launch_of p cfg ptx)).time_s)
-    ()
+  let name = "mri"
+  let display = "MRI-FHD"
+  let title = "F^H d for non-Cartesian MRI reconstruction (Figure 6(b))"
+  let space = space
+  let describe = describe
+  let schedule = schedule
+  let kernel = kernel
+  let setup = setup
+  let device p = p.dev
+  let launch_shape = launch_shape
+  let args_of = args_of
+  let max_blocks s = s.max_blocks
+  let paper = paper
+  let bench = bench
+  let smoke = smoke
+  let reduced = reduced
+end)
 
 (* Single-thread CPU reference. *)
 let cpu_reference (p : problem) : float array * float array =
   let module F = Util.Float32 in
-  let re = Array.make p.nvox 0.0 and im = Array.make p.nvox 0.0 in
-  for vo = 0 to p.nvox - 1 do
+  let { nsamples; nvox; _ } = p.shape in
+  let re = Array.make nvox 0.0 and im = Array.make nvox 0.0 in
+  for vo = 0 to nvox - 1 do
     let x = p.hvx.(vo) and y = p.hvy.(vo) and z = p.hvz.(vo) in
     let are = ref 0.0 and aim = ref 0.0 in
-    for k = 0 to p.nsamples - 1 do
+    for k = 0 to nsamples - 1 do
       let kx = p.hsamp.(5 * k) and ky = p.hsamp.((5 * k) + 1) and kz = p.hsamp.((5 * k) + 2) in
       let sre = p.hsamp.((5 * k) + 3) and sim = p.hsamp.((5 * k) + 4) in
       let arg = F.mul two_pi (F.add (F.mul kx x) (F.add (F.mul ky y) (F.mul kz z))) in
@@ -220,21 +224,14 @@ let cpu_reference (p : problem) : float array * float array =
   done;
   (re, im)
 
-let validate ?(nsamples = 16) ?(nvox = 840) (cfg : config) : bool =
-  let p = setup ~nsamples ~nvox () in
-  let ptx = (compile ~nsamples ~nvox cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (launch_of p cfg ptx));
-  let got_re = Gpu.Device.of_device p.dev p.outre in
-  let got_im = Gpu.Device.of_device p.dev p.outim in
+(* Functional validation of one configuration at [shape] against the
+   reference. *)
+let validate (shape : shape) (cfg : config) : bool =
+  let p = run_functional shape cfg in
   let want_re, want_im = cpu_reference p in
-  let ok = ref true in
-  Array.iteri
-    (fun idx g -> if not (Util.Float32.close ~rtol:1e-3 ~atol:1e-3 g want_re.(idx)) then ok := false)
-    got_re;
-  Array.iteri
-    (fun idx g -> if not (Util.Float32.close ~rtol:1e-3 ~atol:1e-3 g want_im.(idx)) then ok := false)
-    got_im;
-  !ok
+  let close = Util.Float32.close ~rtol:1e-3 ~atol:1e-3 in
+  Array.for_all2 close (Gpu.Device.of_device p.dev p.outre) want_re
+  && Array.for_all2 close (Gpu.Device.of_device p.dev p.outim) want_im
 
 (* (voxel, sample) interactions for Table 3 accounting. *)
-let interactions (p : problem) = float_of_int (p.nvox * p.nsamples)
+let interactions ({ nsamples; nvox; _ } : shape) = float_of_int (nvox * nsamples)

@@ -1,121 +1,11 @@
 (* The application registry: every benchmark the repository reproduces,
    described uniformly so the CLI and the bench harness can enumerate
-   them generically instead of hard-coding one match per app.
+   them generically instead of hard-coding one match per app.  Each
+   entry is derived by [App.Make] from the app's own description. *)
 
-   Each entry erases the app's config type behind closures: the space
-   metadata (axes, constraints, cardinality) for `gpuopt inspect`, the
-   candidate builders at three problem sizes (full paper-scale,
-   quick smoke-test, bench harness), and a by-description compile
-   entry point that drives the traced pipeline. *)
-
-type entry = {
-  name : string;  (* CLI name, e.g. "matmul" *)
-  display : string;  (* report heading, e.g. "Matrix Multiplication" *)
-  title : string;  (* one-line description *)
-  axes : Tuner.Space.axis_info list;
-  constraints : string list;
-  cardinality : int;  (* after validity constraints; Table 4 *)
-  configs : string list Lazy.t;  (* all descriptions, enumeration order *)
-  candidates :
-    ?arch:Gpu.Arch.t -> ?extra_ptx:Tuner.Pipeline.ptx_pass list -> unit -> Tuner.Candidate.t list;
-      (* paper-scale problem; [extra_ptx] appends passes (e.g. the
-         verified peephole leg) to every candidate's schedule *)
-  quick_candidates :
-    ?arch:Gpu.Arch.t -> ?extra_ptx:Tuner.Pipeline.ptx_pass list -> unit -> Tuner.Candidate.t list;
-      (* tiny smoke-test problem ([Workbench.Smoke]) *)
-  reduced_candidates :
-    ?arch:Gpu.Arch.t -> ?extra_ptx:Tuner.Pipeline.ptx_pass list -> unit -> Tuner.Candidate.t list;
-      (* the shared reduced race/lint shape ([Workbench.Reduced]):
-         sequential work cut down, parallel grid at full scale, so the
-         predictor's halving race ranks candidates faithfully *)
-  bench_candidates :
-    ?arch:Gpu.Arch.t -> ?extra_ptx:Tuner.Pipeline.ptx_pass list -> unit -> Tuner.Candidate.t list;
-      (* bench-harness problem *)
-  compile :
-    ?verify:bool ->
-    ?hook:(Tuner.Pipeline.stat -> unit) ->
-    ?analyze:Tuner.Pipeline.analysis_input ->
-    string ->
-    (Tuner.Pipeline.compiled, string) result;
-      (* compile one configuration, selected by its description *)
-  workbench : ?arch:Gpu.Arch.t -> ?config:string -> unit -> (Workbench.t, string) result;
-      (* quick-scale problem + compiled default (or named) config, for
-         the static analyzer and its cross-validation harness *)
-}
-
-let entry (type c) ~name ~display ~title ~(space : c Tuner.Space.t) ~(describe : c -> string)
-    ~(compile :
-        ?verify:bool ->
-        ?hook:(Tuner.Pipeline.stat -> unit) ->
-        ?analyze:Tuner.Pipeline.analysis_input ->
-        c ->
-        Tuner.Pipeline.compiled) ~workbench ~candidates ~quick ~reduced ~bench () : entry =
-  {
-    name;
-    display;
-    title;
-    axes = Tuner.Space.axes space;
-    constraints = Tuner.Space.constraints space;
-    cardinality = Tuner.Space.cardinality space;
-    configs = lazy (List.map describe (Tuner.Space.configs space));
-    candidates;
-    quick_candidates = quick;
-    reduced_candidates = reduced;
-    bench_candidates = bench;
-    compile =
-      (fun ?verify ?hook ?analyze desc ->
-        match Tuner.Space.find ~describe space desc with
-        | Some cfg -> Ok (compile ?verify ?hook ?analyze cfg)
-        | None -> Error (Printf.sprintf "%s: no configuration %S" name desc));
-    workbench;
-  }
-
-let matmul =
-  entry ~name:"matmul" ~display:"Matrix Multiplication"
-    ~title:"dense matrix multiplication (paper's running example, Figure 3)" ~space:Matmul.space
-    ~describe:Matmul.describe
-    ~compile:(fun ?verify ?hook ?analyze c -> Matmul.compile ?verify ?hook ?analyze c)
-    ~workbench:(fun ?arch ?config () -> Workbench.matmul ?arch ?config ())
-    ~candidates:(fun ?arch ?extra_ptx () -> Matmul.candidates ?arch ?extra_ptx ())
-    ~quick:(fun ?arch ?extra_ptx () -> Workbench.Smoke.matmul ?arch ?extra_ptx ())
-    ~reduced:(fun ?arch ?extra_ptx () -> Workbench.Reduced.matmul ?arch ?extra_ptx ())
-    ~bench:(fun ?arch ?extra_ptx () -> Matmul.candidates ?arch ?extra_ptx ~n:256 ~max_blocks:8 ())
-    ()
-
-let cp =
-  entry ~name:"cp" ~display:"CP" ~title:"coulombic potential over a grid slice (Figure 5)"
-    ~space:Cp.space ~describe:Cp.describe
-    ~compile:(fun ?verify ?hook ?analyze c -> Cp.compile ?verify ?hook ?analyze c)
-    ~workbench:(fun ?arch ?config () -> Workbench.cp ?arch ?config ())
-    ~candidates:(fun ?arch ?extra_ptx () -> Cp.candidates ?arch ?extra_ptx ())
-    ~quick:(fun ?arch ?extra_ptx () -> Workbench.Smoke.cp ?arch ?extra_ptx ())
-    ~reduced:(fun ?arch ?extra_ptx () -> Workbench.Reduced.cp ?arch ?extra_ptx ())
-    ~bench:(fun ?arch ?extra_ptx () -> Cp.candidates ?arch ?extra_ptx ())
-    ()
-
-let sad =
-  entry ~name:"sad" ~display:"SAD" ~title:"sums of absolute differences for motion estimation (Figure 4)"
-    ~space:Sad.space ~describe:Sad.describe
-    ~compile:(fun ?verify ?hook ?analyze c -> Sad.compile ?verify ?hook ?analyze c)
-    ~workbench:(fun ?arch ?config () -> Workbench.sad ?arch ?config ())
-    ~candidates:(fun ?arch ?extra_ptx () -> Sad.candidates ?arch ?extra_ptx ())
-    ~quick:(fun ?arch ?extra_ptx () -> Workbench.Smoke.sad ?arch ?extra_ptx ())
-    ~reduced:(fun ?arch ?extra_ptx () -> Workbench.Reduced.sad ?arch ?extra_ptx ())
-    ~bench:(fun ?arch ?extra_ptx () -> Sad.candidates ?arch ?extra_ptx ())
-    ()
-
-let mri_fhd =
-  entry ~name:"mri" ~display:"MRI-FHD" ~title:"F^H d for non-Cartesian MRI reconstruction (Figure 6(b))"
-    ~space:Mri_fhd.space ~describe:Mri_fhd.describe
-    ~compile:(fun ?verify ?hook ?analyze c -> Mri_fhd.compile ?verify ?hook ?analyze c)
-    ~workbench:(fun ?arch ?config () -> Workbench.mri ?arch ?config ())
-    ~candidates:(fun ?arch ?extra_ptx () -> Mri_fhd.candidates ?arch ?extra_ptx ())
-    ~quick:(fun ?arch ?extra_ptx () -> Workbench.Smoke.mri ?arch ?extra_ptx ())
-    ~reduced:(fun ?arch ?extra_ptx () -> Workbench.Reduced.mri ?arch ?extra_ptx ())
-    ~bench:(fun ?arch ?extra_ptx () -> Mri_fhd.candidates ?arch ?extra_ptx ())
-    ()
+include App.Entry
 
 (* Enumeration order is the paper's Table 4 order. *)
-let all = [ matmul; cp; sad; mri_fhd ]
+let all = [ Matmul.entry; Cp.entry; Sad.entry; Mri_fhd.entry ]
 let names = List.map (fun e -> e.name) all
 let find n = List.find_opt (fun e -> String.equal e.name n) all

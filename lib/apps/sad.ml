@@ -74,10 +74,26 @@ let schedule (c : config) : Tuner.Pipeline.schedule =
    candidates per macroblock. *)
 let mb = 4
 
+(* ------------------------------------------------------------------ *)
+(* Problem shapes                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* w x h frames searched at radius [sr]; [max_blocks] bounds the timing
+   run. *)
+type shape = { w : int; h : int; sr : int; max_blocks : int }
+
+(* QCIF frames, as in the paper; the reduced search radius keeps
+   full-space simulation tractable (the paper likewise used
+   smaller-than-typical inputs). *)
+let paper = { w = 176; h = 144; sr = 8; max_blocks = 8 }
+let bench = paper
+let reduced = { w = 48; h = 32; sr = 8; max_blocks = 8 }
+let smoke = { w = 32; h = 16; sr = 2; max_blocks = 2 }
+
 (* Generate the kernel for frame dimensions (w, h) and search radius
    [sr].  Grid: (number of macroblocks, chunks of candidate vectors).
    Block: [tpb] threads in x. *)
-let kernel ~w ~h ~sr (c : config) : kernel =
+let kernel ({ w; h; sr; _ } : shape) (c : config) : kernel =
   let side = 2 * sr in
   let nvec = side * side in
   let mbx = w / mb in
@@ -170,9 +186,7 @@ let kernel ~w ~h ~sr (c : config) : kernel =
 (* ------------------------------------------------------------------ *)
 
 type problem = {
-  w : int;
-  h : int;
-  sr : int;
+  shape : shape;
   dev : Gpu.Device.t;
   cur : Gpu.Device.buffer;
   reff : Gpu.Device.buffer;
@@ -181,82 +195,70 @@ type problem = {
   href : float array;
 }
 
-(* QCIF frames, as in the paper; reduced search radius keeps full-space
-   simulation tractable (the paper likewise used smaller-than-typical
-   inputs). *)
-let default_w = 176
-let default_h = 144
-let default_sr = 8
-
-let setup ?(w = default_w) ?(h = default_h) ?(sr = default_sr) ?(seed = 17) () : problem =
+let setup ({ w; h; sr; _ } as shape : shape) : problem =
   let mbs = w / mb * (h / mb) in
   let nvec = 4 * sr * sr in
   let dev = Gpu.Device.create ~global_words:((2 * w * h) + (mbs * nvec)) () in
   let cur = Gpu.Device.alloc dev (w * h) in
   let reff = Gpu.Device.alloc dev (w * h) in
   let sads = Gpu.Device.alloc dev (mbs * nvec) in
-  let hcur = Workload.frame ~seed ~width:w ~height:h ~shift_x:0 ~shift_y:0 () in
-  let href = Workload.frame ~seed ~width:w ~height:h ~shift_x:3 ~shift_y:(-2) () in
+  let hcur = Workload.frame ~seed:17 ~width:w ~height:h ~shift_x:0 ~shift_y:0 () in
+  let href = Workload.frame ~seed:17 ~width:w ~height:h ~shift_x:3 ~shift_y:(-2) () in
   Gpu.Device.to_device dev cur hcur;
   Gpu.Device.to_device dev reff href;
-  { w; h; sr; dev; cur; reff; sads; hcur; href }
+  { shape; dev; cur; reff; sads; hcur; href }
 
-(* Launch geometry and arguments, independent of the compiled kernel —
-   the static analyzer consumes these before any PTX exists. *)
 let launch_shape (p : problem) (c : config) : (int * int) * (int * int) =
-  let mbs = p.w / mb * (p.h / mb) in
-  let nvec = 4 * p.sr * p.sr in
+  let { w; h; sr; _ } = p.shape in
+  let mbs = w / mb * (h / mb) in
+  let nvec = 4 * sr * sr in
   let chunks = Util.Stats.cdiv nvec (c.tpb * c.tiling) in
   ((mbs, chunks), (c.tpb, 1))
 
 let args_of (p : problem) : (string * Gpu.Sim.arg) list =
   [ ("cur", Gpu.Sim.Buf p.cur); ("reff", Gpu.Sim.Buf p.reff); ("sads", Gpu.Sim.Buf p.sads) ]
 
-let launch_of (p : problem) (c : config) (k : Ptx.Prog.t) : Gpu.Sim.launch =
-  let grid, block = launch_shape p c in
-  { Gpu.Sim.kernel = k; grid; block; args = args_of p }
+include App.Make (struct
+  type nonrec config = config
+  type nonrec shape = shape
+  type nonrec problem = problem
 
-let analysis_input_of ?(arch = Gpu.Arch.g80) (p : problem) (c : config) :
-    Tuner.Pipeline.analysis_input =
-  let grid, block = launch_shape p c in
-  { Tuner.Pipeline.an_grid = grid; an_block = block; an_args = args_of p; an_arch = arch }
-
-let compile ?(w = default_w) ?(h = default_h) ?(sr = default_sr) ?verify ?hook ?analyze
-    (c : config) : Tuner.Pipeline.compiled =
-  Tuner.Pipeline.compile ?verify ?hook ?analyze (schedule c) (kernel ~w ~h ~sr c)
-
-let candidates ?(arch = Gpu.Arch.g80) ?extra_ptx ?(w = default_w) ?(h = default_h)
-    ?(sr = default_sr) ?(max_blocks = 8) () : Tuner.Candidate.t list =
-  let p = setup ~w ~h ~sr () in
-  let nvec = 4 * sr * sr in
-  let mbs = w / mb * (h / mb) in
-  Tuner.Pipeline.candidates_of_space ~arch ?extra_ptx ~space ~describe ~schedule
-    ~kernel:(fun cfg -> kernel ~w ~h ~sr cfg)
-    ~threads_per_block:(fun cfg -> cfg.tpb)
-    ~threads_total:(fun cfg -> mbs * Util.Stats.cdiv nvec (cfg.tpb * cfg.tiling) * cfg.tpb)
-    ~run:(fun cfg ptx () ->
-      (* Private device clone: thunks may run on concurrent domains. *)
-      let dev = Gpu.Device.clone p.dev in
-      (Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks }) ~arch dev (launch_of p cfg ptx)).time_s)
-    ()
+  let name = "sad"
+  let display = "SAD"
+  let title = "sums of absolute differences for motion estimation (Figure 4)"
+  let space = space
+  let describe = describe
+  let schedule = schedule
+  let kernel = kernel
+  let setup = setup
+  let device p = p.dev
+  let launch_shape = launch_shape
+  let args_of = args_of
+  let max_blocks s = s.max_blocks
+  let paper = paper
+  let bench = bench
+  let smoke = smoke
+  let reduced = reduced
+end)
 
 (* Single-thread CPU reference. *)
 let cpu_reference (p : problem) : float array =
-  let mbx = p.w / mb and mby = p.h / mb in
-  let side = 2 * p.sr in
+  let { w; h; sr; _ } = p.shape in
+  let mbx = w / mb and mby = h / mb in
+  let side = 2 * sr in
   let nvec = side * side in
   let out = Array.make (mbx * mby * nvec) 0.0 in
   for bi = 0 to (mbx * mby) - 1 do
     let cx = bi mod mbx * mb and cy = bi / mbx * mb in
     for vi = 0 to nvec - 1 do
-      let dx = (vi mod side) - p.sr and dy = (vi / side) - p.sr in
-      let rx = max 0 (min (cx + dx) (p.w - mb)) in
-      let ry = max 0 (min (cy + dy) (p.h - mb)) in
+      let dx = (vi mod side) - sr and dy = (vi / side) - sr in
+      let rx = max 0 (min (cx + dx) (w - mb)) in
+      let ry = max 0 (min (cy + dy) (h - mb)) in
       let acc = ref 0.0 in
       for py = 0 to mb - 1 do
         for px = 0 to mb - 1 do
-          let cv = p.hcur.(((cy + py) * p.w) + cx + px) in
-          let rv = p.href.(((ry + py) * p.w) + rx + px) in
+          let cv = p.hcur.(((cy + py) * w) + cx + px) in
+          let rv = p.href.(((ry + py) * w) + rx + px) in
           acc := Util.Float32.add !acc (Util.Float32.abs (Util.Float32.sub cv rv))
         done
       done;
@@ -265,16 +267,11 @@ let cpu_reference (p : problem) : float array =
   done;
   out
 
-let validate ?(w = 32) ?(h = 16) ?(sr = 4) (cfg : config) : bool =
-  let p = setup ~w ~h ~sr () in
-  let ptx = (compile ~w ~h ~sr cfg).ptx in
-  ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev (launch_of p cfg ptx));
-  let got = Gpu.Device.of_device p.dev p.sads in
-  let want = cpu_reference p in
-  let ok = ref true in
-  Array.iteri (fun idx g -> if not (Util.Float32.close g want.(idx)) then ok := false) got;
-  !ok
+(* Functional validation of one configuration at [shape] against the
+   reference. *)
+let validate (shape : shape) (cfg : config) : bool =
+  let p = run_functional shape cfg in
+  Array.for_all2 Util.Float32.close (Gpu.Device.of_device p.dev p.sads) (cpu_reference p)
 
 (* Pixel-difference operations for Table 3 accounting. *)
-let absdiff_ops (p : problem) =
-  float_of_int (p.w / mb * (p.h / mb) * 4 * p.sr * p.sr * mb * mb)
+let absdiff_ops ({ w; h; sr; _ } : shape) = float_of_int (w / mb * (h / mb) * 4 * sr * sr * mb * mb)

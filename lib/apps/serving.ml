@@ -61,7 +61,7 @@ let resolver () : Tuner.Serve.resolver =
               | None -> Tuner.Store.candidate_key ~arch:arch_d ~space c
             in
             (* The reduced race space is the registry's reduced builder
-               on the same arch — the shared [Workbench.Reduced] shapes,
+               on the same arch — each app's shared [reduced] shape,
                so served predict-explores race exactly what the CLI and
                the lint workbenches use.  A quick space already is a
                reduced shape, so it races against itself: [lazy cands]

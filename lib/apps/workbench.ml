@@ -1,14 +1,14 @@
-(* Quick-scale analysis workbenches: one per application, bundling a
-   small staged problem, a chosen configuration compiled through the
-   pipeline's analyze stage, and the launch geometry the analyzer
-   reasoned about.  `gpuopt lint`, the bench harness's lint exhibit and
-   the cross-validation tests all start from here, so they agree on
-   problem sizes by construction.
+(* Analysis workbenches: one application's staged problem at some
+   shape, a chosen configuration compiled through the pipeline's analyze
+   stage, and the launch geometry the analyzer reasoned about.
+   [App.Make]'s [workbench] builds them; `gpuopt lint`, the bench
+   harness's lint exhibit and the cross-validation tests all start from
+   there, so they agree on problem sizes by construction.
 
-   The problems are deliberately tiny (the matmul validation size, the
-   apps' own quick/smoke sizes): cross-validation replays every block
-   of the grid in the functional simulator, so the workbench scale is
-   what bounds its cost. *)
+   The registry's workbenches use each app's reduced shape, shared with
+   the predictor's race; the sweep-heavy test batteries use the smoke
+   shape, because cross-validation replays every block of the grid in
+   the functional simulator and the shape is what bounds its cost. *)
 
 type t = {
   wb_app : string;  (* registry name *)
@@ -33,11 +33,13 @@ let lint_input ?name (wb : t) : Analysis.Lint.input =
     li_arch = wb.wb_arch;
   }
 
-(* The lint report the pipeline's analyze stage produced. *)
+(* The lint report the pipeline's analyze stage produced; every
+   workbench is compiled with [~analyze]. *)
 let lint (wb : t) : Analysis.Lint.report =
-  match wb.wb_compiled.Tuner.Pipeline.lint with
-  | Some r -> { r with Analysis.Lint.r_name = Printf.sprintf "%s %s" wb.wb_app wb.wb_config }
-  | None -> Analysis.Lint.analyze (lint_input wb)
+  {
+    (Option.get wb.wb_compiled.Tuner.Pipeline.lint) with
+    Analysis.Lint.r_name = Printf.sprintf "%s %s" wb.wb_app wb.wb_config;
+  }
 
 (* Re-analyze a mutated variant of the workbench kernel (dropped
    barrier, transposed store, ...) under the same launch. *)
@@ -57,199 +59,3 @@ let crossval ?mutate (wb : t) : Analysis.Crossval.t =
     | Some f -> { inp with Analysis.Lint.li_kernel = f wb.wb_kernel }
   in
   Analysis.Crossval.run ~dev:wb.wb_dev inp
-
-(* ------------------------------------------------------------------ *)
-(* Reduced launch shapes                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* One definition of each app's reduced problem shape, shared by the
-   lint workbenches below, the registry's reduced candidate builders,
-   and the predictor's successive-halving race ([Tuner.Prune]).  The
-   consumers must agree on these sizes — the race's store entries are
-   keyed by the reduced space digest, and the analyzer's
-   cross-validation replays the same launch — so the shapes live here
-   once instead of drifting across call sites.
-
-   The shapes are chosen for ordering fidelity, not just speed: the
-   race only works if the reduced shape ranks candidates the way the
-   full problem does.  That forces one rule — shrink the *sequential*
-   dimension each thread iterates over (matrix extent, atoms per
-   point, search positions, samples per voxel) and keep the *parallel*
-   grid and the per-SM block cap at full scale.  Shrinking the grid
-   instead leaves wide-work-per-thread configurations under-populated
-   on the machine, and their relative order inverts: at 3360 voxels
-   MRI's true optimum (192 threads, 7 voxels per thread) launches too
-   few blocks to cover the SMs and ranks 160th of 175; at the full
-   107520 voxels with only 16 samples it ranks 1st. *)
-module Reduced = struct
-  let matmul_n = 128
-  let matmul_max_blocks = 8
-  let cp_npx = Cp.default_npx
-  let cp_npy = Cp.default_npy
-  let cp_natoms = 8
-  let cp_max_blocks = 8
-  let sad_w = 48
-  let sad_h = 32
-  let sad_sr = 8
-  let sad_max_blocks = 8
-  let mri_nsamples = 16
-  let mri_nvox = Mri_fhd.default_nvox
-  let mri_max_blocks = 3
-
-  (* shapes only; the candidate builders follow the Smoke module *)
-
-  (* The same optimization spaces, compiled at the shapes above. *)
-  let matmul ?arch ?extra_ptx () =
-    Matmul.candidates ?arch ?extra_ptx ~n:matmul_n ~max_blocks:matmul_max_blocks ()
-
-  let cp ?arch ?extra_ptx () =
-    Cp.candidates ?arch ?extra_ptx ~npx:cp_npx ~npy:cp_npy ~natoms:cp_natoms
-      ~max_blocks:cp_max_blocks ()
-
-  let sad ?arch ?extra_ptx () =
-    Sad.candidates ?arch ?extra_ptx ~w:sad_w ~h:sad_h ~sr:sad_sr ~max_blocks:sad_max_blocks ()
-
-  let mri ?arch ?extra_ptx () =
-    Mri_fhd.candidates ?arch ?extra_ptx ~nsamples:mri_nsamples ~nvox:mri_nvox
-      ~max_blocks:mri_max_blocks ()
-end
-
-(* The quick smoke-test scale: the smallest problems the whole space
-   can be swept at in well under a second, for the test suite and
-   `--scale quick` sanity runs.  Deliberately NOT the [Reduced] race
-   shapes above — smoke optimizes for sweep speed and tolerates a
-   shuffled ranking, the race cannot. *)
-module Smoke = struct
-  let matmul_n = 64
-  let matmul_max_blocks = 2
-  let cp_npx = 256
-  let cp_npy = 16
-  let cp_natoms = 16
-  let cp_max_blocks = 2
-  let sad_w = 32
-  let sad_h = 16
-  let sad_sr = 2
-  let sad_max_blocks = 2
-  let mri_nsamples = 8
-  let mri_nvox = 3360
-  let mri_max_blocks = 1
-
-  let matmul ?arch ?extra_ptx () =
-    Matmul.candidates ?arch ?extra_ptx ~n:matmul_n ~max_blocks:matmul_max_blocks ()
-
-  let cp ?arch ?extra_ptx () =
-    Cp.candidates ?arch ?extra_ptx ~npx:cp_npx ~npy:cp_npy ~natoms:cp_natoms
-      ~max_blocks:cp_max_blocks ()
-
-  let sad ?arch ?extra_ptx () =
-    Sad.candidates ?arch ?extra_ptx ~w:sad_w ~h:sad_h ~sr:sad_sr ~max_blocks:sad_max_blocks ()
-
-  let mri ?arch ?extra_ptx () =
-    Mri_fhd.candidates ?arch ?extra_ptx ~nsamples:mri_nsamples ~nvox:mri_nvox
-      ~max_blocks:mri_max_blocks ()
-end
-
-(* ------------------------------------------------------------------ *)
-(* Per-app builders                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let resolve (type c) (space : c Tuner.Space.t) (describe : c -> string) (config : string option)
-    : (c, string) result =
-  match config with
-  | None -> Ok (List.hd (Tuner.Space.configs space))
-  | Some d -> (
-    match Tuner.Space.find ~describe space d with
-    | Some c -> Ok c
-    | None -> Error (Printf.sprintf "no configuration %S" d))
-
-let matmul ?(n = Reduced.matmul_n) ?arch ?config () : (t, string) result =
-  Result.map
-    (fun cfg ->
-      let p = Matmul.setup ~n () in
-      let ai = Matmul.analysis_input_of ?arch p cfg in
-      let c = Matmul.compile ~n ~analyze:ai cfg in
-      {
-        wb_app = "matmul";
-        wb_config = Matmul.describe cfg;
-        wb_dev = p.Matmul.dev;
-        wb_kernel = c.Tuner.Pipeline.source;
-        wb_grid = ai.Tuner.Pipeline.an_grid;
-        wb_block = ai.Tuner.Pipeline.an_block;
-        wb_args = ai.Tuner.Pipeline.an_args;
-        wb_arch = ai.Tuner.Pipeline.an_arch;
-        wb_compiled = c;
-      })
-    (resolve Matmul.space Matmul.describe config)
-
-let cp ?(npx = Reduced.cp_npx) ?(npy = Reduced.cp_npy) ?(natoms = Reduced.cp_natoms) ?arch
-    ?config () : (t, string) result =
-  Result.map
-    (fun cfg ->
-      let p = Cp.setup ~npx ~npy ~natoms () in
-      let ai = Cp.analysis_input_of ?arch p cfg in
-      let c = Cp.compile ~natoms ~analyze:ai cfg in
-      {
-        wb_app = "cp";
-        wb_config = Cp.describe cfg;
-        wb_dev = p.Cp.dev;
-        wb_kernel = c.Tuner.Pipeline.source;
-        wb_grid = ai.Tuner.Pipeline.an_grid;
-        wb_block = ai.Tuner.Pipeline.an_block;
-        wb_args = ai.Tuner.Pipeline.an_args;
-        wb_arch = ai.Tuner.Pipeline.an_arch;
-        wb_compiled = c;
-      })
-    (resolve Cp.space Cp.describe config)
-
-let sad ?(w = Reduced.sad_w) ?(h = Reduced.sad_h) ?(sr = Reduced.sad_sr) ?arch ?config () :
-    (t, string) result =
-  Result.map
-    (fun cfg ->
-      let p = Sad.setup ~w ~h ~sr () in
-      let ai = Sad.analysis_input_of ?arch p cfg in
-      let c = Sad.compile ~w ~h ~sr ~analyze:ai cfg in
-      {
-        wb_app = "sad";
-        wb_config = Sad.describe cfg;
-        wb_dev = p.Sad.dev;
-        wb_kernel = c.Tuner.Pipeline.source;
-        wb_grid = ai.Tuner.Pipeline.an_grid;
-        wb_block = ai.Tuner.Pipeline.an_block;
-        wb_args = ai.Tuner.Pipeline.an_args;
-        wb_arch = ai.Tuner.Pipeline.an_arch;
-        wb_compiled = c;
-      })
-    (resolve Sad.space Sad.describe config)
-
-let mri ?(nsamples = Reduced.mri_nsamples) ?(nvox = Reduced.mri_nvox) ?arch ?config () :
-    (t, string) result =
-  Result.map
-    (fun cfg ->
-      let p = Mri_fhd.setup ~nsamples ~nvox () in
-      let ai = Mri_fhd.analysis_input_of ?arch p cfg in
-      let c = Mri_fhd.compile ~nsamples ~nvox ~analyze:ai cfg in
-      {
-        wb_app = "mri";
-        wb_config = Mri_fhd.describe cfg;
-        wb_dev = p.Mri_fhd.dev;
-        wb_kernel = c.Tuner.Pipeline.source;
-        wb_grid = ai.Tuner.Pipeline.an_grid;
-        wb_block = ai.Tuner.Pipeline.an_block;
-        wb_args = ai.Tuner.Pipeline.an_args;
-        wb_arch = ai.Tuner.Pipeline.an_arch;
-        wb_compiled = c;
-      })
-    (resolve Mri_fhd.space Mri_fhd.describe config)
-
-(* Smoke-shape workbenches: the same apps at the [Smoke] problem
-   sizes, for sweep-heavy test batteries (golden digests, crossval)
-   where functional-mode cost at the full-grid [Reduced] shapes would
-   dominate the suite.  The lint entry points above stay on [Reduced],
-   shared with the halving race. *)
-let smoke_matmul ?arch ?config () = matmul ~n:Smoke.matmul_n ?arch ?config ()
-
-let smoke_cp ?arch ?config () =
-  cp ~npx:Smoke.cp_npx ~npy:Smoke.cp_npy ~natoms:Smoke.cp_natoms ?arch ?config ()
-
-let smoke_sad ?arch ?config () = sad ~w:Smoke.sad_w ~h:Smoke.sad_h ~sr:Smoke.sad_sr ?arch ?config ()
-let smoke_mri ?arch ?config () = mri ~nsamples:Smoke.mri_nsamples ~nvox:Smoke.mri_nvox ?arch ?config ()

@@ -7,7 +7,7 @@
    metrics consume.  One entry point means the kernel the tuner
    *measures* is always the kernel it *characterized*.
 
-   Between stages the pipeline verifies its own output (on by default):
+   Between stages the pipeline always verifies its own output:
    [Kir.Typecheck.check] after every KIR pass, [Ptx.Verify.check] after
    lowering and after every PTX pass.  A pass that corrupts the program
    raises [Pass_failed] naming the stage, instead of the corruption
@@ -111,7 +111,7 @@ let rec stmt_count (ss : Kir.Ast.stmt list) : int =
 
 let kir_size (k : Kir.Ast.kernel) = stmt_count k.body
 
-let compile ?(verify = true) ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) : compiled =
+let compile ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) : compiled =
   let emit stat = match hook with Some f -> f stat | None -> () in
   let timed f x =
     let t0 = Unix.gettimeofday () in
@@ -122,15 +122,13 @@ let compile ?(verify = true) ?hook ?analyze (sched : schedule) (kernel : Kir.Ast
      allocation costs a liveness fixpoint per stage. *)
   let regs_of p = if Option.is_none hook then 0 else (Ptx.Regalloc.allocate p).reg_count in
   let typecheck stage k =
-    if verify then
-      try Kir.Typecheck.check k
-      with Kir.Typecheck.Type_error msg -> raise (Pass_failed { stage; reason = msg })
+    try Kir.Typecheck.check k
+    with Kir.Typecheck.Type_error msg -> raise (Pass_failed { stage; reason = msg })
   in
   let verify_ptx stage p =
-    if verify then
-      match Ptx.Verify.check p with
-      | Ok () -> ()
-      | Error vs -> raise (Pass_failed { stage; reason = Ptx.Verify.report vs })
+    match Ptx.Verify.check p with
+    | Ok () -> ()
+    | Error vs -> raise (Pass_failed { stage; reason = Ptx.Verify.report vs })
   in
   typecheck "input" kernel;
   let kir =
@@ -254,29 +252,7 @@ let compile ?(verify = true) ?hook ?analyze (sched : schedule) (kernel : Kir.Ast
 
 (* Lower + standard PTX optimization, no KIR passes: the entry point
    for already-configured kernels (minicuda files, examples). *)
-let lower_opt ?verify ?hook ?analyze (k : Kir.Ast.kernel) : compiled =
-  compile ?verify ?hook ?analyze default_schedule k
-
-(* Compile every point of a space into a characterized candidate.  The
-   parameter lists come from the space's axes, the kernel and schedule
-   from the per-config closures; enumeration order is the space's.
-   [?arch] is the machine the candidates target — it sets occupancy,
-   validity and the metrics' machine terms, and the [run] closure must
-   launch on the same machine (the apps thread it into [Gpu.Sim.run]). *)
-let candidates_of_space ?verify ?hook ?arch ?(extra_ptx : ptx_pass list = [])
-    ~(space : 'a Space.t) ~(describe : 'a -> string) ~(kernel : 'a -> Kir.Ast.kernel)
-    ~(schedule : 'a -> schedule) ~(threads_per_block : 'a -> int) ~(threads_total : 'a -> int)
-    ~(run : 'a -> Ptx.Prog.t -> unit -> float) () : Candidate.t list =
-  List.map
-    (fun (cfg, params) ->
-      let sched = schedule cfg in
-      let sched = { sched with ptx_passes = sched.ptx_passes @ extra_ptx } in
-      let c = compile ?verify ?hook sched (kernel cfg) in
-      Candidate.make ?arch ~desc:(describe cfg) ~params ~kernel:c.ptx ~resource:c.resource
-        ~profile:c.profile
-        ~threads_per_block:(threads_per_block cfg)
-        ~threads_total:(threads_total cfg) ~run:(run cfg c.ptx) ())
-    (Space.elements space)
+let lower_opt ?hook (k : Kir.Ast.kernel) : compiled = compile ?hook default_schedule k
 
 (* Render a hook's collected stats as a report table; stage notes (the
    analyze stage's lint warnings) follow as indented lines. *)

@@ -10,8 +10,8 @@
                        measured at full scale (and is part of the
                        final answer pool);
      rung 1  race      measure the whole space at the REDUCED launch
-                       shape (the same quick scales the lint
-                       workbenches use — [Apps.Workbench.Reduced]),
+                       shape (each app's [reduced] shape, which the
+                       lint workbenches also use — [Apps.App.S]),
                        which costs a fraction of a full simulation per
                        candidate;
      rung 2  simulate  fully simulate only the race's survivors — most

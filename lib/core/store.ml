@@ -236,13 +236,54 @@ let parse_record (line : string) : (string * entry, string) result =
         | Some e -> Ok (key, e)
         | None -> fail "unparseable payload"
 
+(* What the record reader made of one line after the header. *)
+type verdict =
+  | Blank
+  | Kept  (* the first valid record for its key, now in the index *)
+  | Duplicate  (* a valid record for a key already read *)
+  | Rejected of string  (* [parse_record]'s reason *)
+
+(* The one record reader, shared by [open_] and [scan]: check [ic]'s
+   header exactly ([file] names it in the error), then read every line
+   after it in file order.  A line's verdict comes from [parse_record],
+   and the first valid record per key wins — [put_entry]'s
+   first-write-wins discipline — so a load, an fsck and a compaction
+   agree on the record each key holds.  Kept records go into [index];
+   [f] sees every line with its 1-based line number. *)
+let read_records ~(file : string) (ic : in_channel) (index : (string, entry) Hashtbl.t)
+    (f : int -> string -> verdict -> unit) : unit =
+  (match In_channel.input_line ic with
+  | Some m when m = magic -> ()
+  | Some m ->
+    failwith
+      (Printf.sprintf "Store: %s has header %S, expected %S — refusing a foreign file" file m
+         magic)
+  | None -> failwith (Printf.sprintf "Store: %s: missing header" file));
+  let rec loop lineno =
+    match In_channel.input_line ic with
+    | None -> ()
+    | Some line ->
+      let verdict =
+        if line = "" then Blank
+        else
+          match parse_record line with
+          | Error reason -> Rejected reason
+          | Ok (key, _) when Hashtbl.mem index key -> Duplicate
+          | Ok (key, e) ->
+            Hashtbl.replace index key e;
+            Kept
+      in
+      f lineno line verdict;
+      loop (lineno + 1)
+  in
+  loop 2
+
 (* Open (creating if absent) the store at [file].  An existing file's
    header must match [magic] exactly — a foreign or stale-format file is
    refused with [Failure] rather than silently rewritten.  Damaged
    records are skipped and reported through [corrupt_entries]; when two
    valid records share a key (two writers raced to measure the same
-   point), the later one wins — both hold the same deterministic
-   outcome, so the choice is cosmetic.
+   point), the first one wins, as in [scan] and [compact].
 
    [?durable] makes every append fsync before its lock drops: a store
    killed at any instant — `kill -9` mid-append included — reopens with
@@ -272,31 +313,10 @@ let open_ ?(durable = false) ~(file : string) () : t =
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
-        (match In_channel.input_line ic with
-        | Some m when m = magic -> ()
-        | Some m ->
-          failwith
-            (Printf.sprintf "Store: %s has header %S, expected %S — refusing a foreign file" file
-               m magic)
-        | None -> failwith (Printf.sprintf "Store: %s: missing header" file));
-        let lineno = ref 1 in
-        let rec loop () =
-          match In_channel.input_line ic with
-          | None -> ()
-          | Some "" ->
-            incr lineno;
-            loop ()
-          | Some line ->
-            incr lineno;
-            (match parse_record line with
-            | Ok (key, e) ->
-              Hashtbl.replace t.index key e;
-              t.loaded <- t.loaded + 1
-            | Error reason ->
-              t.corrupt <- { cl_line = !lineno; cl_reason = reason } :: t.corrupt);
-            loop ()
-        in
-        loop ();
+        read_records ~file ic t.index (fun lineno _ -> function
+          | Kept -> t.loaded <- t.loaded + 1
+          | Rejected reason -> t.corrupt <- { cl_line = lineno; cl_reason = reason } :: t.corrupt
+          | Blank | Duplicate -> ());
         seek_in ic (size - 1);
         input_char ic <> '\n')
   in
@@ -384,60 +404,34 @@ type fsck_report = {
   fs_reclaimable : int;  (* bytes compaction would reclaim *)
 }
 
-(* Scan [file] without touching it.  The header is validated exactly as
-   [open_] does; the per-line verdicts reuse [parse_record], so fsck
-   and load can never disagree about which records are good.  Returns
-   the report plus the surviving record lines (first valid line per
-   key, file order) for [compact] to rewrite. *)
+(* Scan [file] without touching it, through [open_]'s record reader, so
+   fsck and load can never disagree about which records are good.
+   Returns the report plus the surviving record lines (first valid line
+   per key, file order) for [compact] to rewrite. *)
 let scan ~(file : string) : fsck_report * string list =
   let size = (Unix.stat file).Unix.st_size in
   let ic = open_in file in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
-      (match In_channel.input_line ic with
-      | Some m when m = magic -> ()
-      | Some m ->
-        failwith
-          (Printf.sprintf "Store: %s has header %S, expected %S — refusing a foreign file" file m
-             magic)
-      | None -> failwith (Printf.sprintf "Store: %s: missing header" file));
-      let seen = Hashtbl.create 256 in
       let keep = ref [] in
-      let records = ref 0 and valid = ref 0 and dups = ref 0 and reclaim = ref 0 in
+      let valid = ref 0 and dups = ref 0 and reclaim = ref 0 in
       let corrupt = ref [] in
-      let lineno = ref 1 in
-      let rec loop () =
-        match In_channel.input_line ic with
-        | None -> ()
-        | Some "" ->
-          incr lineno;
-          incr reclaim;  (* the blank line's newline *)
-          loop ()
-        | Some line ->
-          incr lineno;
-          incr records;
-          (match parse_record line with
-          | Ok (key, _) ->
-            if Hashtbl.mem seen key then begin
-              incr dups;
-              reclaim := !reclaim + String.length line + 1
-            end
-            else begin
-              Hashtbl.replace seen key ();
-              incr valid;
-              keep := line :: !keep
-            end
-          | Error reason ->
-            corrupt := { cl_line = !lineno; cl_reason = reason } :: !corrupt;
+      read_records ~file ic (Hashtbl.create 256) (fun lineno line -> function
+          | Blank -> incr reclaim  (* the blank line's newline *)
+          | Kept ->
+            incr valid;
+            keep := line :: !keep
+          | Duplicate ->
+            incr dups;
+            reclaim := !reclaim + String.length line + 1
+          | Rejected reason ->
+            corrupt := { cl_line = lineno; cl_reason = reason } :: !corrupt;
             reclaim := !reclaim + String.length line + 1);
-          loop ()
-      in
-      loop ();
       ( {
           fs_file = file;
           fs_bytes = size;
-          fs_records = !records;
+          fs_records = !valid + !dups + List.length !corrupt;
           fs_valid = !valid;
           fs_duplicates = !dups;
           fs_corrupt = List.rev !corrupt;

@@ -75,13 +75,14 @@ let space_tests =
         (* [compile] runs per-stage verification by default, so this
            also asserts zero violations across three whole spaces. *)
         List.iter
-          (fun c -> ignore (Apps.Matmul.compile ~n:64 c))
+          (fun c -> ignore (Apps.Matmul.compile Apps.Matmul.smoke c))
           (Tuner.Space.configs Apps.Matmul.space);
         List.iter
-          (fun c -> ignore (Apps.Cp.compile ~natoms:8 c))
+          (fun c -> ignore (Apps.Cp.compile Apps.Cp.reduced c))
           (Tuner.Space.configs Apps.Cp.space);
         List.iter
-          (fun c -> ignore (Apps.Mri_fhd.compile ~nsamples:4 ~nvox:840 c))
+          (fun c ->
+            ignore (Apps.Mri_fhd.compile { Apps.Mri_fhd.smoke with nsamples = 4; nvox = 840 } c))
           (Tuner.Space.configs Apps.Mri_fhd.space));
   ]
 
@@ -95,7 +96,7 @@ let correctness_tests =
         List.iter
           (fun (tile, rect, unroll, prefetch, spill) ->
             let cfg = { Apps.Matmul.tile; rect; unroll; prefetch; spill } in
-            check_b (Apps.Matmul.describe cfg) true (Apps.Matmul.validate ~n:64 cfg))
+            check_b (Apps.Matmul.describe cfg) true (Apps.Matmul.validate Apps.Matmul.smoke cfg))
           [
             (8, 1, 1, false, false);
             (8, 4, 2, true, false);
@@ -108,19 +109,22 @@ let correctness_tests =
         List.iter
           (fun (block_y, tiling, coalesce) ->
             let cfg = { Apps.Cp.block_y; tiling; coalesce } in
-            check_b (Apps.Cp.describe cfg) true (Apps.Cp.validate cfg))
+            check_b (Apps.Cp.describe cfg) true
+              (Apps.Cp.validate { Apps.Cp.smoke with natoms = 32 } cfg))
           [ (2, 1, true); (4, 2, false); (8, 8, true); (16, 4, false) ]);
     ts "sad: tilings and unrolls validate" (fun () ->
         List.iter
           (fun (tpb, tiling, u_vec, u_py, u_px) ->
             let cfg = { Apps.Sad.tpb; tiling; u_vec; u_py; u_px } in
-            check_b (Apps.Sad.describe cfg) true (Apps.Sad.validate cfg))
+            check_b (Apps.Sad.describe cfg) true
+              (Apps.Sad.validate { Apps.Sad.smoke with sr = 4 } cfg))
           [ (32, 1, 1, 1, 1); (64, 2, 2, 4, 2); (96, 4, 4, 2, 4); (128, 4, 2, 1, 2) ]);
     ts "mri: block sizes, unrolls and voxel tilings validate" (fun () ->
         List.iter
           (fun (tpb, unroll, wpt) ->
             let cfg = { Apps.Mri_fhd.tpb; unroll; wpt } in
-            check_b (Apps.Mri_fhd.describe cfg) true (Apps.Mri_fhd.validate cfg))
+            check_b (Apps.Mri_fhd.describe cfg) true
+              (Apps.Mri_fhd.validate { Apps.Mri_fhd.smoke with nsamples = 16; nvox = 840 } cfg))
           [ (64, 1, 1); (96, 2, 5); (128, 8, 2); (256, 16, 7) ]);
   ]
 
@@ -131,7 +135,7 @@ let correctness_tests =
 let candidate_tests =
   [
     ts "matmul candidates carry sane static data" (fun () ->
-        let cands = Apps.Matmul.candidates ~n:64 ~max_blocks:2 () in
+        let cands = Apps.Matmul.candidates Apps.Matmul.smoke in
         check_i "count" 96 (List.length cands);
         List.iter
           (fun (c : Tuner.Candidate.t) ->
@@ -142,13 +146,13 @@ let candidate_tests =
               check_b "occupancy consistent" true (c.occupancy.blocks_per_sm >= 1))
           cands);
     ts "cp: rsqrt makes SFU the dominant blocking class" (fun () ->
-        let cands = Apps.Cp.candidates ~npx:256 ~npy:16 ~natoms:16 () in
+        let cands = Apps.Cp.candidates Apps.Cp.smoke in
         List.iter
           (fun (c : Tuner.Candidate.t) ->
             check_b "sfu events dominate" true (c.profile.sfu_events > c.profile.mem_bar_events))
           cands);
     ts "mri: voxel-tiling clusters leave metrics (nearly) unchanged" (fun () ->
-        let cands = Apps.Mri_fhd.candidates ~nsamples:64 ~nvox:107520 ~max_blocks:1 () in
+        let cands = Apps.Mri_fhd.candidates { Apps.Mri_fhd.paper with max_blocks = 1 } in
         let m d =
           List.find_map
             (fun (c : Tuner.Candidate.t) ->

@@ -42,6 +42,7 @@ let golden : (string * string * int * string) list =
   [
     ("matmul", "quick", 96, "c2e293f64ad3181b5b22ef81380e5e35");
     ("matmul", "reduced", 96, "1f0948d122cb3c129f4b683344361ae5");
+    ("matmul", "bench", 96, "d84d125a2ea5f48545f233b9a129777b");
     ("matmul", "paper", 96, "128765974d062d33355fbafe78420b37");
     ("cp", "quick", 40, "e0e1af65a0e3b6f6742f5eb1973ba3a2");
     ("cp", "reduced", 40, "d559217298c361609c711b47a1ff350d");
@@ -54,11 +55,26 @@ let golden : (string * string * int * string) list =
     ("mri", "paper", 175, "32372eaa27e0b49deeba6050a47e9824");
   ]
 
-let candidates_of ?arch (e : Apps.Registry.entry) = function
-  | "quick" -> e.quick_candidates ?arch ()
-  | "reduced" -> e.reduced_candidates ?arch ()
-  | "paper" -> e.candidates ?arch ()
-  | s -> failwith ("no scale " ^ s)
+(* The first and last valid candidates of every g80 space built so far,
+   for the timing golden below: it simulates these instead of compiling
+   the space a second time. *)
+let endpoints : (string * string, Tuner.Candidate.t * Tuner.Candidate.t) Hashtbl.t =
+  Hashtbl.create 16
+
+let candidates_of ?arch (e : Apps.Registry.entry) scale =
+  let cands =
+    match scale with
+    | "quick" -> e.quick_candidates ?arch ()
+    | "reduced" -> e.reduced_candidates ?arch ()
+    | "bench" -> e.bench_candidates ?arch ()
+    | "paper" -> e.candidates ?arch ()
+    | s -> failwith ("no scale " ^ s)
+  in
+  (match (arch, List.filter (fun (c : Tuner.Candidate.t) -> c.valid) cands) with
+  | None, (first :: _ as valid) ->
+    Hashtbl.replace endpoints (e.name, scale) (first, List.nth valid (List.length valid - 1))
+  | _ -> ());
+  cands
 
 let tests =
   List.map
@@ -127,4 +143,49 @@ let feature_tests =
           else Alcotest.(check string) "md5 of kernel digests and feature vectors" md5 got))
     feature_golden
 
-let suite = [ ("compile-golden", tests); ("feature-golden", feature_tests) ]
+(* Timing golden: each scale's problem data and timing-run [max_blocks]
+   live in the candidates' run thunks, which neither golden above calls.
+   One md5 per (app, scale) over the simulated times (exact hex) of the
+   space's first and last valid candidates, on g80. *)
+let timing_golden : (string * string * string) list =
+  [
+    ("matmul", "quick", "060d8db6663fbc5c8f3fbf09d2733fcc");
+    ("matmul", "reduced", "b152d3667721a2af1b22b41e0a3db135");
+    ("matmul", "bench", "6e7e8fa985dc5649a8ccd6653ce05f0f");
+    ("matmul", "paper", "e3f76ef935c005f262d8a57fa30bc24c");
+    ("cp", "quick", "83619f719ad3b50d6685159ba0b84da9");
+    ("cp", "reduced", "7634b41e02d3f6fd61fad3943840567d");
+    ("cp", "bench", "0d20828e2a42c371a71f1c305c3d41b8");
+    ("cp", "paper", "0d20828e2a42c371a71f1c305c3d41b8");
+    ("sad", "quick", "a6418e8538879deaa8cb5676360dbb63");
+    ("sad", "reduced", "5c2014d614d54f27025b77d23368403d");
+    ("sad", "bench", "28cb74d65c7577349af8b978158434e1");
+    ("sad", "paper", "28cb74d65c7577349af8b978158434e1");
+    ("mri", "quick", "2f26a710f1c23dd4db19d7aae5f40772");
+    ("mri", "reduced", "49b3d6ff3b4990aedf098980f82e15ab");
+    ("mri", "bench", "9c78f0671df7761fdef3a152763ea9cf");
+    ("mri", "paper", "9c78f0671df7761fdef3a152763ea9cf");
+  ]
+
+let timing_tests =
+  List.map
+    (fun (app, scale, md5) ->
+      Alcotest.test_case (Printf.sprintf "simulated %s/%s endpoints unchanged" app scale) `Quick
+        (fun () ->
+          let e = Option.get (Apps.Registry.find app) in
+          if not (Hashtbl.mem endpoints (app, scale)) then ignore (candidates_of e scale);
+          let first, last = Hashtbl.find endpoints (app, scale) in
+          let got =
+            Digest.to_hex
+              (Digest.string
+                 (String.concat " "
+                    (List.map
+                       (fun (c : Tuner.Candidate.t) -> Tuner.Hexfloat.to_string (c.run ()))
+                       [ first; last ])))
+          in
+          if capture then Printf.printf "    (%S, %S, %S);\n%!" app scale got
+          else Alcotest.(check string) "md5 of the endpoints' simulated times" md5 got))
+    timing_golden
+
+let suite =
+  [ ("compile-golden", tests); ("feature-golden", feature_tests); ("timing-golden", timing_tests) ]

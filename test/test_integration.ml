@@ -10,22 +10,22 @@ let check_b = Alcotest.(check bool)
 let integration_tests =
   [
     ts "methodology end-to-end: matmul tiny space, optimum on the curve" (fun () ->
-        let cands = Apps.Matmul.candidates ~n:128 ~max_blocks:4 () in
+        let cands = Apps.Matmul.candidates { n = 128; max_blocks = 4 } in
         let r = Tuner.Search.run ~app_name:"matmul@128" cands in
         check_b "optimum on curve (2% equivalence)" true r.optimum_selected;
         check_b "substantial pruning" true (r.reduction > 0.5));
     ts "methodology end-to-end: cp reduced space" (fun () ->
-        let cands = Apps.Cp.candidates ~npx:512 ~npy:32 ~natoms:32 ~max_blocks:4 () in
+        let cands = Apps.Cp.candidates { npx = 512; npy = 32; natoms = 32; max_blocks = 4 } in
         let r = Tuner.Search.run ~app_name:"cp@small" cands in
         (* On a small grid, tail effects dominate; the chosen config
            must still be within a whisker of the optimum. *)
         check_b "selected within 10% of optimum" true
           (r.selected_best.time_s <= r.best.time_s *. 1.10));
     ts "regalloc rewriting preserves matmul results" (fun () ->
-        let n = 32 in
+        let shape = { Apps.Matmul.smoke with n = 32 } in
         let cfg = { Apps.Matmul.tile = 16; rect = 2; unroll = 2; prefetch = false; spill = false } in
-        let p = Apps.Matmul.setup ~n () in
-        let ptx = (Apps.Matmul.compile ~n cfg).ptx in
+        let p = Apps.Matmul.setup shape in
+        let ptx = (Apps.Matmul.compile shape cfg).ptx in
         let launch = Apps.Matmul.launch_of p cfg ptx in
         ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev launch);
         let want = Gpu.Device.of_device p.dev p.c in
@@ -38,10 +38,10 @@ let integration_tests =
         let got = Gpu.Device.of_device p.dev p.c in
         check_b "identical" true (got = want));
     ts "printer -> parser -> simulator agrees with direct simulation" (fun () ->
-        let n = 32 in
+        let shape = { Apps.Matmul.smoke with n = 32 } in
         let cfg = { Apps.Matmul.tile = 8; rect = 1; unroll = 0; prefetch = true; spill = false } in
-        let p = Apps.Matmul.setup ~n () in
-        let ptx = (Apps.Matmul.compile ~n cfg).ptx in
+        let p = Apps.Matmul.setup shape in
+        let ptx = (Apps.Matmul.compile shape cfg).ptx in
         let launch = Apps.Matmul.launch_of p cfg ptx in
         ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional p.dev launch);
         let want = Gpu.Device.of_device p.dev p.c in
@@ -88,7 +88,7 @@ let integration_tests =
         check_b "bandwidth bound" true (Tuner.Metrics.bandwidth_bound c));
     t "compute-dense kernels pass the bandwidth screen" (fun () ->
         let cfg = { Apps.Cp.block_y = 8; tiling = 4; coalesce = true } in
-        let ptx = (Apps.Cp.compile ~natoms:64 cfg).ptx in
+        let ptx = (Apps.Cp.compile { Apps.Cp.paper with natoms = 64 } cfg).ptx in
         let c =
           Tuner.Candidate.make ~desc:"cp" ~params:[] ~kernel:ptx ~threads_per_block:128
             ~threads_total:4096

@@ -147,37 +147,41 @@ let pipeline_tests =
         let sched =
           { (Apps.Matmul.schedule mm_cfg) with Tuner.Pipeline.kir_passes = [ broken ] }
         in
-        match Tuner.Pipeline.compile sched (Apps.Matmul.kernel ~n:64 mm_cfg) with
+        match Tuner.Pipeline.compile sched (Apps.Matmul.kernel Apps.Matmul.smoke mm_cfg) with
         | _ -> Alcotest.fail "expected Pass_failed"
         | exception Tuner.Pipeline.Pass_failed { stage; _ } ->
           check_b "stage names the pass" true (stage = "break-kir"));
     t "a PTX pass that corrupts the kernel is caught and named" (fun () ->
         (* Empty the entry block's body: downstream blocks then use
            registers that are never defined. *)
-        let broken =
-          Tuner.Pipeline.ptx_pass "break-ptx" (fun (p : Ptx.Prog.t) ->
-              match p.blocks with
-              | b :: rest -> { p with blocks = { b with body = [] } :: rest }
-              | [] -> p)
+        let break_entry (p : Ptx.Prog.t) =
+          match p.blocks with
+          | b :: rest -> { p with blocks = { b with body = [] } :: rest }
+          | [] -> p
         in
         let base = Apps.Matmul.schedule mm_cfg in
         let sched =
-          { base with Tuner.Pipeline.ptx_passes = base.ptx_passes @ [ broken ] }
+          {
+            base with
+            Tuner.Pipeline.ptx_passes =
+              base.ptx_passes @ [ Tuner.Pipeline.ptx_pass "break-ptx" break_entry ];
+          }
         in
-        (match Tuner.Pipeline.compile sched (Apps.Matmul.kernel ~n:64 mm_cfg) with
+        (match Tuner.Pipeline.compile sched (Apps.Matmul.kernel Apps.Matmul.smoke mm_cfg) with
         | _ -> Alcotest.fail "expected Pass_failed"
         | exception Tuner.Pipeline.Pass_failed { stage; _ } ->
           check_b "stage names the pass" true (stage = "break-ptx"));
-        (* With verification off the same schedule completes: the
-           checks, not luck, caught the corruption. *)
-        match Tuner.Pipeline.compile ~verify:false sched (Apps.Matmul.kernel ~n:64 mm_cfg) with
-        | (_ : Tuner.Pipeline.compiled) -> ()
-        | exception Tuner.Pipeline.Pass_failed _ ->
-          Alcotest.fail "verification off should not raise Pass_failed");
+        (* The same corruption applied to a kernel that passed every
+           check fails [Ptx.Verify.check] on its own: the checks, not
+           luck, caught it. *)
+        let verified = (Apps.Matmul.compile Apps.Matmul.smoke mm_cfg).ptx in
+        check_b "the verified kernel passes" true (Result.is_ok (Ptx.Verify.check verified));
+        check_b "the corrupted kernel fails" true
+          (Result.is_error (Ptx.Verify.check (break_entry verified))));
     t "the trace hook reports every stage with sane statistics" (fun () ->
         let stats = ref [] in
         let c =
-          Apps.Matmul.compile ~n:64 ~hook:(fun s -> stats := s :: !stats) mm_cfg
+          Apps.Matmul.compile ~hook:(fun s -> stats := s :: !stats) Apps.Matmul.smoke mm_cfg
         in
         let stats = List.rev !stats in
         check_b "has KIR stages" true
@@ -195,7 +199,7 @@ let pipeline_tests =
             check_b "time non-negative" true (s.elapsed_s >= 0.0))
           stats);
     t "scheduled PTX passes reproduce Ptx.Opt.run exactly" (fun () ->
-        let kir = Apps.Matmul.kernel ~n:64 mm_cfg in
+        let kir = Apps.Matmul.kernel Apps.Matmul.smoke mm_cfg in
         let kir =
           List.fold_left
             (fun k (p : Tuner.Pipeline.kir_pass) -> p.kp_fn k)
@@ -231,13 +235,13 @@ let pipeline_tests =
         check_i "rounds with 1.5" 2 (rounds 1.5);
         check_i "rounds with nan" 2 (rounds Float.nan));
     t "unroll of a missing loop label raises No_such_loop" (fun () ->
-        let k = Apps.Matmul.kernel ~n:64 mm_cfg in
+        let k = Apps.Matmul.kernel Apps.Matmul.smoke mm_cfg in
         match Kir.Unroll.apply ~select:(Kir.Unroll.Named "nonexistent") ~factor:2 k with
         | _ -> Alcotest.fail "expected No_such_loop"
         | exception Kir.Unroll.No_such_loop name ->
           check_b "names the loop" true (name = "nonexistent"));
     t "Named and Pred selectors agree on the k loop" (fun () ->
-        let k = Apps.Matmul.kernel ~n:64 mm_cfg in
+        let k = Apps.Matmul.kernel Apps.Matmul.smoke mm_cfg in
         let a = Kir.Unroll.apply ~select:(Kir.Unroll.Named "k") ~factor:2 k in
         let b = Kir.Unroll.apply ~select:(Kir.Unroll.Pred (String.equal "k")) ~factor:2 k in
         check_b "identical" true (a = b));

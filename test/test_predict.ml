@@ -2,7 +2,7 @@
    model-driven race ([Tuner.Prune]).
 
    The empirical cross-shape fidelity claim — racing at the
-   [Workbench.Reduced] shape finds the bench-scale optimum — is pinned
+   apps' reduced shapes finds the bench-scale optimum — is pinned
    by the bench `prune` exhibit, which sweeps the real spaces.  Here
    the races are *self-reduced* (the reduced space is the target space
    itself), which turns recovery into an exact invariant the machinery

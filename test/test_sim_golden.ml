@@ -7,7 +7,7 @@
    - Golden digests: for four applications x (default + one non-default
      config) x (functional + timing), every headline statistic and an
      md5 of the full per-site counter rendering were captured from the
-     pre-refactor interpreter core at the [Workbench.Smoke] shapes.
+     pre-refactor interpreter core at the apps' smoke shapes.
      Each row is checked under both the ready-heap scheduler and the
      reference linear-scan scheduler.  (GPUOPT_GOLDEN_CAPTURE reprints
      the table after a deliberate shape change, see below.)
@@ -68,18 +68,18 @@ let golden : (string * string * string * float * int * int * int * int * int * s
     ("mri", "tpb256/u16/w7", "timing", 59154., 11992, 560, 35840, 0, 1, "2dcb4e574b006cfdba15f52e25360720");
   ]
 
-(* Goldens run at the [Workbench.Smoke] shapes — the pre-refactor
-   lint shapes the table was originally captured at, and cheap enough
-   that functional mode (all blocks) stays fast.  Lint itself now runs
-   at the [Workbench.Reduced] race shapes; the @check alias's
-   `lint --crossval` covers that path. *)
+(* Goldens run at the apps' smoke shapes — the pre-refactor lint
+   shapes the table was originally captured at, and cheap enough that
+   functional mode (all blocks) stays fast.  Lint itself now runs at
+   the reduced race shapes; the @check alias's `lint --crossval` covers
+   that path. *)
 let stats_of ~scheduler app config mode_name : Gpu.Sim.stats =
-  let wb_of =
+  let wb_of ?config () =
     match app with
-    | "matmul" -> Apps.Workbench.smoke_matmul
-    | "cp" -> Apps.Workbench.smoke_cp
-    | "sad" -> Apps.Workbench.smoke_sad
-    | "mri" -> Apps.Workbench.smoke_mri
+    | "matmul" -> Apps.Matmul.workbench ?config Apps.Matmul.smoke
+    | "cp" -> Apps.Cp.workbench ?config Apps.Cp.smoke
+    | "sad" -> Apps.Sad.workbench ?config Apps.Sad.smoke
+    | "mri" -> Apps.Mri_fhd.workbench ?config Apps.Mri_fhd.smoke
     | _ -> failwith ("no smoke workbench for " ^ app)
   in
   let config_opt = match config with "" -> None | d -> Some d in

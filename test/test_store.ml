@@ -430,6 +430,24 @@ let hardening_tests =
                         Alcotest.failf "key %d wrong after compact" i
                     | _ -> Alcotest.failf "key %d lost by compact" i)
                   [ 0; 1; 2; 3; 5 ])));
+    t "a repeated key answers its first record, before and after compact" (fun () ->
+        with_tmp (fun file ->
+            let key = key_of 7 in
+            Out_channel.with_open_text file (fun oc ->
+                Out_channel.output_string oc (S.magic ^ "\n");
+                List.iter
+                  (fun x ->
+                    Out_channel.output_string oc (S.record_line key (S.payload_of "cfg" (Ok x))))
+                  [ 1.0; 2.0 ]);
+            let answer () =
+              let s = S.open_ ~file () in
+              Fun.protect ~finally:(fun () -> S.close s) (fun () -> S.get s key)
+            in
+            let is_first = function Some (Ok x) -> feq x 1.0 | _ -> false in
+            Alcotest.(check bool) "first record wins on load" true (is_first (answer ()));
+            let r, _ = S.compact ~file in
+            Alcotest.(check int) "compact drops the duplicate" 1 r.S.fs_duplicates;
+            Alcotest.(check bool) "compact keeps the same record" true (is_first (answer ()))));
     qt
       (QCheck.Test.make
          ~name:"4-domain appends + a kill truncation lose at most the torn tail (qcheck)"

@@ -51,7 +51,7 @@ let never_raises (_ : exn) = false
 let matmul_ptx =
   lazy
     (Ptx.Pp.kernel
-       (Apps.Matmul.compile ~n:64
+       (Apps.Matmul.compile Apps.Matmul.smoke
           { Apps.Matmul.tile = 16; rect = 2; unroll = 4; prefetch = true; spill = false })
          .ptx)
 
