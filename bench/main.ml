@@ -1,9 +1,9 @@
 (* Exhibit harness: regenerates every table and figure of the paper's
    evaluation (table1-4, fig3-6, ablation), the per-pass pipeline trace
-   and the static lints, and runs the robustness exhibits nothing else
-   runs: the daemon under load (serve) and under wire faults and kill -9
-   (chaos_net), rule discovery (superopt) and the model-driven race
-   (prune).  The last four also write a BENCH_<name>.json.
+   and the static lints, and two exhibits beyond the paper: rule
+   discovery (superopt) and the model-driven race (prune), which also
+   write a BENCH_<name>.json.  The daemon has no exhibit: the serve and
+   store tests check it and perfbench's warm-serve workload times it.
 
    Usage:
      bench/main.exe                 -- run everything
@@ -552,479 +552,6 @@ let lint () =
     check "store-transposed matmul mutant has bank conflicts" has_conflict
 
 (* ------------------------------------------------------------------ *)
-(* Serve: tuning-as-a-service load harness                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The daemon under load.  A server is spawned on a Unix-domain socket
-   with a fresh content-addressed store, then:
-
-   - cold phase: one served explore per application, checked
-     bit-identical to a direct [Search.run] over the same space;
-   - mixed phase: a deterministic stream of concurrent requests (warm
-     explores and tunes across all four apps, pings, stats, and
-     chaos-faulted sweeps that bypass the store) replayed from parallel
-     client domains, every reply validated, every exchange timed.
-
-   Reports p50/p99 latency per request class and the store hit rate,
-   and writes BENCH_serve.json so the serving perf trajectory is
-   machine-checkable across commits.  GPUOPT_SERVE_REQUESTS overrides
-   the mixed-phase request count (CI runs a reduced battery). *)
-
-let serve_apps = [ "matmul"; "cp"; "sad"; "mri" ]
-
-let serve () =
-  let module P = Tuner.Proto in
-  let module Srv = Tuner.Serve in
-  let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  let requested =
-    match Sys.getenv_opt "GPUOPT_SERVE_REQUESTS" with
-    | Some s -> (match int_of_string_opt s with Some n when n >= 1 -> n | _ -> 1200)
-    | None -> 1200
-  in
-  let nclients = 4 and conn_workers = 4 in
-  let per_client = max 16 ((requested + nclients - 1) / nclients) in
-  let total = per_client * nclients in
-  section
-    (Printf.sprintf
-       "Serve: tuning-as-a-service load harness (%d mixed requests, %d clients, %d conn workers)"
-       total nclients conn_workers);
-  let store_file = Filename.temp_file "gpuopt-serve-bench-" ".store" in
-  let socket = Filename.temp_file "gpuopt-serve-bench-" ".sock" in
-  let cleanup f = try Sys.remove f with Sys_error _ -> () in
-  Fun.protect
-    ~finally:(fun () -> cleanup store_file; cleanup socket)
-    (fun () ->
-      let store = Tuner.Store.open_ ~file:store_file () in
-      Fun.protect
-        ~finally:(fun () -> Tuner.Store.close store)
-        (fun () ->
-          let server = Srv.create ~jobs:!jobs ~store (Apps.Serving.resolver ()) in
-          let daemon =
-            Domain.spawn (fun () -> Srv.listen ~conn_workers ~poll_s:0.05 server ~socket ())
-          in
-          check "daemon comes up" (Srv.wait_ready ~socket ());
-          (* ---- cold phase: served = direct, bit for bit ---------- *)
-          let rows ms =
-            List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) ms
-          in
-          let pair_eq (d, t) (d', t') = d = d' && feq t t' in
-          let same_explore (direct : Tuner.Search.result) (x : P.explore_reply) : bool =
-            let got = List.map (fun (r : P.measured_row) -> (r.m_desc, r.m_time_s)) x.x_exhaustive in
-            let want = rows direct.exhaustive in
-            x.x_space_size = direct.space_size
-            && List.length got = List.length want
-            && List.for_all2 pair_eq want got
-            && pair_eq (direct.best.cand.desc, direct.best.time_s) (x.x_best.m_desc, x.x_best.m_time_s)
-            && pair_eq
-                 (direct.selected_best.cand.desc, direct.selected_best.time_s)
-                 (x.x_selected_best.m_desc, x.x_selected_best.m_time_s)
-            && x.x_selected
-               = List.map (fun ((c : Tuner.Candidate.t), _) -> c.desc) direct.selected
-            && feq direct.reduction x.x_reduction
-            && x.x_optimum_selected = direct.optimum_selected
-          in
-          let cold =
-            List.map
-              (fun app ->
-                let e = registry app in
-                let direct = Tuner.Search.run ~jobs:!jobs ~app_name:app (e.quick_candidates ()) in
-                let t0 = Unix.gettimeofday () in
-                let reply = Srv.call ~socket (P.Explore { app; scale = P.Quick; chaos = None; arch = None; predict = false; deadline_ms = None }) in
-                let dt = Unix.gettimeofday () -. t0 in
-                match reply with
-                | Ok (P.Explore_r x) -> (app, dt, same_explore direct x)
-                | _ -> (app, dt, false))
-              serve_apps
-          in
-          List.iter
-            (fun (app, dt, _) -> printf "  cold %-8s %8.1f ms (space measured + stored)\n" app (dt *. 1000.0))
-            cold;
-          check "served cold explore bit-identical to direct Search.run (all four apps)"
-            (List.for_all (fun (_, _, ok) -> ok) cold);
-          (* ---- mixed phase: concurrent deterministic stream ------ *)
-          let app_of gi = List.nth serve_apps (gi / 4 mod 4) in
-          let request_of gi : string * P.request =
-            if gi mod 64 = 31 then
-              ("chaos",
-               P.Explore
-                 { app = "matmul"; scale = P.Quick; chaos = Some { P.ch_seed = gi; ch_count = 2 }; arch = None;
-                   predict = false; deadline_ms = None })
-            else if gi mod 16 = 5 then ("ping", P.Ping)
-            else if gi mod 16 = 13 then ("stats", P.Stats)
-            else if gi mod 4 = 2 then ("tune", P.Tune { app = app_of gi; scale = P.Quick; arch = None; deadline_ms = None })
-            else ("explore", P.Explore { app = app_of gi; scale = P.Quick; chaos = None; arch = None; predict = false; deadline_ms = None })
-          in
-          let validate kind (resp : (P.response, string) result) : string option =
-            match (kind, resp) with
-            | _, Error e -> Some ("transport: " ^ e)
-            | "ping", Ok P.Pong -> None
-            | "stats", Ok (P.Stats_r _) -> None
-            | "tune", Ok (P.Tune_r r) ->
-              if r.t_runs = 0 then None else Some "warm tune ran the simulator"
-            | "explore", Ok (P.Explore_r x) ->
-              if x.x_runs <> 0 then Some "warm explore ran the simulator"
-              else if x.x_faults <> [] then Some "warm explore reported faults"
-              else None
-            | "chaos", Ok (P.Explore_r x) ->
-              if x.x_store_hits <> 0 then Some "chaos sweep touched the store"
-              else if List.length x.x_faults <> 2 then Some "chaos fault count wrong"
-              else if
-                List.exists
-                  (fun (f : P.fault_row) -> Tuner.Fault.of_journal f.f_fault = None)
-                  x.x_faults
-              then Some "chaos fault not in journal encoding"
-              else None
-            | k, Ok _ -> Some (k ^ ": unexpected reply type")
-          in
-          let run_client off count =
-            Srv.with_client ~socket (fun fd ->
-                let lats = Array.make count ("", 0.0) in
-                let bad = ref [] in
-                for i = 0 to count - 1 do
-                  let gi = off + i in
-                  let kind, req = request_of gi in
-                  let t0 = Unix.gettimeofday () in
-                  let resp = Srv.rpc fd req in
-                  lats.(i) <- (kind, Unix.gettimeofday () -. t0);
-                  match validate kind resp with
-                  | None -> ()
-                  | Some msg -> bad := Printf.sprintf "request %d (%s): %s" gi kind msg :: !bad
-                done;
-                (lats, List.rev !bad))
-          in
-          let t0 = Unix.gettimeofday () in
-          let clients =
-            List.init nclients (fun k ->
-                Domain.spawn (fun () -> run_client (k * per_client) per_client))
-          in
-          let results = List.map Domain.join clients in
-          let wall = Unix.gettimeofday () -. t0 in
-          let lats = Array.concat (List.map fst results) in
-          let bad = List.concat_map snd results in
-          List.iteri (fun i m -> if i < 5 then printf "  MALFORMED %s\n" m) bad;
-          check "mixed phase: zero transport errors, zero malformed replies" (bad = []);
-          (* ---- latency statistics -------------------------------- *)
-          let percentile xs p =
-            let n = Array.length xs in
-            if n = 0 then Float.nan else xs.(min (n - 1) (int_of_float (p *. float_of_int n)))
-          in
-          let classes = [ "explore"; "tune"; "ping"; "stats"; "chaos" ] in
-          let stats_of kind =
-            let xs =
-              Array.of_list
-                (List.filter_map
-                   (fun (k, dt) -> if k = kind then Some dt else None)
-                   (Array.to_list lats))
-            in
-            Array.sort compare xs;
-            (kind, Array.length xs, percentile xs 0.50, percentile xs 0.99, percentile xs 1.0)
-          in
-          let per_class = List.map stats_of classes in
-          let all = Array.map snd lats in
-          Array.sort compare all;
-          let p50_all = percentile all 0.50 and p99_all = percentile all 0.99 in
-          print_string
-            (Tuner.Report.table
-               [ "Class"; "Requests"; "p50 (ms)"; "p99 (ms)"; "max (ms)" ]
-               (List.map
-                  (fun (k, n, p50, p99, mx) ->
-                    [
-                      k;
-                      string_of_int n;
-                      Printf.sprintf "%.2f" (p50 *. 1000.0);
-                      Printf.sprintf "%.2f" (p99 *. 1000.0);
-                      Printf.sprintf "%.2f" (mx *. 1000.0);
-                    ])
-                  per_class));
-          printf "mixed phase: %d requests in %.2fs (%.0f req/s); p50 %.2f ms, p99 %.2f ms\n"
-            total wall
-            (float_of_int total /. wall)
-            (p50_all *. 1000.0) (p99_all *. 1000.0);
-          check "p99 latency across the mixed phase under 30 s" (p99_all < 30.0);
-          (* ---- hit rate and shutdown ----------------------------- *)
-          let hits, misses, entries, runs =
-            match Srv.call ~socket P.Stats with
-            | Ok (P.Stats_r s) -> (s.sv_store_hits, s.sv_store_misses, s.sv_store_entries, s.sv_runs)
-            | _ ->
-              check "final stats reply" false;
-              (0, 1, 0, 0)
-          in
-          let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
-          printf "store: %d hits / %d misses (hit rate %.2f%%), %d entries, %d simulator runs total\n"
-            hits misses (100.0 *. hit_rate) entries runs;
-          check
-            (Printf.sprintf "warm-cache hit rate >= 90%% (measured %.1f%%)" (100.0 *. hit_rate))
-            (hit_rate >= 0.90);
-          (match Srv.call ~socket P.Shutdown with
-          | Ok P.Bye -> ()
-          | _ -> check "shutdown acknowledged" false);
-          Domain.join daemon;
-          check "daemon shut down cleanly; socket unlinked" (not (Sys.file_exists socket));
-          (* ---- BENCH_serve.json ---------------------------------- *)
-          let ms x = Util.Json.Float (x *. 1000.0) in
-          write_json "BENCH_serve.json"
-            (Obj
-               [
-                 ("bench", Str "serve");
-                 ("requests", Int total);
-                 ("clients", Int nclients);
-                 ("conn_workers", Int conn_workers);
-                 ("jobs", Int !jobs);
-                 ("wall_s", Float wall);
-                 ("throughput_rps", Float (float_of_int total /. wall));
-                 ("p50_ms", ms p50_all);
-                 ("p99_ms", ms p99_all);
-                 ("hit_rate", Float hit_rate);
-                 ( "store",
-                   Obj
-                     [
-                       ("hits", Int hits);
-                       ("misses", Int misses);
-                       ("entries", Int entries);
-                       ("sim_runs", Int runs);
-                     ] );
-                 ("cold_ms", Obj (List.map (fun (app, dt, _) -> (app, ms dt)) cold));
-                 ( "classes",
-                   List
-                     (List.map
-                        (fun (k, n, p50, p99, mx) ->
-                          Util.Json.Obj
-                            [
-                              ("class", Str k);
-                              ("count", Int n);
-                              ("p50_ms", ms p50);
-                              ("p99_ms", ms p99);
-                              ("max_ms", ms mx);
-                            ])
-                        per_class) );
-               ])))
-
-(* ------------------------------------------------------------------ *)
-(* Chaos-net: the hardened daemon under wire-level fire                *)
-(* ------------------------------------------------------------------ *)
-
-(* The daemon runs in a *forked child* so it can be killed with
-   SIGKILL mid-sweep — a Domain can be asked to stop, but only a
-   process can die without warning.  Three phases:
-
-   - baseline: cold served explores over matmul and cp, checked
-     bit-identical to a direct [Search.run] (the serve exhibit's
-     invariant, re-proved on a durable store);
-   - assault: a seeded schedule of wire faults (torn frames, flipped
-     bytes, slow loris, vanish-before-reply) interleaved with honest
-     clients using the retrying [Serve.call].  The daemon must answer
-     at least 90% of the honest requests, an expired deadline on a
-     cold space must come back as a typed Deadline_exceeded, and the
-     warm store must still answer under that same expired deadline;
-   - kill -9: the daemon dies mid-sweep, the durable store is fsck'd
-     (at most the torn tail lost) and compacted, and a restarted
-     daemon serves warm results bit-identical to the pre-kill ground
-     truth with zero simulator runs.
-
-   Writes BENCH_chaos_net.json.  GPUOPT_CHAOS_STRIKES overrides the
-   assault length (CI runs a reduced battery). *)
-
-let chaos_net_apps = [ "matmul"; "cp" ]
-
-let chaos_net () =
-  let module P = Tuner.Proto in
-  let module Srv = Tuner.Serve in
-  let module CN = Tuner.Chaos.Net in
-  let feq a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
-  let strikes =
-    match Sys.getenv_opt "GPUOPT_CHAOS_STRIKES" with
-    | Some s -> (match int_of_string_opt s with Some n when n >= 4 -> n | _ -> 48)
-    | None -> 48
-  in
-  section
-    (Printf.sprintf "Chaos-net: wire faults, deadlines and kill -9 (%d strikes, durable store)"
-       strikes);
-  Srv.ignore_sigpipe ();
-  let socket = Filename.temp_file "gpuopt-chaos-net-" ".sock" in
-  let store_file = Filename.temp_file "gpuopt-chaos-net-" ".store" in
-  let cleanup f = try Sys.remove f with Sys_error _ -> () in
-  (* Ground truth before any daemon exists: direct sweeps of the same
-     quick spaces the served explores will cover. *)
-  let direct =
-    List.map
-      (fun app -> (app, Tuner.Search.run ~jobs:!jobs ~app_name:app ((registry app).quick_candidates ())))
-      chaos_net_apps
-  in
-  let pair_eq (d, t) (d', t') = d = d' && feq t t' in
-  let same_explore (d : Tuner.Search.result) (x : P.explore_reply) : bool =
-    let got = List.map (fun (r : P.measured_row) -> (r.m_desc, r.m_time_s)) x.x_exhaustive in
-    let want = List.map (fun (m : Tuner.Search.measured) -> (m.cand.desc, m.time_s)) d.exhaustive in
-    x.x_space_size = d.space_size
-    && List.length got = List.length want
-    && List.for_all2 pair_eq want got
-    && pair_eq (d.best.cand.desc, d.best.time_s) (x.x_best.m_desc, x.x_best.m_time_s)
-  in
-  let explore_req ?deadline_ms app =
-    P.Explore { app; scale = P.Quick; chaos = None; arch = None; predict = false; deadline_ms }
-  in
-  (* Daemon child: killable with SIGKILL, which a Domain is not.  The
-     child opens its own durable store handle; stdout is flushed
-     before forking so buffered bench output is not printed twice. *)
-  let rec fork_retry n =
-    (* A domain joined moments ago can still be tearing down, which
-       makes Unix.fork refuse transiently; back off and retry. *)
-    match Unix.fork () with
-    | pid -> pid
-    | exception Failure _ when n > 0 ->
-      Unix.sleepf 0.05;
-      fork_retry (n - 1)
-  in
-  let spawn_daemon () : int =
-    flush stdout;
-    match fork_retry 40 with
-    | 0 ->
-      let code =
-        try
-          let store = Tuner.Store.open_ ~durable:true ~file:store_file () in
-          let server = Srv.create ~jobs:2 ~store (Apps.Serving.resolver ()) in
-          Srv.listen ~conn_workers:2 ~poll_s:0.05 ~io_timeout_s:1.0 server ~socket ();
-          Tuner.Store.close store;
-          0
-        with _ -> 1
-      in
-      Unix._exit code
-    | pid -> pid
-  in
-  let reap pid = try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> () in
-  Fun.protect
-    ~finally:(fun () -> cleanup socket; cleanup store_file)
-    (fun () ->
-      (* ---- baseline: cold served = direct, bit for bit ------------ *)
-      let pid = ref (spawn_daemon ()) in
-      check "daemon comes up in a forked child" (Srv.wait_ready ~socket ());
-      let cold_ok =
-        List.for_all
-          (fun (app, d) ->
-            match Srv.call ~socket (explore_req app) with
-            | Ok (P.Explore_r x) -> same_explore d x
-            | _ -> false)
-          direct
-      in
-      check "cold served explores bit-identical to direct Search.run" cold_ok;
-      (match Srv.call ~socket (explore_req ~deadline_ms:0 "sad") with
-      | Ok (P.Error_r e) ->
-        check "expired deadline on a cold space: typed Deadline_exceeded"
-          (e.e_code = P.Deadline_exceeded)
-      | _ -> check "expired deadline on a cold space: typed Deadline_exceeded" false);
-      (match Srv.call ~socket (explore_req ~deadline_ms:0 "matmul") with
-      | Ok (P.Explore_r x) ->
-        check "warm store answers under the same expired deadline, zero runs"
-          (x.x_runs = 0 && same_explore (List.assoc "matmul" direct) x)
-      | _ -> check "warm store answers under the same expired deadline, zero runs" false);
-      (* ---- assault: seeded wire faults vs honest clients ---------- *)
-      let rng = Util.Rng.create 1907 in
-      let schedule = CN.plan ~seed:1907 ~count:strikes in
-      let ammo = P.encode_request (explore_req "matmul") in
-      let honest_ok = ref 0 and honest_total = ref 0 in
-      List.iteri
-        (fun i fault ->
-          let note =
-            CN.strike ~loris_interval_s:0.2 ~loris_max_bytes:4 ~rng ~socket ~payload:ammo fault
-          in
-          if i < List.length CN.all_faults then
-            printf "  strike %-22s %s\n" (CN.fault_name fault) note;
-          incr honest_total;
-          let req =
-            if i mod 3 = 0 then P.Ping else explore_req (List.nth chaos_net_apps (i mod 2))
-          in
-          match Srv.call ~retries:2 ~retry_base_ms:20 ~socket req with
-          | Ok P.Pong | Ok (P.Explore_r _) -> incr honest_ok
-          | _ -> ())
-        schedule;
-      let tally =
-        List.map
-          (fun f -> (CN.fault_name f, List.length (List.filter (( = ) f) schedule)))
-          CN.all_faults
-      in
-      let avail = float_of_int !honest_ok /. float_of_int (max 1 !honest_total) in
-      printf "assault: %d strikes (%s); honest availability %d/%d (%.1f%%)\n" strikes
-        (String.concat ", " (List.map (fun (n, c) -> Printf.sprintf "%s %d" n c) tally))
-        !honest_ok !honest_total (100.0 *. avail);
-      check "honest availability under fire >= 90%" (avail >= 0.90);
-      let warm_ok =
-        List.for_all
-          (fun (app, d) ->
-            match Srv.call ~socket (explore_req app) with
-            | Ok (P.Explore_r x) -> x.x_runs = 0 && same_explore d x
-            | _ -> false)
-          direct
-      in
-      check "post-assault warm explores: zero simulator runs, bit-identical" warm_ok;
-      (* ---- kill -9 mid-sweep, fsck, restart ------------------------ *)
-      (* The victim is a raw connection rather than a client domain:
-         fork (for the restart below) must not race a domain teardown,
-         and a dead stream is exactly what a killed daemon looks like
-         on the wire anyway. *)
-      let victim = CN.connect ~socket in
-      let frame = P.frame (P.encode_request (explore_req "sad")) in
-      (try CN.write_all victim frame 0 (String.length frame) with Unix.Unix_error _ -> ());
-      Unix.sleepf 0.1;
-      Unix.kill !pid Sys.sigkill;
-      reap !pid;
-      (match CN.await_reaction ~timeout_s:2.0 victim with
-      | `Reply _ -> printf "  victim sweep finished before the kill landed\n"
-      | `Closed | `Silent -> printf "  victim client saw the daemon die mid-sweep\n");
-      CN.close_quietly victim;
-      let report = Tuner.Store.fsck ~file:store_file in
-      printf "  fsck after kill -9: %d records, %d valid, %d corrupt, %d reclaimable bytes\n"
-        report.Tuner.Store.fs_records report.Tuner.Store.fs_valid
-        (List.length report.Tuner.Store.fs_corrupt)
-        report.Tuner.Store.fs_reclaimable;
-      check "kill -9 loses at most the torn tail (fsck: <= 1 corrupt record)"
-        (List.length report.Tuner.Store.fs_corrupt <= 1);
-      let _, reclaimed = Tuner.Store.compact ~file:store_file in
-      let clean = Tuner.Store.fsck ~file:store_file in
-      check "compacted store is clean (0 corrupt, 0 duplicates)"
-        (clean.Tuner.Store.fs_corrupt = [] && clean.Tuner.Store.fs_duplicates = 0);
-      printf "  compact reclaimed %d bytes\n" reclaimed;
-      pid := spawn_daemon ();
-      check "daemon restarts on the killed store" (Srv.wait_ready ~socket ());
-      let post_ok =
-        List.for_all
-          (fun (app, d) ->
-            match Srv.call ~socket (explore_req app) with
-            | Ok (P.Explore_r x) -> x.x_runs = 0 && same_explore d x
-            | _ -> false)
-          direct
-      in
-      check "post-restart warm explores bit-identical, zero simulator runs" post_ok;
-      (match Srv.call ~socket (explore_req "sad") with
-      | Ok (P.Explore_r x) ->
-        let d = Tuner.Search.run ~jobs:!jobs ~app_name:"sad" ((registry "sad").quick_candidates ()) in
-        check "interrupted sweep completes after restart, bit-identical" (same_explore d x)
-      | _ -> check "interrupted sweep completes after restart, bit-identical" false);
-      (match Srv.call ~socket P.Shutdown with
-      | Ok P.Bye -> ()
-      | _ -> check "shutdown acknowledged" false);
-      reap !pid;
-      check "socket unlinked on clean shutdown" (not (Sys.file_exists socket));
-      (* ---- BENCH_chaos_net.json ------------------------------------ *)
-      write_json "BENCH_chaos_net.json"
-        (Obj
-           [
-             ("bench", Str "chaos_net");
-             ("strikes", Int strikes);
-             ("availability", Float avail);
-             ("honest_ok", Int !honest_ok);
-             ("honest_total", Int !honest_total);
-             ("faults", Obj (List.map (fun (n, c) -> (n, Util.Json.Int c)) tally));
-             ( "fsck_after_kill",
-               Obj
-                 [
-                   ("records", Int report.Tuner.Store.fs_records);
-                   ("valid", Int report.Tuner.Store.fs_valid);
-                   ("corrupt", Int (List.length report.Tuner.Store.fs_corrupt));
-                   ("reclaimable_bytes", Int report.Tuner.Store.fs_reclaimable);
-                 ] );
-             ("compact_reclaimed_bytes", Int reclaimed);
-           ]))
-
-(* ------------------------------------------------------------------ *)
 (* Superopt: the tiered rule-discovery funnel                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -1262,8 +789,6 @@ let experiments =
     ("ablation", ablation);
     ("trace", trace);
     ("lint", lint);
-    ("serve", serve);
-    ("chaos_net", chaos_net);
     ("superopt", superopt);
     ("prune", prune);
   ]

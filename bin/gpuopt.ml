@@ -142,15 +142,28 @@ let store_arg =
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"FILE" ~doc)
 
+(* A file that cannot be read as a store (a directory, a foreign or
+   missing header) is the user's error: one line, exit 1. *)
+let or_store_error f =
+  try f ()
+  with Tuner.Store.Bad_file { file; reason } ->
+    Printf.eprintf "store: %s: %s\n" file reason;
+    exit 1
+
+(* Open the store in [file], reporting each rejected record once. *)
+let open_store ?durable file : Tuner.Store.t =
+  let store = or_store_error (fun () -> Tuner.Store.open_ ?durable ~file ()) in
+  List.iter
+    (fun (c : Tuner.Store.corrupt_line) ->
+      Printf.eprintf "store: %s:%d rejected: %s\n%!" file c.cl_line c.cl_reason)
+    (Tuner.Store.corrupt_entries store);
+  store
+
 let with_store store_file (f : Tuner.Store.t option -> 'a) : 'a =
   match store_file with
   | None -> f None
   | Some file ->
-    let store = Tuner.Store.open_ ~file () in
-    List.iter
-      (fun (c : Tuner.Store.corrupt_line) ->
-        Printf.eprintf "store: %s:%d rejected: %s\n%!" file c.cl_line c.cl_reason)
-      (Tuner.Store.corrupt_entries store);
+    let store = open_store file in
     Fun.protect ~finally:(fun () -> Tuner.Store.close store) (fun () -> f (Some store))
 
 let jobs_arg =
@@ -918,11 +931,12 @@ let serve_cmd =
     Arg.(value & flag & info [ "durable" ] ~doc)
   in
   let run socket store_file conns jobs durable =
-    let store = Tuner.Store.open_ ~durable ~file:store_file () in
-    List.iter
-      (fun (c : Tuner.Store.corrupt_line) ->
-        Printf.eprintf "store: %s:%d rejected: %s\n%!" store_file c.cl_line c.cl_reason)
-      (Tuner.Store.corrupt_entries store);
+    (* Before the store opens: a refused socket path leaves no new file. *)
+    (try Tuner.Serve.claim_socket socket
+     with Tuner.Serve.Not_a_socket path ->
+       Printf.eprintf "serve: %s: exists and is not a socket; refusing to replace it\n" path;
+       exit 1);
+    let store = open_store ~durable store_file in
     let server = Tuner.Serve.create ~jobs ~store (Apps.Serving.resolver ()) in
     Printf.printf "gpuopt serve: listening on %s (store %s: %d entr%s loaded, %d conn worker(s), \
                    %d measurement job(s))\n%!"
@@ -1146,13 +1160,13 @@ let store_cmd =
     end;
     match verb with
     | "fsck" ->
-      let r = Tuner.Store.fsck ~file in
+      let r = or_store_error (fun () -> Tuner.Store.fsck ~file) in
       print_report r;
       Printf.printf "reclaimable: %d byte(s)\n" r.fs_reclaimable;
       (* Like fsck(8): nonzero exit when the file needs attention. *)
       if r.fs_corrupt <> [] || r.fs_duplicates > 0 then exit 1
     | "compact" ->
-      let r, reclaimed = Tuner.Store.compact ~file in
+      let r, reclaimed = or_store_error (fun () -> Tuner.Store.compact ~file) in
       print_report r;
       Printf.printf "compacted: %d byte(s) reclaimed\n" reclaimed
     | _ -> assert false

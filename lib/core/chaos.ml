@@ -206,151 +206,3 @@ let kill_after ~(cancel : Cancel.t) (k : int) (cands : Candidate.t list) : Candi
       in
       { c with run })
     cands
-
-(* ------------------------------------------------------------------ *)
-(* Wire-level chaos: misbehaving clients for the tuning daemon         *)
-(* ------------------------------------------------------------------ *)
-
-(* Where [inject] manufactures faulty *candidates*, [Net] manufactures
-   faulty *clients*: seeded strikes against a live daemon socket that
-   exercise every way a peer can misbehave on the wire.  Each strike is
-   a complete connect-misbehave-disconnect episode; the daemon's
-   contract is that none of them crash it, hang a connection worker
-   past its I/O timeout, or corrupt the reply stream of well-behaved
-   clients running concurrently.  The `chaos_net` bench drives these
-   between honest requests and asserts availability.
-
-   The module speaks raw [Unix] sockets on purpose — routing strikes
-   through [Serve]'s client helpers would let the client library's own
-   robustness (retries, EINTR handling) soften the blow. *)
-module Net = struct
-  type fault =
-    | Torn_frame  (* send a strict prefix of a frame, then close *)
-    | Byte_flip  (* flip one payload byte, then await the verdict *)
-    | Slow_loris  (* drip bytes slower than the server's I/O timeout *)
-    | Disconnect_mid_reply  (* valid request, vanish before the reply *)
-
-  let fault_name = function
-    | Torn_frame -> "torn-frame"
-    | Byte_flip -> "byte-flip"
-    | Slow_loris -> "slow-loris"
-    | Disconnect_mid_reply -> "disconnect-mid-reply"
-
-  let all_faults = [ Torn_frame; Byte_flip; Slow_loris; Disconnect_mid_reply ]
-
-  (* Seeded strike schedule: same seed, same faults in the same order. *)
-  let plan ~(seed : int) ~(count : int) : fault list =
-    if count < 0 then invalid_arg "Chaos.Net.plan: count must be >= 0";
-    let rng = Util.Rng.create seed in
-    List.init count (fun _ -> List.nth all_faults (Util.Rng.int rng (List.length all_faults)))
-
-  let connect ~(socket : string) : Unix.file_descr =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (try Unix.connect fd (Unix.ADDR_UNIX socket)
-     with e ->
-       (try Unix.close fd with Unix.Unix_error _ -> ());
-       raise e);
-    fd
-
-  let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
-
-  let rec write_all fd (s : string) pos len =
-    if len > 0 then begin
-      match Unix.write_substring fd s pos len with
-      | n -> write_all fd s (pos + n) (len - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s pos len
-    end
-
-  (* Wait up to [timeout_s] for the server's reaction to a strike:
-     a complete reply frame, a close, or silence. *)
-  let await_reaction ?(timeout_s = 10.0) fd : [ `Reply of string | `Closed | `Silent ] =
-    let chunk = Bytes.create 65536 in
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    let rec loop buf =
-      match Proto.peek_frame buf ~pos:0 with
-      | `Frame (payload, _) -> `Reply payload
-      | `Error _ -> `Closed  (* a garbled reply counts as a dead stream *)
-      | `Need _ ->
-        let remaining = deadline -. Unix.gettimeofday () in
-        if remaining <= 0.0 then `Silent
-        else (
-          match Unix.select [ fd ] [] [] remaining with
-          | [], _, _ -> `Silent
-          | _ -> (
-            match Unix.read fd chunk 0 (Bytes.length chunk) with
-            | 0 -> `Closed
-            | n -> loop (buf ^ Bytes.sub_string chunk 0 n)
-            | exception Unix.Unix_error _ -> `Closed)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop buf)
-    in
-    loop ""
-
-  (* Execute one strike against [socket], carrying [payload] (an
-     encoded request) as ammunition.  Returns a short note describing
-     what the server was observed to do — the bench logs it and then
-     independently verifies the daemon still answers pings.  Never
-     raises on wire errors: the server dropping us mid-strike is a
-     legitimate (often the desired) reaction. *)
-  let strike ?(loris_interval_s = 0.3) ?(loris_max_bytes = 8) ~(rng : Util.Rng.t)
-      ~(socket : string) ~(payload : string) (f : fault) : string =
-    let frame = Proto.frame payload in
-    let flen = String.length frame in
-    match f with
-    | Torn_frame ->
-      (* The server is left holding a partial frame; its only correct
-         move is to wait, time out, and drop the connection. *)
-      let n = 1 + Util.Rng.int rng (flen - 1) in
-      let fd = connect ~socket in
-      (try write_all fd frame 0 n with Unix.Unix_error _ -> ());
-      close_quietly fd;
-      Printf.sprintf "tore frame after %d/%d bytes" n flen
-    | Byte_flip ->
-      (* Corrupt one byte of the JSON payload (the length prefix stays
-         honest, so the server reads a complete frame and must answer
-         with a typed protocol/validation error, not die parsing). *)
-      let b = Bytes.of_string frame in
-      let pos = 4 + Util.Rng.int rng (flen - 4) in
-      let bit = Util.Rng.int rng 8 in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
-      let fd = connect ~socket in
-      let reaction =
-        try
-          write_all fd (Bytes.to_string b) 0 flen;
-          await_reaction fd
-        with Unix.Unix_error _ -> `Closed
-      in
-      close_quietly fd;
-      Printf.sprintf "flipped bit %d of byte %d: %s" bit pos
-        (match reaction with
-        | `Reply _ -> "typed error reply"
-        | `Closed -> "connection dropped"
-        | `Silent -> "no reaction")
-    | Slow_loris ->
-      (* Drip bytes slower than the server's I/O timeout.  A hardened
-         server cuts us off (write fails or read sees EOF) instead of
-         pinning a worker for the full frame. *)
-      let fd = connect ~socket in
-      let sent = ref 0 in
-      (try
-         while !sent < min loris_max_bytes flen do
-           write_all fd frame !sent 1;
-           incr sent;
-           Unix.sleepf loris_interval_s
-         done
-       with Unix.Unix_error _ -> ());
-      let reaction = await_reaction ~timeout_s:2.0 fd in
-      close_quietly fd;
-      Printf.sprintf "dripped %d bytes at %.1fs intervals: %s" !sent loris_interval_s
-        (match reaction with
-        | `Reply _ -> "unexpected reply"
-        | `Closed -> "server cut the connection"
-        | `Silent -> "still waiting at probe end")
-    | Disconnect_mid_reply ->
-      (* A complete, valid request — then vanish.  The server's reply
-         write hits a dead peer (EPIPE); with SIGPIPE ignored this
-         must be a non-event. *)
-      let fd = connect ~socket in
-      (try write_all fd frame 0 flen with Unix.Unix_error _ -> ());
-      close_quietly fd;
-      "sent full request, closed before reading reply"
-end

@@ -319,7 +319,7 @@ let send_frame fd (payload : string) : unit =
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* [Unix.read] with uniform EINTR handling: a signal landing mid-read
-   (SIGCHLD from a forked bench daemon, a profiler tick) retries
+   (SIGCHLD from a child process, a profiler tick) retries
    instead of masquerading as a closed connection.  This matches the
    accept loop's EINTR treatment. *)
 let rec read_retry fd chunk pos len : int =
@@ -393,10 +393,23 @@ let serve_connection ?(io_timeout_s = 30.0) t fd : unit =
   done;
   close_quietly fd
 
-(* Accept loop: bind a Unix-domain socket, fan connections out to
-   [conn_workers] domains, stop when a Shutdown request flips the flag
-   (checked every [poll_s] via select timeout).  Returns once every
-   worker has drained.
+(* Raised by [claim_socket] for a path that names anything but a
+   socket: unlinking it would delete whatever the user put there (a
+   mistyped --socket naming the store, say). *)
+exception Not_a_socket of string
+
+(* Make [socket] free for [bind]: unlink an existing socket, normally
+   one a killed daemon left behind, and refuse any other file. *)
+let claim_socket (socket : string) : unit =
+  match Unix.lstat socket with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> ( try Unix.unlink socket with Unix.Unix_error _ -> ())
+  | _ -> raise (Not_a_socket socket)
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+(* Accept loop: bind a Unix-domain socket ([claim_socket] first), fan
+   connections out to [conn_workers] domains, stop when a Shutdown
+   request flips the flag (checked every [poll_s] via select timeout).
+   Returns once every worker has drained.
 
    Admission control: the accept queue is bounded at [max_queue].  A
    connection arriving while the queue is full is answered immediately
@@ -414,10 +427,10 @@ let serve_connection ?(io_timeout_s = 30.0) t fd : unit =
 let listen ?(conn_workers = 4) ?(backlog = 64) ?(poll_s = 0.2) ?(max_queue = 128)
     ?(io_timeout_s = 30.0) ?(retry_after_ms = 200) ?(on_sigterm = false) t
     ~(socket : string) () : unit =
+  claim_socket socket;
   ignore_sigpipe ();
   if on_sigterm && not Sys.win32 then
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> request_stop t));
-  (try Unix.unlink socket with Unix.Unix_error _ -> ());
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX socket);
   Unix.listen sock backlog;

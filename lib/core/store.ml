@@ -203,6 +203,17 @@ let entry_of_payload (payload : string) : entry option =
 
 type corrupt_line = { cl_line : int; cl_reason : string }
 
+(* A path [open_] or [scan] cannot read as a store: a directory, or a
+   file whose first line is not [magic]. *)
+exception Bad_file of { file : string; reason : string }
+
+(* The size of [file], 0 when there is none; a directory is refused. *)
+let file_size (file : string) : int =
+  match Unix.stat file with
+  | { Unix.st_kind = Unix.S_DIR; _ } -> raise (Bad_file { file; reason = "is a directory" })
+  | { Unix.st_size; _ } -> st_size
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
+
 type t = {
   file : string;
   durable : bool;  (* fsync every append before releasing the lock *)
@@ -255,10 +266,8 @@ let read_records ~(file : string) (ic : in_channel) (index : (string, entry) Has
   (match In_channel.input_line ic with
   | Some m when m = magic -> ()
   | Some m ->
-    failwith
-      (Printf.sprintf "Store: %s has header %S, expected %S — refusing a foreign file" file m
-         magic)
-  | None -> failwith (Printf.sprintf "Store: %s: missing header" file));
+    raise (Bad_file { file; reason = Printf.sprintf "foreign header %S, expected %S" m magic })
+  | None -> raise (Bad_file { file; reason = "missing header" }));
   let rec loop lineno =
     match In_channel.input_line ic with
     | None -> ()
@@ -280,7 +289,7 @@ let read_records ~(file : string) (ic : in_channel) (index : (string, entry) Has
 
 (* Open (creating if absent) the store at [file].  An existing file's
    header must match [magic] exactly — a foreign or stale-format file is
-   refused with [Failure] rather than silently rewritten.  Damaged
+   refused with [Bad_file] rather than silently rewritten.  Damaged
    records are skipped and reported through [corrupt_entries]; when two
    valid records share a key (two writers raced to measure the same
    point), the first one wins, as in [scan] and [compact].
@@ -304,7 +313,7 @@ let open_ ?(durable = false) ~(file : string) () : t =
       loaded = 0;
     }
   in
-  let size = if Sys.file_exists file then (Unix.stat file).Unix.st_size else 0 in
+  let size = file_size file in
   let exists = size > 0 in
   let torn_tail =
     exists
@@ -409,7 +418,7 @@ type fsck_report = {
    Returns the report plus the surviving record lines (first valid line
    per key, file order) for [compact] to rewrite. *)
 let scan ~(file : string) : fsck_report * string list =
-  let size = (Unix.stat file).Unix.st_size in
+  let size = file_size file in
   let ic = open_in file in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)

@@ -21,6 +21,13 @@ let with_server (f : S.t -> string -> 'a) : 'a =
         ~finally:(fun () -> Tuner.Store.close store)
         (fun () -> f (S.create ~jobs:2 ~store (Apps.Serving.resolver ())) file))
 
+(* A socket path nothing occupies: [Serve.listen] refuses to replace a
+   regular file, so reserve a unique name and free it again. *)
+let fresh_socket prefix =
+  let path = Filename.temp_file prefix ".sock" in
+  Sys.remove path;
+  path
+
 let explore_reply server app : P.explore_reply =
   match S.handle server (P.Explore { app; scale = P.Quick; chaos = None; arch = None; predict = false; deadline_ms = None }) with
   | P.Explore_r x -> x
@@ -63,7 +70,7 @@ let identity_tests =
                   (feq direct.reduction x.x_reduction);
                 Alcotest.(check bool) "optimum flag" direct.optimum_selected
                   x.x_optimum_selected))
-          [ "matmul"; "cp" ]);
+          [ "matmul"; "cp"; "sad"; "mri" ]);
     t "served tune agrees with direct tune" (fun () ->
         let e = Option.get (Apps.Registry.find "matmul") in
         let best, selected = Tuner.Search.tune ~jobs:2 ~app_name:"matmul" (e.quick_candidates ()) in
@@ -220,7 +227,7 @@ let socket_tests =
   [
     t "socket round-trip: serve, request, survive garbage, shut down" (fun () ->
         with_server (fun server _ ->
-            let socket = Filename.temp_file "gpuopt-serve-test-" ".sock" in
+            let socket = fresh_socket "gpuopt-serve-test-" in
             Fun.protect
               ~finally:(fun () -> try Sys.remove socket with Sys_error _ -> ())
               (fun () ->
@@ -261,13 +268,133 @@ let socket_tests =
                 Domain.join daemon;
                 Alcotest.(check bool) "socket unlinked after shutdown" false
                   (Sys.file_exists socket))));
+    t "listen replaces a stale socket and refuses any other file" (fun () ->
+        with_server (fun server file ->
+            (* Stopped beforehand, so a listen that takes its path binds
+               and returns at once instead of serving. *)
+            S.request_stop server;
+            (* a mistyped socket path naming the store *)
+            let before = In_channel.with_open_bin file In_channel.input_all in
+            (match S.listen server ~socket:file () with
+            | () -> Alcotest.fail "listen took a path that names a regular file"
+            | exception S.Not_a_socket path -> Alcotest.(check string) "error names the path" file path);
+            Alcotest.(check bool) "the file is still there" true (Sys.file_exists file);
+            Alcotest.(check string) "the file is unchanged" before
+              (In_channel.with_open_bin file In_channel.input_all);
+            (* a socket a dead daemon left behind *)
+            let stale = fresh_socket "gpuopt-serve-stale-" in
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.bind fd (Unix.ADDR_UNIX stale);
+            Unix.close fd;
+            Fun.protect
+              ~finally:(fun () -> try Sys.remove stale with Sys_error _ -> ())
+              (fun () ->
+                S.listen server ~socket:stale ();
+                Alcotest.(check bool) "stale socket replaced, then unlinked" false
+                  (Sys.file_exists stale))));
   ]
 
 (* ------------------------------------------------------------------ *)
 (* Hardening: deadlines, overload shedding, wire faults, drain         *)
 (* ------------------------------------------------------------------ *)
 
-module CN = Tuner.Chaos.Net
+(* Where [Tuner.Chaos.inject] manufactures faulty candidates, [Strike]
+   manufactures faulty clients: each strike is one connect, misbehave,
+   disconnect episode against a live daemon socket.  The daemon's
+   contract is that none of them crash it, hang a connection worker
+   past its I/O timeout, or corrupt the replies of well-behaved
+   clients.  Strikes write through [Serve]'s raw socket primitives,
+   never through [rpc] or [call], whose retries would soften the blow. *)
+module Strike = struct
+  type fault =
+    | Torn_frame  (* send a strict prefix of a frame, then close *)
+    | Byte_flip  (* flip one payload byte, then await the verdict *)
+    | Slow_loris  (* drip bytes slower than the server's I/O timeout *)
+    | Disconnect_mid_reply  (* valid request, vanish before the reply *)
+
+  let fault_name = function
+    | Torn_frame -> "torn-frame"
+    | Byte_flip -> "byte-flip"
+    | Slow_loris -> "slow-loris"
+    | Disconnect_mid_reply -> "disconnect-mid-reply"
+
+  let all_faults = [ Torn_frame; Byte_flip; Slow_loris; Disconnect_mid_reply ]
+
+  (* Wait up to [timeout_s] for the server's reaction to a strike: a
+     complete (or garbled) reply frame, or a close. *)
+  let await_reaction ?(timeout_s = 10.0) fd : unit =
+    let chunk = Bytes.create 65536 in
+    let deadline = Unix.gettimeofday () +. timeout_s in
+    let rec loop buf =
+      match P.peek_frame buf ~pos:0 with
+      | `Frame _ | `Error _ -> ()
+      | `Need _ ->
+        let remaining = deadline -. Unix.gettimeofday () in
+        if remaining > 0.0 then (
+          match Unix.select [ fd ] [] [] remaining with
+          | [], _, _ -> ()
+          | _ -> (
+            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            | 0 -> ()
+            | n -> loop (buf ^ Bytes.sub_string chunk 0 n)
+            | exception Unix.Unix_error _ -> ())
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop buf)
+    in
+    loop ""
+
+  (* Execute one strike against [socket], carrying [payload] (an
+     encoded request) as ammunition.  Never raises on wire errors: the
+     server dropping us mid-strike is a legitimate (often the desired)
+     reaction; the caller then checks that the daemon still answers.
+     The slow loris drips 4 bytes 0.2 s apart. *)
+  let strike ~(rng : Util.Rng.t) ~(socket : string) ~(payload : string) (f : fault) : unit =
+    let frame = P.frame payload in
+    let flen = String.length frame in
+    match f with
+    | Torn_frame ->
+      (* The server is left holding a partial frame; its only correct
+         move is to wait, time out, and drop the connection. *)
+      let n = 1 + Util.Rng.int rng (flen - 1) in
+      let fd = S.connect ~socket in
+      (try S.write_all fd frame 0 n with Unix.Unix_error _ -> ());
+      S.close_quietly fd
+    | Byte_flip ->
+      (* Corrupt one byte of the JSON payload (the length prefix stays
+         honest, so the server reads a complete frame and must answer
+         with a typed protocol/validation error, not die parsing). *)
+      let b = Bytes.of_string frame in
+      let pos = 4 + Util.Rng.int rng (flen - 4) in
+      let bit = Util.Rng.int rng 8 in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+      let fd = S.connect ~socket in
+      (try
+         S.write_all fd (Bytes.to_string b) 0 flen;
+         await_reaction fd
+       with Unix.Unix_error _ -> ());
+      S.close_quietly fd
+    | Slow_loris ->
+      (* Drip bytes slower than the server's I/O timeout.  A hardened
+         server cuts us off (write fails or read sees EOF) instead of
+         pinning a worker for the full frame. *)
+      let fd = S.connect ~socket in
+      let sent = ref 0 in
+      (try
+         while !sent < min 4 flen do
+           S.write_all fd frame !sent 1;
+           incr sent;
+           Unix.sleepf 0.2
+         done
+       with Unix.Unix_error _ -> ());
+      await_reaction ~timeout_s:2.0 fd;
+      S.close_quietly fd
+    | Disconnect_mid_reply ->
+      (* A complete, valid request, then vanish.  The server's reply
+         write hits a dead peer (EPIPE); with SIGPIPE ignored this
+         must be a non-event. *)
+      let fd = S.connect ~socket in
+      (try S.write_all fd frame 0 flen with Unix.Unix_error _ -> ());
+      S.close_quietly fd
+end
 
 let explore_req ?deadline_ms app : P.request =
   P.Explore
@@ -275,7 +402,7 @@ let explore_req ?deadline_ms app : P.request =
 
 let with_daemon ?(conn_workers = 2) ?(io_timeout_s = 30.0) ?max_queue ?retry_after_ms
     ?(on_sigterm = false) ?(ready = true) server (f : string -> 'a) : 'a =
-  let socket = Filename.temp_file "gpuopt-serve-hard-" ".sock" in
+  let socket = fresh_socket "gpuopt-serve-hard-" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove socket with Sys_error _ -> ())
     (fun () ->
@@ -387,21 +514,17 @@ let hardening_tests =
                 let payload = P.encode_request P.Ping in
                 List.iter
                   (fun f ->
-                    let (_ : string) =
-                      CN.strike ~loris_interval_s:0.2 ~loris_max_bytes:4 ~rng ~socket ~payload f
-                    in
+                    Strike.strike ~rng ~socket ~payload f;
                     match S.call ~socket P.Ping with
                     | Ok P.Pong -> ()
-                    | _ -> Alcotest.failf "daemon unresponsive after %s" (CN.fault_name f))
-                  CN.all_faults;
+                    | _ -> Alcotest.failf "daemon unresponsive after %s" (Strike.fault_name f))
+                  Strike.all_faults;
                 (* the client that dies between request and reply: a full
                    explore reply hits the closed socket (EPIPE); without
                    SIGPIPE ignored this kills the whole process *)
-                let (_ : string) =
-                  CN.strike ~rng ~socket
-                    ~payload:(P.encode_request (explore_req "matmul"))
-                    CN.Disconnect_mid_reply
-                in
+                Strike.strike ~rng ~socket
+                  ~payload:(P.encode_request (explore_req "matmul"))
+                  Strike.Disconnect_mid_reply;
                 (match S.call ~socket P.Ping with
                 | Ok P.Pong -> ()
                 | _ -> Alcotest.fail "daemon died writing a reply to a vanished client");

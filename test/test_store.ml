@@ -284,11 +284,11 @@ let corruption_tests =
                 Out_channel.output_string oc "some other format v9\n");
             match S.open_ ~file () with
             | (_ : S.t) -> Alcotest.fail "foreign file accepted"
-            | exception Failure msg ->
-              Alcotest.(check bool) "error names the file" true
-                (String.length msg > 0
-                && String.exists (fun _ -> true) msg
-                && Option.is_some (String.index_opt msg ':'))));
+            | exception S.Bad_file { file = f; reason } ->
+              Alcotest.(check string) "error names the file" file f;
+              Alcotest.(check string) "error names the header"
+                (Printf.sprintf "foreign header %S, expected %S" "some other format v9" S.magic)
+                reason));
   ]
 
 (* ------------------------------------------------------------------ *)
