@@ -798,16 +798,16 @@ let () =
     | [] -> List.rev acc
     | "--jobs" :: n :: rest | "-j" :: n :: rest ->
       (match int_of_string_opt n with
-      | Some j when j >= 1 -> jobs := j
+      | Some j when j >= 1 && j <= Util.Pool.max_jobs -> jobs := j
       | _ ->
-        printf "--jobs expects a positive integer, got %S\n" n;
+        printf "--jobs expects an integer in 1..%d, got %S\n" Util.Pool.max_jobs n;
         exit 1);
       parse_jobs acc rest
     | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
       (match int_of_string_opt (String.sub a 7 (String.length a - 7)) with
-      | Some j when j >= 1 -> jobs := j
+      | Some j when j >= 1 && j <= Util.Pool.max_jobs -> jobs := j
       | _ ->
-        printf "--jobs expects a positive integer, got %S\n" a;
+        printf "--jobs expects an integer in 1..%d, got %S\n" Util.Pool.max_jobs a;
         exit 1);
       parse_jobs acc rest
     | a :: rest -> parse_jobs (a :: acc) rest

@@ -19,6 +19,61 @@
 
 open Cmdliner
 
+(* ------------------------------------------------------------------ *)
+(* The exit contract                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A command returns [Cmd.Exit.ok] or raises a typed failure: an input
+   it cannot use, or a negative verdict once its report is printed
+   ([verdict]).  The handler at the bottom of this file prints the
+   failure as one stderr line and exits [failed].  A wrong command line
+   never reaches a command (the converters below reject it) or is
+   refused through [Term.ret] when only the run can tell ([usage]). *)
+exception Failed of string
+
+let fail fmt = Printf.ksprintf (fun line -> raise (Failed line)) fmt
+let usage fmt = Printf.ksprintf (fun msg -> `Error (true, msg)) fmt
+let failed = 1
+
+(* [Cmd.Exit.ok] if [ok], else the failure the format describes. *)
+let verdict ok fmt =
+  Printf.ksprintf (fun line -> if ok then Cmd.Exit.ok else raise (Failed line)) fmt
+
+(* Every command's EXIT STATUS section; README's "Exit status" states
+   the same contract. *)
+let exits =
+  Cmd.Exit.
+    [
+      info ok ~doc:"on success.";
+      info failed
+        ~doc:
+          "when the command ran and failed: on a negative verdict (lint errors, fsck damage, a \
+           failed CHECK or validation, an error reply from the daemon) or on an input it cannot \
+           use (a foreign store, a missing directory, a live socket, an unreachable daemon).  One \
+           stderr line says which.";
+      info cli_error
+        ~doc:
+          "when the command line is wrong: an unknown name, a number out of its range, a missing \
+           argument.";
+      info internal_error ~doc:"on a bug: an uncaught exception.";
+    ]
+
+let command name ~doc term = Cmd.v (Cmd.info name ~doc ~exits) term
+
+(* An integer option's domain, as its --help states it. *)
+let int_in ?max min =
+  let range =
+    match max with Some m -> Printf.sprintf "in %d..%d" min m | None -> Printf.sprintf ">= %d" min
+  in
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min && Option.fold max ~none:true ~some:(fun m -> n <= m) -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer %s, got %S" range s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+(* ------------------------------------------------------------------ *)
+
 let app_conv =
   let parse s =
     match Apps.Registry.find s with
@@ -45,11 +100,9 @@ let stats_arg =
   in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
-let candidates_of ?arch ?extra_ptx (e : Apps.Registry.entry) quick =
-  if quick then e.quick_candidates ?arch ?extra_ptx () else e.candidates ?arch ?extra_ptx ()
-
-(* Shared by explore/tune: append the verified peephole pass, built from
-   a (store-cached) superoptimizer discovery run on the target arch. *)
+(* Shared by explore/tune/predict: append the verified peephole pass,
+   built from a (store-cached) superoptimizer discovery run on the
+   target arch. *)
 let rules_flag =
   let doc =
     "Append the superoptimizer's verified peephole pass to every candidate's schedule.  The \
@@ -57,44 +110,52 @@ let rules_flag =
   in
   Arg.(value & flag & info [ "rules" ] ~doc)
 
-(* The rule database itself (explore/tune wrap it into a pipeline pass;
-   the predictor also feeds it to the rule-win feature). *)
-let rules_db ?store ~jobs rules_on (arch : Gpu.Arch.t) : Ptx.Patterns.rule list option =
-  if not rules_on then None
-  else begin
-    let r = Tuner.Superopt.discover_cached ?store ~jobs ~arch () in
-    Printf.printf "peephole: %d verified rule(s)%s, db %s\n"
-      (List.length r.Tuner.Superopt.rules)
-      (if r.Tuner.Superopt.cached then " (from store)" else "")
-      (Ptx.Patterns.digest r.Tuner.Superopt.rules);
-    Some r.Tuner.Superopt.rules
-  end
-
-let rules_extra ?store ~jobs rules_on (arch : Gpu.Arch.t) :
-    Tuner.Pipeline.ptx_pass list option =
-  Option.map
-    (fun rs -> [ Tuner.Pipeline.peephole rs ])
-    (rules_db ?store ~jobs rules_on arch)
-
 (* Shared by explore/predict: the model-driven race's full-simulation
    budget, as a percentage of the valid space. *)
 let budget_arg =
   let doc =
     "Full-simulation budget of the model-driven race, as a percentage of the valid space \
-     (default 10).  The race fully simulates at most this many candidates — probes plus \
-     survivors — and races the rest at the reduced launch shape."
+     (1 to 100, default 10).  The race fully simulates at most this many candidates — probes \
+     plus survivors — and races the rest at the reduced launch shape."
   in
-  let pct =
-    let parse s =
-      match int_of_string_opt s with
-      | Some p when p >= 1 && p <= 100 -> Ok p
-      | _ -> Error (`Msg (Printf.sprintf "expected a percentage in 1..100, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt (some pct) None & info [ "budget" ] ~docv:"PCT" ~doc)
+  Arg.(value & opt (some (int_in ~max:100 1)) None & info [ "budget" ] ~docv:"PCT" ~doc)
 
-let budget_frac = Option.map (fun pct -> float_of_int pct /. 100.0)
+(* The store's tag for a space's problem scale: the daemon's names for
+   the quick and paper shapes, so served and direct runs share
+   entries. *)
+let store_scale quick = if quick then "quick" else "full"
+
+(* One space as explore, tune and predict search it: [e]'s candidates
+   on [arch] at the --quick (smoke) or paper shape, with the verified
+   peephole leg appended under --rules (the rule database is the
+   predictor's rule-win feature too), and the model-driven race at a
+   --budget percentage.  The race runs on the reduced shape; a quick
+   space is that shape already, so it races itself and reuses the
+   sweep's measurements. *)
+type space = { cands : Tuner.Candidate.t list; race : int option -> Tuner.Prune.spec }
+
+let space ?store ~jobs (e : Apps.Registry.entry) ~quick ~rules (arch : Gpu.Arch.t) : space =
+  let db =
+    if not rules then None
+    else begin
+      let r = Tuner.Superopt.discover_cached ?store ~jobs ~arch () in
+      Printf.printf "peephole: %d verified rule(s)%s, db %s\n"
+        (List.length r.Tuner.Superopt.rules)
+        (if r.Tuner.Superopt.cached then " (from store)" else "")
+        (Ptx.Patterns.digest r.Tuner.Superopt.rules);
+      Some r.Tuner.Superopt.rules
+    end
+  in
+  let extra_ptx = Option.map (fun rs -> [ Tuner.Pipeline.peephole rs ]) db in
+  let cands = (if quick then e.quick_candidates else e.candidates) ~arch ?extra_ptx () in
+  let race budget =
+    Tuner.Prune.spec
+      ?budget_frac:(Option.map (fun pct -> float_of_int pct /. 100.0) budget)
+      ~rules:(Option.value db ~default:[])
+      ~reduced:(if quick then cands else e.reduced_candidates ~arch ?extra_ptx ())
+      ()
+  in
+  { cands; race }
 
 let print_prune_outcome (r : Tuner.Search.result) =
   match r.Tuner.Search.prune with
@@ -109,23 +170,35 @@ let print_prune_outcome (r : Tuner.Search.result) =
       (Tuner.Predict.digest o.Tuner.Prune.pr_model)
       o.Tuner.Prune.pr_model.Tuner.Predict.md_rows
 
-(* Shared by explore/tune/lint/request: which machine model to target.
-   The registry names plus "all" (explore/tune only: sweep every
-   registry arch and report a per-arch winner table). *)
-let arch_name_arg =
-  let doc =
-    "Target machine model, by registry name (see $(b,gpuopt archs)).  $(b,all) sweeps every \
-     registry model and reports a per-arch winner table."
+(* Which machine model to target, by registry name.  With [~all]
+   (explore and tune), "all" reads as None: sweep every registry model
+   and report a per-arch winner table. *)
+let arch_conv ~all =
+  let names = Gpu.Arch.names @ if all then [ "all" ] else [] in
+  let parse s =
+    match Gpu.Arch.find s with
+    | Some a -> Ok (Some a)
+    | None when all && s = "all" -> Ok None
+    | None ->
+      Error (`Msg (Printf.sprintf "unknown arch %S (expected %s)" s (String.concat "|" names)))
   in
-  Arg.(value & opt string Gpu.Arch.g80.Gpu.Arch.name & info [ "arch" ] ~docv:"NAME" ~doc)
+  let print fmt = function
+    | Some (a : Gpu.Arch.t) -> Format.pp_print_string fmt a.name
+    | None -> Format.pp_print_string fmt "all"
+  in
+  Arg.conv (parse, print)
 
-let resolve_arch name : Gpu.Arch.t =
-  match Gpu.Arch.find name with
-  | Some a -> a
-  | None ->
-    Printf.eprintf "unknown arch %S (expected %s)\n" name
-      (String.concat "|" (Gpu.Arch.names @ [ "all" ]));
-    exit 2
+let arch_opt ~all ~doc =
+  Arg.(value & opt (arch_conv ~all) (Some Gpu.Arch.g80) & info [ "arch" ] ~docv:"NAME" ~doc)
+
+let arch_doc = "Target machine model, by registry name (see $(b,gpuopt archs))."
+
+let arch_or_all_arg =
+  arch_opt ~all:true
+    ~doc:(arch_doc ^ "  $(b,all) sweeps every registry model and reports a per-arch winner table.")
+
+(* Without [~all] the converter never yields None. *)
+let arch_arg = Term.(const Option.get $ arch_opt ~all:false ~doc:arch_doc)
 
 let winner_line (arch : Gpu.Arch.t) (m : Tuner.Search.measured) =
   Printf.printf "winner[%s] %s  (%.4f ms)\n" arch.Gpu.Arch.name m.cand.desc (m.time_s *. 1000.0)
@@ -142,17 +215,9 @@ let store_arg =
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"FILE" ~doc)
 
-(* A file that cannot be read as a store (a directory, a foreign or
-   missing header) is the user's error: one line, exit 1. *)
-let or_store_error f =
-  try f ()
-  with Tuner.Store.Bad_file { file; reason } ->
-    Printf.eprintf "store: %s: %s\n" file reason;
-    exit 1
-
 (* Open the store in [file], reporting each rejected record once. *)
 let open_store ?durable file : Tuner.Store.t =
-  let store = or_store_error (fun () -> Tuner.Store.open_ ?durable ~file ()) in
+  let store = Tuner.Store.open_ ?durable ~file () in
   List.iter
     (fun (c : Tuner.Store.corrupt_line) ->
       Printf.eprintf "store: %s:%d rejected: %s\n%!" file c.cl_line c.cl_reason)
@@ -166,20 +231,18 @@ let with_store store_file (f : Tuner.Store.t option -> 'a) : 'a =
     let store = open_store file in
     Fun.protect ~finally:(fun () -> Tuner.Store.close store) (fun () -> f (Some store))
 
+let jobs_doc =
+  Printf.sprintf
+    "Measurement worker domains, 1 to %d.  Defaults to the GPUOPT_JOBS environment variable when \
+     it is in that range, else one less than the available cores (at least 1).  Results are \
+     identical for every value."
+    Util.Pool.max_jobs
+
 let jobs_arg =
-  let doc =
-    "Measurement worker domains. Defaults to the GPUOPT_JOBS environment variable if set, else \
-     one less than the available cores (min 1). Results are identical for every value."
-  in
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some j when j >= 1 -> Ok j
-      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(value & opt positive_int (Util.Pool.default_jobs ()) & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+  Arg.(
+    value
+    & opt (int_in ~max:Util.Pool.max_jobs 1) (Util.Pool.default_jobs ())
+    & info [ "j"; "jobs" ] ~docv:"N" ~doc:jobs_doc)
 
 (* ------------------------------------------------------------------ *)
 
@@ -190,11 +253,11 @@ let arch_cmd =
   let name_arg =
     Arg.(
       value
-      & pos 0 string Gpu.Arch.g80.Gpu.Arch.name
+      & pos 0 (arch_conv ~all:false) (Some Gpu.Arch.g80)
       & info [] ~docv:"NAME" ~doc:"Machine model to print (see $(b,gpuopt archs)).")
   in
-  let run name =
-    let a = resolve_arch name in
+  let run a =
+    let a = Option.get a in
     let l = a.Gpu.Arch.limits and lat = a.Gpu.Arch.latencies in
     Printf.printf "%s — %s\n\n" a.Gpu.Arch.name a.Gpu.Arch.display;
     if a.Gpu.Arch.name = Gpu.Arch.g80.Gpu.Arch.name then begin
@@ -222,9 +285,10 @@ let arch_cmd =
            [ "Global latency (cycles)"; string_of_int lat.global ];
          ]);
     Printf.printf "\nPeak %.1f GFLOPS, %.1f GB/s global bandwidth, %.2f GHz\n"
-      (Gpu.Arch.peak_gflops a) a.Gpu.Arch.global_bandwidth_gbs a.Gpu.Arch.clock_ghz
+      (Gpu.Arch.peak_gflops a) a.Gpu.Arch.global_bandwidth_gbs a.Gpu.Arch.clock_ghz;
+    Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "arch" ~doc) Term.(const run $ name_arg)
+  command "arch" ~doc Term.(const run $ name_arg)
 
 let archs_cmd =
   let doc = "List the machine-model registry, one line per arch." in
@@ -243,9 +307,10 @@ let archs_cmd =
                 Printf.sprintf "%.1f" (Gpu.Arch.peak_gflops a);
                 Printf.sprintf "%.1f" a.Gpu.Arch.global_bandwidth_gbs;
               ])
-            Gpu.Arch.archs))
+            Gpu.Arch.archs));
+    Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "archs" ~doc) Term.(const run $ const ())
+  command "archs" ~doc Term.(const run $ const ())
 
 let explore_cmd =
   let doc =
@@ -269,23 +334,20 @@ let explore_cmd =
     in
     Arg.(value & flag & info [ "predict" ] ~doc)
   in
-  let run (e : Apps.Registry.entry) jobs quick stats fail_fast store_file arch_name rules predict
-      budget =
-    if arch_name = "all" then begin
-      if predict then begin
-        Printf.eprintf "explore: --predict races one space at a time; not supported with --arch all\n";
-        exit 2
-      end;
+  let run (e : Apps.Registry.entry) jobs quick stats fail_fast store_file arch rules predict budget
+      =
+    let store_scale = store_scale quick in
+    match arch with
+    | None when predict ->
+      usage "--predict races one space at a time; not supported with --arch all"
+    | None ->
       (* Cross-arch sweep: arch is the outer enumeration axis; one
          engine (and store binding) per arch, then the per-arch winner
          table and greppable winner lines. *)
       let rs =
         with_store store_file (fun store ->
-            Tuner.Search.run_archs ~jobs ~fail_fast ?store
-              ~store_scale:(if quick then "quick" else "full")
-              ~app_name:e.name ~archs:Gpu.Arch.archs
-              (fun arch ->
-                candidates_of ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) e quick))
+            Tuner.Search.run_archs ~jobs ~fail_fast ?store ~store_scale ~app_name:e.name
+              ~archs:Gpu.Arch.archs (fun arch -> (space ?store ~jobs e ~quick ~rules arch).cands))
       in
       print_string (Tuner.Report.arch_winner_table rs);
       Printf.printf "\n";
@@ -293,66 +355,50 @@ let explore_cmd =
         (fun (r : Tuner.Search.arch_result) ->
           winner_line r.ar_arch r.ar_result.Tuner.Search.selected_best)
         rs;
-      exit 0
-    end;
-    let arch = resolve_arch arch_name in
-    let r =
-      try
+      `Ok Cmd.Exit.ok
+    | Some arch ->
+      let r =
         with_store store_file (fun store ->
-            let db = rules_db ?store ~jobs rules arch in
-            let extra_ptx = Option.map (fun rs -> [ Tuner.Pipeline.peephole rs ]) db in
-            let cands = candidates_of ~arch ?extra_ptx e quick in
-            let pspec =
-              if not predict then None
-              else
-                (* A quick target IS the reduced shape already: race it
-                   against itself (the same list, so the race reuses the
-                   sweep's measurements) rather than a larger space. *)
-                let reduced = if quick then cands else e.reduced_candidates ~arch ?extra_ptx () in
-                Some
-                  (Tuner.Prune.spec ?budget_frac:(budget_frac budget)
-                     ~rules:(Option.value db ~default:[]) ~reduced ())
-            in
-            Tuner.Search.run ~jobs ~fail_fast ?store ?predict:pspec
-              ~store_scale:(if quick then "quick" else "full")
-              ~app_name:e.name cands)
-      with Tuner.Fault.Fail { desc; fault } ->
-        Printf.eprintf "fault in %s: %s\n" desc (Tuner.Fault.to_string fault);
-        exit 1
-    in
-    Printf.printf "%d valid configurations (%d invalid)\n\n" r.space_size r.invalid;
-    print_string (Tuner.Report.figure6 r);
-    Printf.printf "\n";
-    print_string (Tuner.Report.table Tuner.Report.table4_header [ Tuner.Report.table4_row r ]);
-    print_prune_outcome r;
-    Printf.printf "\ntrue optimum:   %s  (%.4f ms)\n" r.best.cand.desc (r.best.time_s *. 1000.0);
-    Printf.printf "pruned search:  %s  (%.4f ms)\n" r.selected_best.cand.desc
-      (r.selected_best.time_s *. 1000.0);
-    winner_line arch r.selected_best;
-    if r.faults <> [] then begin
-      Printf.printf "\n%d configuration(s) faulted and were excluded:\n"
-        (List.length r.faults);
-      print_string (Tuner.Report.fault_table r.faults)
-    end;
-    if stats then begin
-      let s = r.engine in
-      let requests = s.measure_runs + s.measure_hits in
-      Printf.printf "\nmeasurement engine: %d requests -> %d simulator runs + %d cache hits\n"
-        requests s.measure_runs s.measure_hits;
-      Printf.printf "                    (the Pareto subset re-reads the exhaustive sweep's cache)\n";
-      Printf.printf "simulator:          %d launches, %d warp-instrs in %.2fs host time" s.sim_launches
-        s.sim_warp_instrs s.measure_host_s;
-      if s.measure_host_s > 0.0 then
-        Printf.printf " (%.2f M warp-instrs/s)" (float_of_int s.sim_warp_instrs /. s.measure_host_s /. 1e6);
+            let sp = space ?store ~jobs e ~quick ~rules arch in
+            Tuner.Search.run ~jobs ~fail_fast ?store
+              ?predict:(if predict then Some (sp.race budget) else None)
+              ~store_scale ~app_name:e.name sp.cands)
+      in
+      Printf.printf "%d valid configurations (%d invalid)\n\n" r.space_size r.invalid;
+      print_string (Tuner.Report.figure6 r);
       Printf.printf "\n";
-      if store_file <> None then
-        Printf.printf "result store:       %d hit(s), %d miss(es)\n" s.store_hits s.store_misses
-    end
+      print_string (Tuner.Report.table Tuner.Report.table4_header [ Tuner.Report.table4_row r ]);
+      print_prune_outcome r;
+      Printf.printf "\ntrue optimum:   %s  (%.4f ms)\n" r.best.cand.desc (r.best.time_s *. 1000.0);
+      Printf.printf "pruned search:  %s  (%.4f ms)\n" r.selected_best.cand.desc
+        (r.selected_best.time_s *. 1000.0);
+      winner_line arch r.selected_best;
+      if r.faults <> [] then begin
+        Printf.printf "\n%d configuration(s) faulted and were excluded:\n"
+          (List.length r.faults);
+        print_string (Tuner.Report.fault_table r.faults)
+      end;
+      if stats then begin
+        let s = r.engine in
+        let requests = s.measure_runs + s.measure_hits in
+        Printf.printf "\nmeasurement engine: %d requests -> %d simulator runs + %d cache hits\n"
+          requests s.measure_runs s.measure_hits;
+        Printf.printf "                    (the Pareto subset re-reads the exhaustive sweep's cache)\n";
+        Printf.printf "simulator:          %d launches, %d warp-instrs in %.2fs host time" s.sim_launches
+          s.sim_warp_instrs s.measure_host_s;
+        if s.measure_host_s > 0.0 then
+          Printf.printf " (%.2f M warp-instrs/s)" (float_of_int s.sim_warp_instrs /. s.measure_host_s /. 1e6);
+        Printf.printf "\n";
+        if store_file <> None then
+          Printf.printf "result store:       %d hit(s), %d miss(es)\n" s.store_hits s.store_misses
+      end;
+      `Ok Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "explore" ~doc)
+  command "explore" ~doc
     Term.(
-      const run $ app_arg $ jobs_arg $ quick_arg $ stats_arg $ fail_fast_arg $ store_arg
-      $ arch_name_arg $ rules_flag $ predict_flag $ budget_arg)
+      ret
+        (const run $ app_arg $ jobs_arg $ quick_arg $ stats_arg $ fail_fast_arg $ store_arg
+       $ arch_or_all_arg $ rules_flag $ predict_flag $ budget_arg))
 
 let predict_cmd =
   let doc =
@@ -366,30 +412,21 @@ let predict_cmd =
   in
   let top_arg =
     Arg.(
-      value & opt int 10
-      & info [ "top" ] ~docv:"N" ~doc:"Rows of the predicted ranking (and model weights) to print.")
+      value
+      & opt (int_in 0) 10
+      & info [ "top" ] ~docv:"N"
+          ~doc:"Rows of the predicted ranking (and model weights) to print, 0 or more.")
   in
-  let run (e : Apps.Registry.entry) jobs quick store_file arch_name rules budget top =
-    let arch = resolve_arch arch_name in
+  let run (e : Apps.Registry.entry) jobs quick store_file arch rules budget top =
+    let store_scale = store_scale quick in
     with_store store_file (fun store ->
-        let db = rules_db ?store ~jobs rules arch in
-        let extra_ptx = Option.map (fun rs -> [ Tuner.Pipeline.peephole rs ]) db in
-        let cands = candidates_of ~arch ?extra_ptx e quick in
-        let reduced = if quick then cands else e.reduced_candidates ~arch ?extra_ptx () in
-        let spec =
-          Tuner.Prune.spec ?budget_frac:(budget_frac budget)
-            ~rules:(Option.value db ~default:[]) ~reduced ()
-        in
-        let scale = if quick then "quick" else "full" in
+        let sp = space ?store ~jobs e ~quick ~rules arch in
+        let spec = sp.race budget in
         let engine = Tuner.Measure.create ~app_name:e.name () in
-        Tuner.Search.bind_store engine ~app_name:e.name cands ~store ~store_key:None
-          ~store_scale:(Some scale);
+        Tuner.Search.bind_store engine ~app_name:e.name sp.cands ~store ~store_key:None
+          ~store_scale:(Some store_scale);
         let o =
-          try
-            Tuner.Prune.run ~jobs ?store ~store_scale:scale ~engine ~app_name:e.name spec cands
-          with Tuner.Fault.Fail { desc; fault } ->
-            Printf.eprintf "fault in %s: %s\n" desc (Tuner.Fault.to_string fault);
-            exit 1
+          Tuner.Prune.run ~jobs ?store ~store_scale ~engine ~app_name:e.name spec sp.cands
         in
         Printf.printf "%d valid configurations; budget %d full simulation(s) (%.1f%%)\n"
           o.Tuner.Prune.pr_total o.Tuner.Prune.pr_budget
@@ -425,12 +462,13 @@ let predict_cmd =
           let c = Tuner.Measure.counters engine and r = o.Tuner.Prune.pr_reduced_engine in
           Printf.printf "result store: %d hit(s), %d miss(es)\n"
             (c.c_store_hits + r.c_store_hits) (c.c_store_misses + r.c_store_misses)
-        end)
+        end);
+    Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "predict" ~doc)
+  command "predict" ~doc
     Term.(
-      const run $ app_arg $ jobs_arg $ quick_arg $ store_arg $ arch_name_arg $ rules_flag
-      $ budget_arg $ top_arg)
+      const run $ app_arg $ jobs_arg $ quick_arg $ store_arg $ arch_arg $ rules_flag $ budget_arg
+      $ top_arg)
 
 let chaos_cmd =
   let doc =
@@ -444,7 +482,11 @@ let chaos_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Victim-selection seed.")
   in
   let faults_arg =
-    Arg.(value & opt int 5 & info [ "faults" ] ~docv:"N" ~doc:"Number of faults to inject.")
+    let doc =
+      "Number of faults to inject: 0 or more, and at most the candidates eligible as victims \
+       (the valid ones, outside the fault-free Pareto subset unless $(b,--hit-frontier))."
+    in
+    Arg.(value & opt (int_in 0) 5 & info [ "faults" ] ~docv:"N" ~doc)
   in
   let hit_frontier_arg =
     Arg.(
@@ -457,7 +499,7 @@ let chaos_cmd =
              and resume checks still apply).")
   in
   let run (e : Apps.Registry.entry) jobs quick seed nfaults hit_frontier =
-    let cands = candidates_of e quick in
+    let cands = (space ~jobs e ~quick ~rules:false Gpu.Arch.g80).cands in
     let failures = ref 0 in
     let check name ok =
       if not ok then incr failures;
@@ -479,7 +521,10 @@ let chaos_cmd =
       if hit_frontier then []
       else List.map (fun ((c : Tuner.Candidate.t), _) -> c.desc) baseline.selected
     in
-    let injected_cands, injections = Tuner.Chaos.inject ~seed ~count:nfaults ~avoid cands in
+    match Tuner.Chaos.inject ~seed ~count:nfaults ~avoid cands with
+    | exception Tuner.Chaos.Too_many_faults { requested; eligible } ->
+      usage "--faults %d: only %d candidate(s) are eligible as victims" requested eligible
+    | injected_cands, injections ->
     List.iter
       (fun (inj : Tuner.Chaos.injection) ->
         Printf.printf "inject %-12s -> %s\n" (Tuner.Chaos.kind_name inj.inj_kind) inj.inj_desc)
@@ -576,67 +621,57 @@ let chaos_cmd =
           && resumed.selected_best.cand.desc = r.selected_best.cand.desc
           && resumed.selected_eval_time = r.selected_eval_time
           && resumed.reduction = r.reduction));
-    if !failures > 0 then begin
-      Printf.printf "\n%d check(s) FAILED\n" !failures;
-      exit 1
-    end;
-    Printf.printf "\nall checks passed\n"
+    if !failures > 0 then Printf.printf "\n%d check(s) FAILED\n" !failures
+    else Printf.printf "\nall checks passed\n";
+    `Ok (verdict (!failures = 0) "chaos: %s: %d check(s) failed" e.name !failures)
   in
-  Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(const run $ app_arg $ jobs_arg $ quick_arg $ seed_arg $ faults_arg $ hit_frontier_arg)
+  command "chaos" ~doc
+    Term.(
+      ret (const run $ app_arg $ jobs_arg $ quick_arg $ seed_arg $ faults_arg $ hit_frontier_arg))
 
 let tune_cmd =
   let doc =
     "Run the paper's methodology: compile the whole space, compute the static metrics, measure \
      only the Pareto-optimal subset, report the chosen configuration."
   in
-  let run (e : Apps.Registry.entry) jobs quick store_file arch_name rules =
-    if arch_name = "all" then begin
+  let run (e : Apps.Registry.entry) jobs quick store_file arch rules =
+    let tune store arch =
+      let sp = space ?store ~jobs e ~quick ~rules arch in
+      ( sp.cands,
+        Tuner.Search.tune_full ~jobs ?store ~store_scale:(store_scale quick) ~app_name:e.name
+          sp.cands )
+    in
+    match arch with
+    | None ->
       with_store store_file (fun store ->
           List.iter
-            (fun (arch : Gpu.Arch.t) ->
-              let tuned =
-                Tuner.Search.tune_full ~jobs ?store
-                  ~store_scale:(if quick then "quick" else "full")
-                  ~app_name:e.name
-                  (candidates_of ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) e quick)
-              in
-              winner_line arch tuned.Tuner.Search.chosen)
+            (fun arch -> winner_line arch (snd (tune store arch)).Tuner.Search.chosen)
             Gpu.Arch.archs);
-      exit 0
-    end;
-    let arch = resolve_arch arch_name in
-    let cands, tuned =
-      with_store store_file (fun store ->
-          let cands =
-            candidates_of ~arch ?extra_ptx:(rules_extra ?store ~jobs rules arch) e quick
-          in
-          ( cands,
-            Tuner.Search.tune_full ~jobs ?store
-              ~store_scale:(if quick then "quick" else "full")
-              ~app_name:e.name cands ))
-    in
-    let best = tuned.Tuner.Search.chosen and selected = tuned.Tuner.Search.considered in
-    Printf.printf "space: %d configurations, measured only %d (%.0f%% pruned)\n"
-      (List.length (List.filter (fun (c : Tuner.Candidate.t) -> c.valid) cands))
-      (List.length selected)
-      (100.0
-      *. (1.0
-         -. float_of_int (List.length selected)
-            /. float_of_int (List.length (List.filter (fun (c : Tuner.Candidate.t) -> c.valid) cands))
-         ));
-    List.iter
-      (fun ((c : Tuner.Candidate.t), (m : Tuner.Metrics.t)) ->
-        Printf.printf "  candidate %-28s eff=%.3e util=%8.1f\n" c.desc m.efficiency m.utilization)
-      selected;
-    Printf.printf "chosen: %s (%.4f ms simulated)\n" best.cand.desc (best.time_s *. 1000.0);
-    winner_line arch best;
-    if store_file <> None then
-      Printf.printf "result store: %d hit(s), %d miss(es)\n" tuned.tune_engine.store_hits
-        tuned.tune_engine.store_misses
+      Cmd.Exit.ok
+    | Some arch ->
+      let cands, tuned = with_store store_file (fun store -> tune store arch) in
+      let best = tuned.Tuner.Search.chosen and selected = tuned.Tuner.Search.considered in
+      Printf.printf "space: %d configurations, measured only %d (%.0f%% pruned)\n"
+        (List.length (List.filter (fun (c : Tuner.Candidate.t) -> c.valid) cands))
+        (List.length selected)
+        (100.0
+        *. (1.0
+           -. float_of_int (List.length selected)
+              /. float_of_int
+                   (List.length (List.filter (fun (c : Tuner.Candidate.t) -> c.valid) cands))));
+      List.iter
+        (fun ((c : Tuner.Candidate.t), (m : Tuner.Metrics.t)) ->
+          Printf.printf "  candidate %-28s eff=%.3e util=%8.1f\n" c.desc m.efficiency m.utilization)
+        selected;
+      Printf.printf "chosen: %s (%.4f ms simulated)\n" best.cand.desc (best.time_s *. 1000.0);
+      winner_line arch best;
+      if store_file <> None then
+        Printf.printf "result store: %d hit(s), %d miss(es)\n" tuned.tune_engine.store_hits
+          tuned.tune_engine.store_misses;
+      Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "tune" ~doc)
-    Term.(const run $ app_arg $ jobs_arg $ quick_arg $ store_arg $ arch_name_arg $ rules_flag)
+  command "tune" ~doc
+    Term.(const run $ app_arg $ jobs_arg $ quick_arg $ store_arg $ arch_or_all_arg $ rules_flag)
 
 let inspect_cmd =
   let doc =
@@ -655,21 +690,30 @@ let inspect_cmd =
     Arg.(value & flag & info [ "trace" ] ~doc:"Compile one configuration and print the pass trace.")
   in
   let run (e : Apps.Registry.entry) config trace =
-    Printf.printf "%s — %s\n\n" e.display e.title;
-    print_string
-      (Tuner.Report.table [ "Axis"; "Values" ]
-         (List.map
-            (fun (a : Tuner.Space.axis_info) ->
-              [ a.axis_name; String.concat ", " a.axis_values ])
-            e.axes));
-    List.iter (Printf.printf "constraint: %s\n") e.constraints;
-    Printf.printf "%d configurations\n" e.cardinality;
-    if trace then begin
-      let desc = match config with Some d -> d | None -> List.hd (Lazy.force e.configs) in
-      let stats = ref [] in
-      match e.compile ~hook:(fun s -> stats := s :: !stats) desc with
-      | Error msg -> prerr_endline msg; exit 1
-      | Ok c ->
+    (* The configuration to compile, if any: an unknown --config is
+       refused before anything prints. *)
+    let stats = ref [] in
+    let compiled =
+      if not (trace || config <> None) then Ok None
+      else
+        let desc = match config with Some d -> d | None -> List.hd (Lazy.force e.configs) in
+        Result.map (fun c -> Some (desc, c)) (e.compile ~hook:(fun s -> stats := s :: !stats) desc)
+    in
+    match compiled with
+    | Error msg -> usage "%s" msg
+    | Ok compiled ->
+      Printf.printf "%s — %s\n\n" e.display e.title;
+      print_string
+        (Tuner.Report.table [ "Axis"; "Values" ]
+           (List.map
+              (fun (a : Tuner.Space.axis_info) ->
+                [ a.axis_name; String.concat ", " a.axis_values ])
+              e.axes));
+      List.iter (Printf.printf "constraint: %s\n") e.constraints;
+      Printf.printf "%d configurations\n" e.cardinality;
+      (match compiled with
+      | None -> ()
+      | Some (desc, c) when trace ->
         Printf.printf "\ntrace of %s:\n" desc;
         print_string (Tuner.Pipeline.trace_table (List.rev !stats));
         Printf.printf "\ninstruction classes:\n";
@@ -683,18 +727,12 @@ let inspect_cmd =
                 (Ptx.Count.class_breakdown c.ptx)));
         Printf.printf "\n%d instructions, %d regs/thread, %d bytes smem/block\n"
           (Ptx.Prog.static_size c.ptx) c.resource.regs_per_thread c.resource.smem_bytes_per_block
-    end
-    else
-      match config with
-      | None -> ()
-      | Some desc -> (
-        match e.compile desc with
-        | Error msg -> prerr_endline msg; exit 1
-        | Ok c ->
-          Printf.printf "\n%s: %d instructions, %d regs/thread, %d bytes smem/block\n" desc
-            (Ptx.Prog.static_size c.ptx) c.resource.regs_per_thread c.resource.smem_bytes_per_block)
+      | Some (desc, c) ->
+        Printf.printf "\n%s: %d instructions, %d regs/thread, %d bytes smem/block\n" desc
+          (Ptx.Prog.static_size c.ptx) c.resource.regs_per_thread c.resource.smem_bytes_per_block);
+      `Ok Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "inspect" ~doc) Term.(const run $ app_arg $ config_arg $ trace_arg)
+  command "inspect" ~doc Term.(ret (const run $ app_arg $ config_arg $ trace_arg))
 
 let lint_cmd =
   let doc =
@@ -726,83 +764,98 @@ let lint_cmd =
       & info [ "crossval" ]
           ~doc:"Cross-validate static predictions against the simulator's dynamic counters.")
   in
-  let mutation (wb : Apps.Workbench.t) = function
-    | `Race -> (
-      (* Drop an interior barrier when there is one (the classic
-         tile-loop race); kernels with a single barrier lose that. *)
-      try Kir.Mutate.drop_sync ~index:1 with Kir.Mutate.Mutate_error _ -> Kir.Mutate.drop_sync ~index:0)
-    | `Bank -> (
-      match wb.Apps.Workbench.wb_kernel.Kir.Ast.shared_decls with
-      | (arr, _) :: _ -> Kir.Mutate.transpose_store ~array:arr
-      | [] -> failwith (wb.Apps.Workbench.wb_app ^ " uses no shared memory; nothing to mutate"))
+  (* The kernel --mutate asks for, if any, or why [wb]'s kernel has
+     none: [`Race] drops an interior barrier when there is one (the
+     classic tile-loop race), else the only one; [`Bank] transposes the
+     stores to the first shared array. *)
+  let mutant (wb : Apps.Workbench.t) kind : (Kir.Ast.kernel option, string) result =
+    let k = wb.Apps.Workbench.wb_kernel in
+    let apply m = try Ok (Some (m k)) with Kir.Mutate.Mutate_error msg -> Error msg in
+    match kind with
+    | None -> Ok None
+    | Some `Race -> (
+      match apply (Kir.Mutate.drop_sync ~index:1) with
+      | Ok _ as interior -> interior
+      | Error _ -> apply (Kir.Mutate.drop_sync ~index:0))
+    | Some `Bank -> (
+      match k.Kir.Ast.shared_decls with
+      | (arr, _) :: _ -> apply (Kir.Mutate.transpose_store ~array:arr)
+      | [] -> Error (wb.Apps.Workbench.wb_app ^ " uses no shared memory; nothing to mutate"))
   in
-  let run (e : Apps.Registry.entry) config mutate crossval arch_name =
-    let arch = resolve_arch arch_name in
+  let run (e : Apps.Registry.entry) config mutate crossval arch =
     match e.workbench ~arch ?config () with
-    | Error msg -> prerr_endline msg; exit 1
-    | Ok wb ->
-      let report =
-        match mutate with
-        | None -> Apps.Workbench.lint wb
-        | Some m -> Apps.Workbench.lint_mutant wb (mutation wb m)
-      in
-      print_string (Analysis.Lint.render report);
-      (* Dead-store lint ([Ptx.Liveness.dead_defs]): instructions whose
-         defined register is dead on every path out of their position.
-         The raw lowering is reported as a count (DCE will remove
-         those); anything still dead in the *optimized* kernel is a
-         wasted issue slot and is listed instruction by instruction. *)
-      let lowered = Kir.Lower.lower wb.Apps.Workbench.wb_kernel in
-      let dead_lowered = Ptx.Liveness.dead_defs lowered in
-      if dead_lowered <> [] then
-        Printf.printf "dead stores: %d in the raw lowering (removed by dce)\n"
-          (List.length dead_lowered);
-      let dead =
-        Ptx.Liveness.dead_defs wb.Apps.Workbench.wb_compiled.Tuner.Pipeline.ptx
-      in
-      if dead = [] then Printf.printf "dead stores: none in the optimized kernel\n"
-      else begin
-        Printf.printf "dead stores: %d survive optimization (wasted issue slots):\n"
-          (List.length dead);
-        List.iter
-          (fun (label, j, i) -> Printf.printf "  %s[%d]: %s\n" label j (Ptx.Pp.instr i))
-          dead
-      end;
-      if crossval then begin
-        Printf.printf "\ncross-validation against the simulator:\n";
-        print_string
-          (Analysis.Crossval.render
-             (Apps.Workbench.crossval ?mutate:(Option.map (mutation wb) mutate) wb))
-      end;
-      if Analysis.Lint.has_errors report then exit 1
+    | Error msg -> usage "%s" msg
+    | Ok wb -> (
+      match mutant wb mutate with
+      | Error msg -> usage "--mutate: %s" msg
+      | Ok mutant ->
+        let report =
+          match mutant with
+          | None -> Apps.Workbench.lint wb
+          | Some k -> Apps.Workbench.lint_mutant wb (fun _ -> k)
+        in
+        print_string (Analysis.Lint.render report);
+        (* Dead-store lint ([Ptx.Liveness.dead_defs]): instructions whose
+           defined register is dead on every path out of their position.
+           The raw lowering is reported as a count (DCE will remove
+           those); anything still dead in the *optimized* kernel is a
+           wasted issue slot and is listed instruction by instruction. *)
+        let lowered = Kir.Lower.lower wb.Apps.Workbench.wb_kernel in
+        let dead_lowered = Ptx.Liveness.dead_defs lowered in
+        if dead_lowered <> [] then
+          Printf.printf "dead stores: %d in the raw lowering (removed by dce)\n"
+            (List.length dead_lowered);
+        let dead =
+          Ptx.Liveness.dead_defs wb.Apps.Workbench.wb_compiled.Tuner.Pipeline.ptx
+        in
+        if dead = [] then Printf.printf "dead stores: none in the optimized kernel\n"
+        else begin
+          Printf.printf "dead stores: %d survive optimization (wasted issue slots):\n"
+            (List.length dead);
+          List.iter
+            (fun (label, j, i) -> Printf.printf "  %s[%d]: %s\n" label j (Ptx.Pp.instr i))
+            dead
+        end;
+        if crossval then begin
+          Printf.printf "\ncross-validation against the simulator:\n";
+          print_string
+            (Analysis.Crossval.render
+               (Apps.Workbench.crossval ?mutate:(Option.map (fun k _ -> k) mutant) wb))
+        end;
+        `Ok
+          (verdict
+             (not (Analysis.Lint.has_errors report))
+             "lint: %s: %d race(s), %d divergent barrier(s)" report.r_name
+             (List.length report.r_races.findings)
+             (List.length report.r_divergent)))
   in
-  Cmd.v (Cmd.info "lint" ~doc)
-    Term.(const run $ app_arg $ config_arg $ mutate_arg $ crossval_arg $ arch_name_arg)
+  command "lint" ~doc
+    Term.(ret (const run $ app_arg $ config_arg $ mutate_arg $ crossval_arg $ arch_arg))
 
 let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc:"minicuda source file")
+  Arg.(
+    required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE" ~doc:"minicuda source file")
 
-(* The single-kernel commands' error boundary: a source or launch the
-   user got wrong prints one typed line and exits 1.  Lexer and parser
-   errors carry their line; whatever compiling or simulating raises is
-   classified the way the tuner classifies a candidate's failure. *)
-let kernel_error ~cmd ~file fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "%s: %s: %s\n" cmd file msg;
-      exit 1)
-    fmt
-
-let with_kernel_errors ~cmd ~file f =
-  try f () with
-  | Minicuda.Lexer.Error { line; msg } | Minicuda.Parser.Error { line; msg } ->
-    kernel_error ~cmd ~file "line %d: %s" line msg
-  | e -> kernel_error ~cmd ~file "%s" (Tuner.Fault.to_string (Tuner.Fault.classify ~backtrace:"" e))
+(* The single-kernel commands run [f] on the user's source: what it
+   gets wrong fails about FILE.  Lexer and parser errors carry their
+   line; what compiling or simulating raises is classified the way the
+   tuner classifies a candidate's failure, and only a crash (a bug, or
+   an OS error the boundary reports itself) escapes as it is. *)
+let kernel_input ~cmd ~file f =
+  match f () with
+  | v -> v
+  | exception (Minicuda.Lexer.Error { line; msg } | Minicuda.Parser.Error { line; msg }) ->
+    fail "%s: %s: line %d: %s" cmd file line msg
+  | exception e -> (
+    let bt = Printexc.get_raw_backtrace () in
+    match Tuner.Fault.classify ~backtrace:"" e with
+    | Tuner.Fault.Worker_crash _ -> Printexc.raise_with_backtrace e bt
+    | fault -> fail "%s: %s: %s" cmd file (Tuner.Fault.to_string fault))
 
 let compile_cmd =
   let doc = "Compile a minicuda file to the PTX-like ISA and report resources and profile." in
   let run file =
-    with_kernel_errors ~cmd:"compile" ~file @@ fun () ->
+    kernel_input ~cmd:"compile" ~file @@ fun () ->
     List.iter
       (fun k ->
         let c = Tuner.Pipeline.lower_opt k in
@@ -813,9 +866,10 @@ let compile_cmd =
           "// profile: %.0f dynamic instrs/thread, %.0f regions, %.0f barriers, %.0f bytes \
            off-chip/thread\n\n"
           prof.instr prof.regions prof.barriers prof.global_bytes)
-      (Minicuda.Parser.parse_file file)
+      (Minicuda.Parser.parse_file file);
+    Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "compile" ~doc) Term.(const run $ file_arg)
+  command "compile" ~doc Term.(const run $ file_arg)
 
 let run_cmd =
   let doc =
@@ -835,13 +889,18 @@ let run_cmd =
   let floats =
     Arg.(value & opt_all (pair ~sep:'=' string float) [] & info [ "float" ] ~docv:"NAME=V")
   in
-  let show = Arg.(value & opt int 8 & info [ "show" ] ~docv:"N" ~doc:"words of output to print") in
+  let show =
+    Arg.(
+      value
+      & opt (int_in 0) 8
+      & info [ "show" ] ~docv:"N" ~doc:"words of output to print, 0 or more")
+  in
   let run file (gx, gy) (bx, by) bufs ramps ints floats show =
-    with_kernel_errors ~cmd:"run" ~file @@ fun () ->
+    kernel_input ~cmd:"run" ~file @@ fun () ->
     let kir =
       match Minicuda.Parser.parse_file file with
       | k :: _ -> k
-      | [] -> kernel_error ~cmd:"run" ~file "no kernel to run"
+      | [] -> fail "run: %s: no kernel to run" file
     in
     let ptx = (Tuner.Pipeline.lower_opt kir).ptx in
     let dev = Gpu.Device.create () in
@@ -851,8 +910,7 @@ let run_cmd =
           let space =
             match List.find_opt (fun (a : Kir.Ast.array_param) -> a.aname = name) kir.array_params with
             | Some a -> a.aspace
-            | None ->
-              kernel_error ~cmd:"run" ~file "kernel %s has no array parameter %S" kir.kname name
+            | None -> fail "run: %s: kernel %s has no array parameter %S" file kir.kname name
           in
           let b =
             match space with
@@ -891,10 +949,10 @@ let run_cmd =
           Printf.printf " %g" data.(i)
         done;
         print_newline ())
-      buffers
+      buffers;
+    Cmd.Exit.ok
   in
-  Cmd.v
-    (Cmd.info "run" ~doc)
+  command "run" ~doc
     Term.(const run $ file_arg $ grid $ block $ bufs $ ramps $ ints $ floats $ show)
 
 (* ------------------------------------------------------------------ *)
@@ -920,8 +978,27 @@ let serve_cmd =
     Arg.(value & opt string "gpuopt.store" & info [ "store" ] ~docv:"FILE" ~doc)
   in
   let conns_arg =
-    let doc = "Connection-worker domains (concurrent requests in flight)." in
-    Arg.(value & opt int 4 & info [ "conns" ] ~docv:"N" ~doc)
+    (* The most that fit at --jobs 1. *)
+    let max_conns = (Util.Pool.max_domains - 1) / 2 in
+    let doc =
+      Printf.sprintf
+        "Connection-worker domains (concurrent requests in flight), 1 to %d.  Each may run a pool \
+         of $(b,--jobs) measurement domains, and the runtime allows %d domains in all."
+        max_conns Util.Pool.max_domains
+    in
+    Arg.(value & opt (int_in ~max:max_conns 1) 4 & info [ "conns" ] ~docv:"N" ~doc)
+  in
+  let jobs_arg =
+    let doc =
+      Printf.sprintf
+        "%s  Here the daemon's domains, 1 + $(b,--conns) x (1 + N), may not exceed %d, and the \
+         default is lowered to fit."
+        jobs_doc Util.Pool.max_domains
+    in
+    Arg.(
+      value
+      & opt (some (int_in ~max:Util.Pool.max_jobs 1)) None
+      & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
   let durable_arg =
     let doc =
@@ -931,11 +1008,18 @@ let serve_cmd =
     Arg.(value & flag & info [ "durable" ] ~doc)
   in
   let run socket store_file conns jobs durable =
+    (* The daemon's domains, the main one and [conns] connection workers
+       that may each run a pool of [jobs], fit the runtime's limit while
+       [jobs <= fit]. *)
+    let fit = ((Util.Pool.max_domains - 1) / conns) - 1 in
+    match jobs with
+    | Some jobs when jobs > fit ->
+      usage "--jobs %d with --conns %d needs %d domains; the runtime allows %d" jobs conns
+        (1 + (conns * (1 + jobs))) Util.Pool.max_domains
+    | _ ->
+    let jobs = Option.value jobs ~default:(min fit (Util.Pool.default_jobs ())) in
     (* Before the store opens: a refused socket path leaves no new file. *)
-    (try Tuner.Serve.claim_socket socket
-     with Tuner.Serve.Not_a_socket path ->
-       Printf.eprintf "serve: %s: exists and is not a socket; refusing to replace it\n" path;
-       exit 1);
+    Tuner.Serve.claim_socket socket;
     let store = open_store ~durable store_file in
     let server = Tuner.Serve.create ~jobs ~store (Apps.Serving.resolver ()) in
     Printf.printf "gpuopt serve: listening on %s (store %s: %d entr%s loaded, %d conn worker(s), \
@@ -955,10 +1039,11 @@ let serve_cmd =
        hit(s), %d entr%s in %s\n"
       s.sv_requests s.sv_errors s.sv_runs s.sv_store_hits s.sv_store_entries
       (if s.sv_store_entries = 1 then "y" else "ies")
-      store_file
+      store_file;
+    `Ok Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run $ socket_arg $ store_arg $ conns_arg $ jobs_arg $ durable_arg)
+  command "serve" ~doc
+    Term.(ret (const run $ socket_arg $ store_arg $ conns_arg $ jobs_arg $ durable_arg))
 
 let request_cmd =
   let doc =
@@ -1004,94 +1089,90 @@ let request_cmd =
       & opt (some string) None
       & info [ "config" ] ~docv:"DESC" ~doc:"Configuration for lint, by description.")
   in
-  let need_app verb = function
-    | Some a -> a
-    | None ->
-      Printf.eprintf "request %s: missing APP argument\n" verb;
-      exit 2
-  in
   let print_row tag (r : Tuner.Proto.measured_row) =
     Printf.printf "%s %s  (%.4f ms simulated)\n" tag r.m_desc (r.m_time_s *. 1000.0)
   in
   let run socket verb app scale chaos config arch predict deadline_ms retries =
-    Tuner.Serve.ignore_sigpipe ();
     let req =
-      match verb with
-      | "ping" -> Tuner.Proto.Ping
-      | "stats" -> Tuner.Proto.Stats
-      | "shutdown" -> Tuner.Proto.Shutdown
-      | "tune" -> Tuner.Proto.Tune { app = need_app verb app; scale; arch; deadline_ms }
-      | "explore" ->
-        Tuner.Proto.Explore
-          {
-            app = need_app verb app;
-            scale;
-            chaos =
-              Option.map (fun (seed, count) -> { Tuner.Proto.ch_seed = seed; ch_count = count }) chaos;
-            arch;
-            predict;
-            deadline_ms;
-          }
-      | "lint" -> Tuner.Proto.Lint { app = need_app verb app; config }
-      | _ -> assert false
+      match (verb, app) with
+      | "ping", _ -> Some Tuner.Proto.Ping
+      | "stats", _ -> Some Tuner.Proto.Stats
+      | "shutdown", _ -> Some Tuner.Proto.Shutdown
+      | "tune", Some app -> Some (Tuner.Proto.Tune { app; scale; arch; deadline_ms })
+      | "explore", Some app ->
+        let chaos =
+          Option.map (fun (ch_seed, ch_count) -> { Tuner.Proto.ch_seed; ch_count }) chaos
+        in
+        Some (Tuner.Proto.Explore { app; scale; chaos; arch; predict; deadline_ms })
+      | "lint", Some app -> Some (Tuner.Proto.Lint { app; config })
+      | _ -> None (* tune, explore or lint without APP: [verb_arg] admits no other verb *)
     in
-    match Tuner.Serve.call ~retries ~socket req with
-    | Error msg ->
-      Printf.eprintf "request: %s (is `gpuopt serve --socket %s` running?)\n" msg socket;
-      exit 1
-    | Ok resp -> (
-      match resp with
-      | Tuner.Proto.Pong -> print_endline "pong"
-      | Tuner.Proto.Bye -> print_endline "server shutting down"
-      | Tuner.Proto.Stats_r s ->
-        Printf.printf
-          "requests %d (errors %d)\nsimulator runs %d\nstore: %d hit(s), %d miss(es), %d \
-           entr%s\n"
-          s.sv_requests s.sv_errors s.sv_runs s.sv_store_hits s.sv_store_misses
-          s.sv_store_entries
-          (if s.sv_store_entries = 1 then "y" else "ies")
-      | Tuner.Proto.Tune_r t ->
-        Printf.printf
-          "space: %d configurations on %s, measured only %d (%d run(s), %d store hit(s))\n"
-          t.t_space_size t.t_arch (List.length t.t_selected) t.t_runs t.t_store_hits;
-        print_row "chosen:" t.t_chosen
-      | Tuner.Proto.Explore_r x ->
-        Printf.printf
-          "space: %d valid configurations (%d invalid) on %s, %d fault(s)\nreduction %.1f%%, \
-           optimum %sselected (%d run(s), %d store hit(s))\n"
-          x.x_space_size x.x_invalid x.x_arch (List.length x.x_faults) (100.0 *. x.x_reduction)
-          (if x.x_optimum_selected then "" else "NOT ")
-          x.x_runs x.x_store_hits;
-        print_row "true optimum: " x.x_best;
-        print_row "pruned search:" x.x_selected_best;
-        (match x.x_prune with
-        | None -> ()
-        | Some p ->
-          Printf.printf
-            "model race: %d probe(s) + %d survivor(s) = %d of %d fully simulated (%.1f%%), %d \
-             raced; optimum predicted rank %s; %s\n"
-            p.p_probes
-            (p.p_simulated - p.p_probes)
-            p.p_simulated p.p_total
-            (100.0 *. float_of_int p.p_simulated /. float_of_int p.p_total)
-            p.p_raced
-            (if p.p_rank > 0 then Printf.sprintf "%d/%d" p.p_rank p.p_total else "-")
-            (if p.p_recovered then "optimum recovered" else "optimum MISSED");
-          print_row "race winner:  " p.p_winner;
-          Printf.printf "model %s\n" p.p_model);
-        List.iter
-          (fun (f : Tuner.Proto.fault_row) -> Printf.printf "fault: %s: %s\n" f.f_desc f.f_fault)
-          x.x_faults
-      | Tuner.Proto.Lint_r { l_report; l_errors } ->
-        print_string l_report;
-        if l_errors then exit 1
-      | Tuner.Proto.Overloaded_r { o_retry_after_ms } ->
-        Printf.eprintf "server overloaded: retry after %d ms (or pass --retries)\n"
-          o_retry_after_ms;
-        exit 1
-      | Tuner.Proto.Error_r { e_code; e_msg } ->
-        Printf.eprintf "server error [%s]: %s\n" (Tuner.Proto.error_code_name e_code) e_msg;
-        exit 1)
+    match req with
+    | None -> usage "request %s: missing APP argument" verb
+    | Some req -> (
+      Tuner.Serve.ignore_sigpipe ();
+      match Tuner.Serve.call ~retries ~socket req with
+      | Error msg -> fail "request: %s (is `gpuopt serve --socket %s` running?)" msg socket
+      | Ok resp ->
+        `Ok
+          (match resp with
+          | Tuner.Proto.Pong ->
+            print_endline "pong";
+            Cmd.Exit.ok
+          | Tuner.Proto.Bye ->
+            print_endline "server shutting down";
+            Cmd.Exit.ok
+          | Tuner.Proto.Stats_r s ->
+            Printf.printf
+              "requests %d (errors %d)\nsimulator runs %d\nstore: %d hit(s), %d miss(es), %d \
+               entr%s\n"
+              s.sv_requests s.sv_errors s.sv_runs s.sv_store_hits s.sv_store_misses
+              s.sv_store_entries
+              (if s.sv_store_entries = 1 then "y" else "ies");
+            Cmd.Exit.ok
+          | Tuner.Proto.Tune_r t ->
+            Printf.printf
+              "space: %d configurations on %s, measured only %d (%d run(s), %d store hit(s))\n"
+              t.t_space_size t.t_arch (List.length t.t_selected) t.t_runs t.t_store_hits;
+            print_row "chosen:" t.t_chosen;
+            Cmd.Exit.ok
+          | Tuner.Proto.Explore_r x ->
+            Printf.printf
+              "space: %d valid configurations (%d invalid) on %s, %d fault(s)\nreduction \
+               %.1f%%, optimum %sselected (%d run(s), %d store hit(s))\n"
+              x.x_space_size x.x_invalid x.x_arch (List.length x.x_faults)
+              (100.0 *. x.x_reduction)
+              (if x.x_optimum_selected then "" else "NOT ")
+              x.x_runs x.x_store_hits;
+            print_row "true optimum: " x.x_best;
+            print_row "pruned search:" x.x_selected_best;
+            (match x.x_prune with
+            | None -> ()
+            | Some p ->
+              Printf.printf
+                "model race: %d probe(s) + %d survivor(s) = %d of %d fully simulated (%.1f%%), \
+                 %d raced; optimum predicted rank %s; %s\n"
+                p.p_probes
+                (p.p_simulated - p.p_probes)
+                p.p_simulated p.p_total
+                (100.0 *. float_of_int p.p_simulated /. float_of_int p.p_total)
+                p.p_raced
+                (if p.p_rank > 0 then Printf.sprintf "%d/%d" p.p_rank p.p_total else "-")
+                (if p.p_recovered then "optimum recovered" else "optimum MISSED");
+              print_row "race winner:  " p.p_winner;
+              Printf.printf "model %s\n" p.p_model);
+            List.iter
+              (fun (f : Tuner.Proto.fault_row) ->
+                Printf.printf "fault: %s: %s\n" f.f_desc f.f_fault)
+              x.x_faults;
+            Cmd.Exit.ok
+          | Tuner.Proto.Lint_r { l_report; l_errors } ->
+            print_string l_report;
+            verdict (not l_errors) "request: the lint report has errors"
+          | Tuner.Proto.Overloaded_r { o_retry_after_ms } ->
+            fail "server overloaded: retry after %d ms (or pass --retries)" o_retry_after_ms
+          | Tuner.Proto.Error_r { e_code; e_msg } ->
+            fail "server error [%s]: %s" (Tuner.Proto.error_code_name e_code) e_msg))
   in
   let req_arch_arg =
     let doc = "Target machine model for tune/explore, by registry name (server-validated)." in
@@ -1106,25 +1187,26 @@ let request_cmd =
   in
   let deadline_arg =
     let doc =
-      "Deadline in milliseconds for tune/explore: the server abandons the sweep at the next \
-       candidate boundary past the deadline and answers with a typed $(i,deadline-exceeded) \
-       error.  Measurements completed before the cutoff are stored, so a retry resumes from \
-       them."
+      "Deadline in milliseconds (0 or more) for tune/explore: the server abandons the sweep at \
+       the next candidate boundary past the deadline and answers with a typed \
+       $(i,deadline-exceeded) error.  Measurements completed before the cutoff are stored, so a \
+       retry resumes from them."
     in
-    Arg.(value & opt (some int) None & info [ "deadline" ] ~docv:"MS" ~doc)
+    Arg.(value & opt (some (int_in 0)) None & info [ "deadline" ] ~docv:"MS" ~doc)
   in
   let retries_arg =
     let doc =
-      "Retry transport failures and typed $(i,overloaded) sheds up to $(i,N) times with \
-       jittered exponential backoff.  Safe: measurements are content-addressed, so a retried \
-       sweep never repeats completed work."
+      "Retry transport failures and typed $(i,overloaded) sheds up to $(i,N) times (0 or more) \
+       with jittered exponential backoff.  Safe: measurements are content-addressed, so a \
+       retried sweep never repeats completed work."
     in
-    Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_in 0) 0 & info [ "retries" ] ~docv:"N" ~doc)
   in
-  Cmd.v (Cmd.info "request" ~doc)
+  command "request" ~doc
     Term.(
-      const run $ socket_arg $ verb_arg $ req_app_arg $ scale_arg $ chaos_arg $ config_arg
-      $ req_arch_arg $ req_predict_arg $ deadline_arg $ retries_arg)
+      ret
+        (const run $ socket_arg $ verb_arg $ req_app_arg $ scale_arg $ chaos_arg $ config_arg
+       $ req_arch_arg $ req_predict_arg $ deadline_arg $ retries_arg))
 
 let store_cmd =
   let doc =
@@ -1135,11 +1217,9 @@ let store_cmd =
      has open for writing."
   in
   let verb_arg =
-    let verbs = [ "fsck"; "compact" ] in
-    let parse s = if List.mem s verbs then Ok s else Error (`Msg ("unknown verb " ^ s)) in
     Arg.(
       required
-      & pos 0 (some (conv (parse, Format.pp_print_string))) None
+      & pos 0 (some (enum [ ("fsck", `Fsck); ("compact", `Compact) ])) None
       & info [] ~docv:"VERB" ~doc:"fsck | compact")
   in
   let file_pos_arg =
@@ -1154,24 +1234,22 @@ let store_cmd =
       r.fs_corrupt
   in
   let run verb file =
-    if not (Sys.file_exists file) then begin
-      Printf.eprintf "store %s: %s: no such file\n" verb file;
-      exit 2
-    end;
     match verb with
-    | "fsck" ->
-      let r = or_store_error (fun () -> Tuner.Store.fsck ~file) in
+    | `Fsck ->
+      let r = Tuner.Store.fsck ~file in
       print_report r;
       Printf.printf "reclaimable: %d byte(s)\n" r.fs_reclaimable;
       (* Like fsck(8): nonzero exit when the file needs attention. *)
-      if r.fs_corrupt <> [] || r.fs_duplicates > 0 then exit 1
-    | "compact" ->
-      let r, reclaimed = or_store_error (fun () -> Tuner.Store.compact ~file) in
+      verdict
+        (r.fs_corrupt = [] && r.fs_duplicates = 0)
+        "store: %s: %d corrupt, %d duplicate(s)" file (List.length r.fs_corrupt) r.fs_duplicates
+    | `Compact ->
+      let r, reclaimed = Tuner.Store.compact ~file in
       print_report r;
-      Printf.printf "compacted: %d byte(s) reclaimed\n" reclaimed
-    | _ -> assert false
+      Printf.printf "compacted: %d byte(s) reclaimed\n" reclaimed;
+      Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "store" ~doc) Term.(const run $ verb_arg $ file_pos_arg)
+  command "store" ~doc Term.(const run $ verb_arg $ file_pos_arg)
 
 (* ------------------------------------------------------------------ *)
 (* Superoptimizer                                                      *)
@@ -1179,11 +1257,11 @@ let store_cmd =
 
 let len_arg =
   let doc = "Maximum window length to enumerate (1 or 2)." in
-  Arg.(value & opt int 2 & info [ "len" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_in ~max:2 1) 2 & info [ "len" ] ~docv:"N" ~doc)
 
 let sweep_arg =
-  let doc = "Random adversarial vectors per candidate pair in the bounded tier." in
-  Arg.(value & opt int 128 & info [ "sweep" ] ~docv:"N" ~doc)
+  let doc = "Random adversarial vectors per candidate pair in the bounded tier (0 or more)." in
+  Arg.(value & opt (int_in 0) 128 & info [ "sweep" ] ~docv:"N" ~doc)
 
 let superopt_params quick len sweep =
   if quick then (min len 1, min sweep 64) else (len, sweep)
@@ -1199,8 +1277,7 @@ let superopt_cmd =
   let opt_app_arg =
     Arg.(value & pos 0 (some app_conv) None & info [] ~docv:"APP" ~doc:"Apply the rules to this app's kernel")
   in
-  let run app jobs quick store_file arch_name len sweep =
-    let arch = resolve_arch arch_name in
+  let run app jobs quick store_file arch len sweep =
     let max_len, sweep = superopt_params quick len sweep in
     let r =
       with_store store_file (fun store ->
@@ -1222,36 +1299,36 @@ let superopt_cmd =
     end;
     Printf.printf "db digest: %s\n" (Ptx.Patterns.digest r.rules);
     match app with
-    | None -> ()
+    | None -> Cmd.Exit.ok
     | Some (e : Apps.Registry.entry) -> (
-      match e.workbench ~arch () with
-      | Error msg -> prerr_endline msg; exit 1
-      | Ok wb ->
-        (* Apply to the *raw lowering* of the app's default config — the
-           optimized kernel has already been folded by [Ptx.Opt], the
-           raw one still contains the patterns the rules target. *)
-        let before = Kir.Lower.lower wb.Apps.Workbench.wb_kernel in
-        let after, st = Ptx.Peephole.run_stats r.rules before in
-        Printf.printf
-          "\n%s %s: %d -> %d instructions, %d window(s) rewritten, %d blocked by liveness\n"
-          e.name wb.Apps.Workbench.wb_config
-          (Ptx.Prog.static_size before) (Ptx.Prog.static_size after)
-          st.Ptx.Peephole.matched st.Ptx.Peephole.blocked;
-        (match Ptx.Verify.check after with
-        | Ok () -> ()
-        | Error vs ->
-          Printf.printf "verifier rejected the rewritten kernel:\n%s\n" (Ptx.Verify.report vs);
-          exit 1);
-        (match Ptx.Equiv.validate before after with
-        | Ok n -> Printf.printf "translation validation: ok (%d vectors)\n" n
+      (* The default configuration always exists. *)
+      let wb = Result.get_ok (e.workbench ~arch ()) in
+      (* Apply to the *raw lowering* of the app's default config — the
+         optimized kernel has already been folded by [Ptx.Opt], the
+         raw one still contains the patterns the rules target. *)
+      let before = Kir.Lower.lower wb.Apps.Workbench.wb_kernel in
+      let after, st = Ptx.Peephole.run_stats r.rules before in
+      Printf.printf
+        "\n%s %s: %d -> %d instructions, %d window(s) rewritten, %d blocked by liveness\n"
+        e.name wb.Apps.Workbench.wb_config
+        (Ptx.Prog.static_size before) (Ptx.Prog.static_size after)
+        st.Ptx.Peephole.matched st.Ptx.Peephole.blocked;
+      match Ptx.Verify.check after with
+      | Error vs ->
+        Printf.printf "verifier rejected the rewritten kernel:\n%s\n" (Ptx.Verify.report vs);
+        fail "superopt: %s: the verifier rejected the rewritten kernel" e.name
+      | Ok () -> (
+        match Ptx.Equiv.validate before after with
+        | Ok n ->
+          Printf.printf "translation validation: ok (%d vectors)\n" n;
+          Cmd.Exit.ok
         | Error m ->
           Printf.printf "translation validation FAILED: %s\n" (Ptx.Equiv.mismatch_to_string m);
-          exit 1))
+          fail "superopt: %s: translation validation failed" e.name))
   in
-  Cmd.v (Cmd.info "superopt" ~doc)
+  command "superopt" ~doc
     Term.(
-      const run $ opt_app_arg $ jobs_arg $ quick_arg $ store_arg $ arch_name_arg $ len_arg
-      $ sweep_arg)
+      const run $ opt_app_arg $ jobs_arg $ quick_arg $ store_arg $ arch_arg $ len_arg $ sweep_arg)
 
 let rules_cmd =
   let doc =
@@ -1259,8 +1336,7 @@ let rules_cmd =
      replacement), then its digest — the line CI pins against drift.  Reads the database from \
      $(b,--store) when present, else discovers it."
   in
-  let run jobs quick store_file arch_name len sweep =
-    let arch = resolve_arch arch_name in
+  let run jobs quick store_file arch len sweep =
     let max_len, sweep = superopt_params quick len sweep in
     let r =
       with_store store_file (fun store ->
@@ -1268,18 +1344,49 @@ let rules_cmd =
     in
     List.iter (fun rule -> print_endline (Ptx.Patterns.to_line rule)) r.Tuner.Superopt.rules;
     Printf.printf "%d rule(s), db digest: %s\n" (List.length r.Tuner.Superopt.rules)
-      (Ptx.Patterns.digest r.Tuner.Superopt.rules)
+      (Ptx.Patterns.digest r.Tuner.Superopt.rules);
+    Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "rules" ~doc)
-    Term.(const run $ jobs_arg $ quick_arg $ store_arg $ arch_name_arg $ len_arg $ sweep_arg)
+  command "rules" ~doc
+    Term.(const run $ jobs_arg $ quick_arg $ store_arg $ arch_arg $ len_arg $ sweep_arg)
+
+(* ------------------------------------------------------------------ *)
+(* The boundary                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The one stderr line for a failure the command line or its inputs
+   caused: the typed failures and OS errors.  Anything else is a bug. *)
+let failure_line = function
+  | Failed line -> Some line
+  | Tuner.Store.Bad_file { file; reason } -> Some (Printf.sprintf "store: %s: %s" file reason)
+  | Tuner.Serve.Bad_socket { socket; reason } -> Some (Printf.sprintf "serve: %s: %s" socket reason)
+  | Tuner.Fault.Fail { desc; fault } ->
+    Some (Printf.sprintf "fault in %s: %s" desc (Tuner.Fault.to_string fault))
+  | Sys_error msg -> Some msg
+  | Unix.Unix_error (e, fn, arg) ->
+    Some (Printf.sprintf "%s: %s" (if arg = "" then fn else arg) (Unix.error_message e))
+  | _ -> None
 
 let () =
   let doc = "program optimization space pruning for a multithreaded GPU (CGO'08 reproduction)" in
-  let info = Cmd.info "gpuopt" ~version:"1.0.0" ~doc in
+  let info = Cmd.info "gpuopt" ~version:"1.0.0" ~doc ~exits in
+  let gpuopt =
+    Cmd.group info
+      [
+        arch_cmd; archs_cmd; explore_cmd; tune_cmd; predict_cmd; inspect_cmd; lint_cmd;
+        compile_cmd; run_cmd; chaos_cmd; serve_cmd; request_cmd; store_cmd; superopt_cmd; rules_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            arch_cmd; archs_cmd; explore_cmd; tune_cmd; predict_cmd; inspect_cmd; lint_cmd;
-            compile_cmd; run_cmd; chaos_cmd; serve_cmd; request_cmd; store_cmd; superopt_cmd; rules_cmd;
-          ]))
+    (match Cmd.eval' ~catch:false gpuopt with
+    | code -> code
+    | exception e -> (
+      let bt = Printexc.get_raw_backtrace () in
+      match failure_line e with
+      | Some line ->
+        prerr_endline line;
+        failed
+      | None ->
+        Printf.eprintf "gpuopt: internal error, uncaught exception:\n%s\n%s%!"
+          (Printexc.to_string e) (Printexc.raw_backtrace_to_string bt);
+        Cmd.Exit.internal_error))

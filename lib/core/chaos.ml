@@ -125,6 +125,10 @@ let expected_tag = function
 (* Injection                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Raised by [inject] when [requested] exceeds the [eligible]
+   candidates it may pick as victims. *)
+exception Too_many_faults of { requested : int; eligible : int }
+
 (* Replace the measurement thunks of [count] distinct valid candidates
    (chosen by a seeded shuffle, so a given seed always picks the same
    victims) with failures, cycling through the three kinds.  Only the
@@ -150,9 +154,7 @@ let inject ~(seed : int) ~(count : int) ?(avoid : string list = []) (cands : Can
     |> List.filter_map (fun (i, ok) -> if ok then Some i else None)
   in
   if count > List.length valid_idx then
-    invalid_arg
-      (Printf.sprintf "Chaos.inject: %d fault(s) requested but only %d eligible candidate(s)"
-         count (List.length valid_idx));
+    raise (Too_many_faults { requested = count; eligible = List.length valid_idx });
   let a = Array.of_list valid_idx in
   let rng = Util.Rng.create seed in
   for i = Array.length a - 1 downto 1 do

@@ -97,11 +97,11 @@ let bind_store engine ~(app_name : string) (cands : Candidate.t list) ~store ~st
     in
     Measure.attach_store engine ~store:st ~key
 
-(* [?jobs] is the number of measurement worker domains (default: the
-   GPUOPT_JOBS environment variable, else cores - 1, min 1 — see
-   [Util.Pool.default_jobs]).  The result is identical for every value
-   of [jobs]: measurement order does not affect simulated times, and
-   all orderings in [result] follow the input candidate order.
+(* [?jobs] is the number of measurement worker domains (default:
+   [Util.Pool.default_jobs], in 1..[Util.Pool.max_jobs]).  The result
+   is identical for every value of [jobs]: measurement order does not
+   affect simulated times, and all orderings in [result] follow the
+   input candidate order.
 
    [?store] attaches the persistent content-addressed store: points it
    already holds are answered without the simulator, and new

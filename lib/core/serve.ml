@@ -273,6 +273,14 @@ let handle t (req : Proto.request) : Proto.response =
           e_msg = "deadline expired before the sweep settled; completed measurements are stored";
         }
     | Invalid_argument msg -> Error_r { e_code = Bad_request; e_msg = msg }
+    | Chaos.Too_many_faults { requested; eligible } ->
+      Error_r
+        {
+          e_code = Bad_request;
+          e_msg =
+            Printf.sprintf "Chaos.inject: %d fault(s) requested but only %d eligible candidate(s)"
+              requested eligible;
+        }
     | e -> Error_r { e_code = Server_error; e_msg = Printexc.to_string e }
   in
   (match resp with
@@ -393,18 +401,39 @@ let serve_connection ?(io_timeout_s = 30.0) t fd : unit =
   done;
   close_quietly fd
 
-(* Raised by [claim_socket] for a path that names anything but a
-   socket: unlinking it would delete whatever the user put there (a
-   mistyped --socket naming the store, say). *)
-exception Not_a_socket of string
+let connect ~(socket : string) : Unix.file_descr =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd (Unix.ADDR_UNIX socket)
+   with e ->
+     close_quietly fd;
+     raise e);
+  fd
 
-(* Make [socket] free for [bind]: unlink an existing socket, normally
-   one a killed daemon left behind, and refuse any other file. *)
+(* Raised by [claim_socket] for a path the daemon must not take: any
+   file but a socket (unlinking it would delete whatever the user put
+   there, a mistyped --socket naming the store, say) or a socket a live
+   daemon answers on; or one it cannot take (a missing directory). *)
+exception Bad_socket of { socket : string; reason : string }
+
+(* Make [socket] free for [bind]: unlink a socket nothing listens on,
+   normally one a killed daemon left behind, and refuse anything else.
+   A connect tells the two sockets apart: a dead daemon's refuses it. *)
 let claim_socket (socket : string) : unit =
+  let refuse reason = raise (Bad_socket { socket; reason }) in
   match Unix.lstat socket with
-  | { Unix.st_kind = Unix.S_SOCK; _ } -> ( try Unix.unlink socket with Unix.Unix_error _ -> ())
-  | _ -> raise (Not_a_socket socket)
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> (
+    match connect ~socket with
+    | fd ->
+      close_quietly fd;
+      refuse "a daemon is listening on it; refusing to replace it"
+    | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> (
+      try Unix.unlink socket with Unix.Unix_error _ -> ())
+    | exception Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e))
+  | _ -> refuse "exists and is not a socket; refusing to replace it"
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) when Sys.file_exists (Filename.dirname socket)
+    ->
+    ()
+  | exception Unix.Unix_error (e, _, _) -> refuse (Unix.error_message e)
 
 (* Accept loop: bind a Unix-domain socket ([claim_socket] first), fan
    connections out to [conn_workers] domains, stop when a Shutdown
@@ -514,14 +543,6 @@ let listen ?(conn_workers = 4) ?(backlog = 64) ?(poll_s = 0.2) ?(max_queue = 128
 (* ------------------------------------------------------------------ *)
 (* Client side                                                         *)
 (* ------------------------------------------------------------------ *)
-
-let connect ~(socket : string) : Unix.file_descr =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX socket)
-   with e ->
-     close_quietly fd;
-     raise e);
-  fd
 
 let read_frame fd : (string, string) result =
   let chunk = Bytes.create 65536 in

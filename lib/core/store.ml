@@ -203,9 +203,14 @@ let entry_of_payload (payload : string) : entry option =
 
 type corrupt_line = { cl_line : int; cl_reason : string }
 
-(* A path [open_] or [scan] cannot read as a store: a directory, or a
-   file whose first line is not [magic]. *)
+(* A path [open_] or [scan] cannot read as a store: a directory, a file
+   whose first line is not [magic], or a path the system refuses (a
+   missing directory, a component that is a file), with the system's
+   reason. *)
 exception Bad_file of { file : string; reason : string }
+
+let path_error (file : string) (e : Unix.error) =
+  raise (Bad_file { file; reason = Unix.error_message e })
 
 (* The size of [file], 0 when there is none; a directory is refused. *)
 let file_size (file : string) : int =
@@ -213,6 +218,12 @@ let file_size (file : string) : int =
   | { Unix.st_kind = Unix.S_DIR; _ } -> raise (Bad_file { file; reason = "is a directory" })
   | { Unix.st_size; _ } -> st_size
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> 0
+  | exception Unix.Unix_error (e, _, _) -> path_error file e
+
+(* [file] opened with [flags] (created 0o644), [Bad_file] if the system
+   refuses the path. *)
+let open_path (file : string) (flags : Unix.open_flag list) : Unix.file_descr =
+  try Unix.openfile file flags 0o644 with Unix.Unix_error (e, _, _) -> path_error file e
 
 type t = {
   file : string;
@@ -318,7 +329,7 @@ let open_ ?(durable = false) ~(file : string) () : t =
   let torn_tail =
     exists
     &&
-    let ic = open_in file in
+    let ic = Unix.in_channel_of_descr (open_path file [ Unix.O_RDONLY ]) in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
       (fun () ->
@@ -329,7 +340,9 @@ let open_ ?(durable = false) ~(file : string) () : t =
         seek_in ic (size - 1);
         input_char ic <> '\n')
   in
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 file in
+  let oc =
+    Unix.out_channel_of_descr (open_path file [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ])
+  in
   (* A kill mid-append leaves the file ending inside a record.  End that
      line before appending, or the first new record would join the torn
      fragment, fail its checksum and be lost on the next load; the
@@ -419,7 +432,7 @@ type fsck_report = {
    per key, file order) for [compact] to rewrite. *)
 let scan ~(file : string) : fsck_report * string list =
   let size = file_size file in
-  let ic = open_in file in
+  let ic = Unix.in_channel_of_descr (open_path file [ Unix.O_RDONLY ]) in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->

@@ -59,12 +59,15 @@ let shutdown pool =
   Mutex.unlock pool.mutex;
   List.iter Domain.join pool.workers
 
+let max_domains = 128
+let max_jobs = max_domains - 1
+
 let default_jobs () =
-  let recommended = max 1 (Domain.recommended_domain_count () - 1) in
+  let recommended = min max_jobs (max 1 (Domain.recommended_domain_count () - 1)) in
   match Sys.getenv_opt "GPUOPT_JOBS" with
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some j when j >= 1 -> j
+    | Some j when j >= 1 && j <= max_jobs -> j
     | _ -> recommended)
   | None -> recommended
 

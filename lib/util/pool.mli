@@ -34,9 +34,21 @@ val submit : t -> (unit -> unit) -> unit
    Idempotent: a second [shutdown] joins an empty worker list. *)
 val shutdown : t -> unit
 
+(* The runtime's domain limit, the main domain included ([Max_domains]
+   in OCaml 5.1's caml/domain.h on 64-bit hosts): spawning one more
+   fails. *)
+val max_domains : int
+
+(* The most workers one pool may have: [max_domains] less the main
+   domain.  A one-shot command runs one pool; the daemon's connection
+   workers may each run one, so [gpuopt serve] bounds their product
+   itself. *)
+val max_jobs : int
+
 (* Worker count used when [?jobs] is omitted: the [GPUOPT_JOBS]
-   environment variable if set to a positive integer, otherwise
-   [Domain.recommended_domain_count () - 1], and never less than 1. *)
+   environment variable if set to an integer in 1..[max_jobs],
+   otherwise [Domain.recommended_domain_count () - 1], kept in the
+   same range. *)
 val default_jobs : unit -> int
 
 (* [map ~jobs f xs] is [List.map f xs] computed by [jobs] worker

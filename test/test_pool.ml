@@ -77,9 +77,24 @@ let pool_tests =
         Alcotest.check_raises "invalid" (Invalid_argument "Pool.submit: pool is shut down")
           (fun () -> Util.Pool.submit p (fun () -> ())));
     t "default_jobs respects GPUOPT_JOBS and stays >= 1" (fun () ->
-        (* Can't mutate the environment portably from here; just pin the
-           invariant that holds either way. *)
-        check_b "positive" true (Util.Pool.default_jobs () >= 1));
+        (* Only 1..max_jobs is taken; anything else falls back to the
+           core count, kept in the same range.  No pool starts here. *)
+        let saved = Sys.getenv_opt "GPUOPT_JOBS" in
+        Fun.protect
+          ~finally:(fun () -> Unix.putenv "GPUOPT_JOBS" (Option.value saved ~default:""))
+          (fun () ->
+            let jobs v =
+              Unix.putenv "GPUOPT_JOBS" v;
+              Util.Pool.default_jobs ()
+            in
+            let fallback = jobs "" in
+            check_b "fallback in range" true (fallback >= 1 && fallback <= Util.Pool.max_jobs);
+            Alcotest.(check int) "in range" 3 (jobs "3");
+            Alcotest.(check int) "at the bound" Util.Pool.max_jobs
+              (jobs (string_of_int Util.Pool.max_jobs));
+            List.iter
+              (fun v -> Alcotest.(check int) ("ignored: " ^ v) fallback (jobs v))
+              [ "0"; "-2"; string_of_int (Util.Pool.max_jobs + 1); "100000"; "many" ]));
   ]
 
 (* The crash-isolated map the fault-tolerant measurement engine builds

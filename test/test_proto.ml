@@ -72,6 +72,24 @@ let gen_request =
 let gen_row = QCheck.Gen.(map2 (fun d x -> { P.m_desc = d; m_time_s = x }) gen_string gen_float)
 let gen_fault = QCheck.Gen.(map2 (fun d f -> { P.f_desc = d; f_fault = f }) gen_string gen_string)
 
+let gen_prune =
+  QCheck.Gen.(
+    opt
+      (map2
+         (fun (total, probes, raced, simulated, rank) (winner, recovered, model) ->
+           {
+             P.p_total = total;
+             p_probes = probes;
+             p_raced = raced;
+             p_simulated = simulated;
+             p_winner = winner;
+             p_rank = rank;
+             p_recovered = recovered;
+             p_model = model;
+           })
+         (tup5 small_int small_int small_int small_int small_int)
+         (triple gen_row bool gen_string)))
+
 let gen_response =
   QCheck.Gen.(
     oneof
@@ -105,8 +123,8 @@ let gen_response =
           (pair
              (tup6 gen_string small_int gen_row (small_list gen_string) small_int small_int)
              gen_string);
-        map2
-          (fun (app, n, inv, best, sbest, sel) ((ex, red, opt, faults, runs, hits), arch) ->
+        map3
+          (fun (app, n, inv, best, sbest, sel) ((ex, red, opt, faults, runs, hits), arch) prune ->
             P.Explore_r
               {
                 x_app = app;
@@ -122,13 +140,14 @@ let gen_response =
                 x_faults = faults;
                 x_runs = runs;
                 x_store_hits = hits;
-                x_prune = None;
+                x_prune = prune;
               })
           (tup6 gen_string small_int small_int gen_row gen_row (small_list gen_string))
           (pair
              (tup6 (small_list gen_row) gen_float bool (small_list gen_fault) small_int
                 small_int)
-             gen_string);
+             gen_string)
+          gen_prune;
         map2 (fun r e -> P.Lint_r { l_report = r; l_errors = e }) gen_string bool;
         map2
           (fun c m -> P.Error_r { e_code = c; e_msg = m })
@@ -163,15 +182,23 @@ let req_eq (a : P.request) (b : P.request) =
   | P.Lint x, P.Lint y -> x.app = y.app && x.config = y.config
   | _ -> false
 
+let prune_eq (a : P.prune_row) (b : P.prune_row) =
+  a.p_total = b.p_total && a.p_probes = b.p_probes && a.p_raced = b.p_raced
+  && a.p_simulated = b.p_simulated
+  && row_eq a.p_winner b.p_winner
+  && a.p_rank = b.p_rank && a.p_recovered = b.p_recovered && a.p_model = b.p_model
+
 let resp_eq (a : P.response) (b : P.response) =
   match (a, b) with
   | P.Pong, P.Pong | P.Bye, P.Bye -> true
   | P.Stats_r x, P.Stats_r y -> x = y
   | P.Tune_r x, P.Tune_r y ->
-    x.t_app = y.t_app && x.t_space_size = y.t_space_size && row_eq x.t_chosen y.t_chosen
-    && x.t_selected = y.t_selected && x.t_runs = y.t_runs && x.t_store_hits = y.t_store_hits
+    x.t_app = y.t_app && x.t_arch = y.t_arch && x.t_space_size = y.t_space_size
+    && row_eq x.t_chosen y.t_chosen && x.t_selected = y.t_selected && x.t_runs = y.t_runs
+    && x.t_store_hits = y.t_store_hits
   | P.Explore_r x, P.Explore_r y ->
-    x.x_app = y.x_app && x.x_space_size = y.x_space_size && x.x_invalid = y.x_invalid
+    x.x_app = y.x_app && x.x_arch = y.x_arch && x.x_space_size = y.x_space_size
+    && x.x_invalid = y.x_invalid
     && row_eq x.x_best y.x_best
     && row_eq x.x_selected_best y.x_selected_best
     && x.x_selected = y.x_selected
@@ -180,6 +207,7 @@ let resp_eq (a : P.response) (b : P.response) =
     && feq x.x_reduction y.x_reduction
     && x.x_optimum_selected = y.x_optimum_selected
     && x.x_faults = y.x_faults && x.x_runs = y.x_runs && x.x_store_hits = y.x_store_hits
+    && Option.equal prune_eq x.x_prune y.x_prune
   | P.Lint_r x, P.Lint_r y -> x.l_report = y.l_report && x.l_errors = y.l_errors
   | P.Error_r x, P.Error_r y -> x.e_code = y.e_code && x.e_msg = y.e_msg
   | P.Overloaded_r x, P.Overloaded_r y -> x.o_retry_after_ms = y.o_retry_after_ms
@@ -338,4 +366,160 @@ let framing_tests =
           ]);
   ]
 
-let suite = [ ("proto", roundtrip_tests @ framing_tests) ]
+
+(* ------------------------------------------------------------------ *)
+(* Wire pins: exact bytes, and what older peers send                   *)
+(* ------------------------------------------------------------------ *)
+
+let row d t = { P.m_desc = d; m_time_s = t }
+
+(* One message per constructor, with its optional fields absent and
+   present, and the exact bytes it travels as. *)
+let request_pins =
+  [
+    (P.Ping, {|{"type":"ping"}|});
+    (P.Stats, {|{"type":"stats"}|});
+    (P.Shutdown, {|{"type":"shutdown"}|});
+    ( P.Tune { app = "matmul"; scale = P.Quick; arch = None; deadline_ms = None },
+      {|{"type":"tune","app":"matmul","scale":"quick"}|} );
+    ( P.Tune { app = "sad"; scale = P.Full; arch = Some "wide32"; deadline_ms = Some 5000 },
+      {|{"type":"tune","app":"sad","scale":"full","arch":"wide32","deadline_ms":5000}|} );
+    ( P.Explore
+        { app = "cp"; scale = P.Bench; chaos = None; arch = None; predict = false; deadline_ms = None },
+      {|{"type":"explore","app":"cp","scale":"bench"}|} );
+    ( P.Explore
+        {
+          app = "mri";
+          scale = P.Quick;
+          chaos = Some { ch_seed = 7; ch_count = 3 };
+          arch = Some "fpga_soft";
+          predict = true;
+          deadline_ms = Some 0;
+        },
+      {|{"type":"explore","app":"mri","scale":"quick","arch":"fpga_soft","predict":true,"deadline_ms":0,"chaos":{"seed":7,"count":3}}|}
+    );
+    (P.Lint { app = "matmul"; config = None }, {|{"type":"lint","app":"matmul"}|});
+    ( P.Lint { app = "matmul"; config = Some "16x16/1x1/u1" },
+      {|{"type":"lint","app":"matmul","config":"16x16/1x1/u1"}|} );
+  ]
+
+let explore_reply prune =
+  P.Explore_r
+    {
+      x_app = "matmul";
+      x_arch = "wide32";
+      x_space_size = 2;
+      x_invalid = 1;
+      x_best = row "a" 0.25;
+      x_selected_best = row "b" 0.5;
+      x_selected = [ "b" ];
+      x_exhaustive = [ row "a" 0.25; row "b" 0.5 ];
+      x_reduction = 0.5;
+      x_optimum_selected = false;
+      x_faults = (if prune = None then [] else [ { P.f_desc = "c"; f_fault = "launch \"x\"" } ]);
+      x_runs = 2;
+      x_store_hits = 0;
+      x_prune = prune;
+    }
+
+let response_pins =
+  [
+    (P.Pong, {|{"type":"pong"}|});
+    (P.Bye, {|{"type":"bye"}|});
+    ( P.Stats_r
+        {
+          sv_requests = 1;
+          sv_errors = 2;
+          sv_runs = 3;
+          sv_store_hits = 4;
+          sv_store_misses = 5;
+          sv_store_entries = 6;
+        },
+      {|{"type":"stats","requests":1,"errors":2,"runs":3,"store_hits":4,"store_misses":5,"store_entries":6}|}
+    );
+    ( P.Tune_r
+        {
+          t_app = "sad";
+          t_arch = "g80";
+          t_space_size = 3;
+          t_chosen = row "x" 1.5;
+          t_selected = [ "x"; "y" ];
+          t_runs = 1;
+          t_store_hits = 1;
+        },
+      {|{"type":"tune","app":"sad","arch":"g80","space_size":3,"chosen":{"desc":"x","time":"0x1.8p+0"},"selected":["x","y"],"runs":1,"store_hits":1}|}
+    );
+    ( explore_reply None,
+      {|{"type":"explore","app":"matmul","arch":"wide32","space_size":2,"invalid":1,"best":{"desc":"a","time":"0x1p-2"},"selected_best":{"desc":"b","time":"0x1p-1"},"selected":["b"],"exhaustive":[{"desc":"a","time":"0x1p-2"},{"desc":"b","time":"0x1p-1"}],"reduction":"0x1p-1","optimum_selected":false,"faults":[],"runs":2,"store_hits":0}|}
+    );
+    ( explore_reply
+        (Some
+           {
+             p_total = 2;
+             p_probes = 1;
+             p_raced = 2;
+             p_simulated = 1;
+             p_winner = row "a" 0.25;
+             p_rank = 1;
+             p_recovered = true;
+             p_model = "0123abcd";
+           }),
+      {|{"type":"explore","app":"matmul","arch":"wide32","space_size":2,"invalid":1,"best":{"desc":"a","time":"0x1p-2"},"selected_best":{"desc":"b","time":"0x1p-1"},"selected":["b"],"exhaustive":[{"desc":"a","time":"0x1p-2"},{"desc":"b","time":"0x1p-1"}],"reduction":"0x1p-1","optimum_selected":false,"faults":[{"desc":"c","fault":"launch \"x\""}],"runs":2,"store_hits":0,"prune":{"total":2,"probes":1,"raced":2,"simulated":1,"winner":{"desc":"a","time":"0x1p-2"},"rank":1,"recovered":true,"model":"0123abcd"}}|}
+    );
+    (P.Lint_r { l_report = "ok\n"; l_errors = false }, {|{"type":"lint","report":"ok\n","errors":false}|});
+    ( P.Error_r { e_code = P.Deadline_exceeded; e_msg = "late" },
+      {|{"type":"error","code":"deadline-exceeded","msg":"late"}|} );
+    (P.Overloaded_r { o_retry_after_ms = 200 }, {|{"type":"overloaded","retry_after_ms":200}|});
+  ]
+
+let pin_tests =
+  [
+    t "every request encodes to its pinned bytes and decodes back" (fun () ->
+        List.iter
+          (fun (req, bytes) ->
+            Alcotest.(check string) "encoded bytes" bytes (P.encode_request req);
+            match P.decode_request bytes with
+            | Ok req' when req_eq req req' -> ()
+            | _ -> Alcotest.failf "%s does not decode to its request" bytes)
+          request_pins);
+    t "every response encodes to its pinned bytes and decodes back" (fun () ->
+        List.iter
+          (fun (resp, bytes) ->
+            Alcotest.(check string) "encoded bytes" bytes (P.encode_response resp);
+            match P.decode_response bytes with
+            | Ok resp' when resp_eq resp resp' -> ()
+            | _ -> Alcotest.failf "%s does not decode to its response" bytes)
+          response_pins);
+    t "messages from older peers decode with the defaults they imply" (fun () ->
+        (* Pre-registry servers sent no arch: their measurements are G80's. *)
+        (match
+           P.decode_response
+             {|{"type":"tune","app":"sad","space_size":3,"chosen":{"desc":"x","time":"0x1.8p+0"},"selected":["x"],"runs":1,"store_hits":1}|}
+         with
+        | Ok (P.Tune_r r) -> Alcotest.(check string) "tune reply arch" "g80" r.t_arch
+        | _ -> Alcotest.fail "arch-less tune reply rejected");
+        (match
+           P.decode_response
+             {|{"type":"explore","app":"matmul","space_size":1,"invalid":0,"best":{"desc":"a","time":"0x1p-2"},"selected_best":{"desc":"a","time":"0x1p-2"},"selected":["a"],"exhaustive":[{"desc":"a","time":"0x1p-2"}],"reduction":"0x0p+0","optimum_selected":true,"faults":[],"runs":1,"store_hits":0}|}
+         with
+        | Ok (P.Explore_r x) ->
+          Alcotest.(check string) "explore reply arch" "g80" x.x_arch;
+          Alcotest.(check bool) "no race row" true (x.x_prune = None)
+        | _ -> Alcotest.fail "arch-less explore reply rejected");
+        (* Clients older than the predictor, the deadline and chaos sent
+           none of those fields. *)
+        (match P.decode_request {|{"type":"explore","app":"cp","scale":"quick"}|} with
+        | Ok (P.Explore x) ->
+          Alcotest.(check bool) "predict" false x.predict;
+          Alcotest.(check (option int)) "deadline_ms" None x.deadline_ms;
+          Alcotest.(check bool) "chaos" true (x.chaos = None);
+          Alcotest.(check (option string)) "arch" None x.arch
+        | _ -> Alcotest.fail "field-less explore request rejected");
+        match P.decode_request {|{"type":"tune","app":"cp","scale":"quick"}|} with
+        | Ok (P.Tune x) ->
+          Alcotest.(check (option int)) "tune deadline_ms" None x.deadline_ms;
+          Alcotest.(check (option string)) "tune arch" None x.arch
+        | _ -> Alcotest.fail "field-less tune request rejected");
+  ]
+
+let suite = [ ("proto", roundtrip_tests @ framing_tests @ pin_tests) ]

@@ -277,7 +277,8 @@ let socket_tests =
             let before = In_channel.with_open_bin file In_channel.input_all in
             (match S.listen server ~socket:file () with
             | () -> Alcotest.fail "listen took a path that names a regular file"
-            | exception S.Not_a_socket path -> Alcotest.(check string) "error names the path" file path);
+            | exception S.Bad_socket { socket; _ } ->
+              Alcotest.(check string) "error names the path" file socket);
             Alcotest.(check bool) "the file is still there" true (Sys.file_exists file);
             Alcotest.(check string) "the file is unchanged" before
               (In_channel.with_open_bin file In_channel.input_all);
@@ -557,6 +558,20 @@ let hardening_tests =
                 Alcotest.(check bool) "stop flag raised by the handler" true
                   (S.stopping server));
             Sys.set_signal Sys.sigterm Sys.Signal_default));
+    t "listen refuses a live daemon's socket; the daemon keeps answering" (fun () ->
+        with_server (fun server _ ->
+            with_daemon server (fun socket ->
+                with_server (fun second _ ->
+                    (* Stopped beforehand, so a listen that took the path
+                       would return at once instead of serving. *)
+                    S.request_stop second;
+                    match S.listen second ~socket () with
+                    | () -> Alcotest.fail "a second listen took a live daemon's socket"
+                    | exception S.Bad_socket { socket = path; _ } ->
+                      Alcotest.(check string) "error names the path" socket path);
+                match S.call ~socket P.Ping with
+                | Ok P.Pong -> ()
+                | _ -> Alcotest.fail "the first daemon no longer answers")));
   ]
 
 let suite =

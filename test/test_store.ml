@@ -278,6 +278,29 @@ let corruption_tests =
                 (* and the store still accepts appends afterwards *)
                 S.put s ~key:(key_of 99) ~desc:"post" (Ok 9.0);
                 Alcotest.(check int) "append after damage" 3 (S.entries s))));
+    t "a path the system refuses is Bad_file with its reason, and nothing is created" (fun () ->
+        with_tmp (fun file ->
+            let refused what path reason f =
+              match f () with
+              | _ -> Alcotest.failf "%s accepted %s" what path
+              | exception S.Bad_file { file = f; reason = r } ->
+                Alcotest.(check string) (what ^ ": error names the path") path f;
+                Alcotest.(check string) (what ^ ": the system's reason") reason r
+            in
+            List.iter
+              (fun (path, e) ->
+                let reason = Unix.error_message e in
+                refused "open_" path reason (fun () -> ignore (S.open_ ~file:path () : S.t));
+                refused "fsck" path reason (fun () -> ignore (S.fsck ~file:path : S.fsck_report));
+                Alcotest.(check bool) "nothing created" false (Sys.file_exists path))
+              [
+                (* a component that is a regular file *)
+                (Filename.concat file "x.store", Unix.ENOTDIR);
+                (* a directory that does not exist *)
+                (Filename.concat (file ^ ".d") "x.store", Unix.ENOENT);
+              ];
+            refused "fsck" (file ^ ".missing") (Unix.error_message Unix.ENOENT) (fun () ->
+                ignore (S.fsck ~file:(file ^ ".missing") : S.fsck_report))));
     t "a foreign header is refused outright" (fun () ->
         with_tmp (fun file ->
             Out_channel.with_open_text file (fun oc ->
