@@ -522,4 +522,63 @@ let pin_tests =
         | _ -> Alcotest.fail "field-less tune request rejected");
   ]
 
-let suite = [ ("proto", roundtrip_tests @ framing_tests @ pin_tests) ]
+(* One malformed frame per failure kind, and the exact text the decoder
+   reports for it.  A frame here has one fault, so the text does not
+   depend on the order in which the decoder reads fields. *)
+let tune_reply ~chosen ~selected =
+  Printf.sprintf
+    {|{"type":"tune","app":"sad","arch":"g80","space_size":3,"chosen":%s,"selected":%s,"runs":1,"store_hits":1}|}
+    chosen selected
+
+let error_text_rows =
+  let request s = Result.map ignore (P.decode_request s)
+  and response s = Result.map ignore (P.decode_response s) in
+  let ok_row = {|{"desc":"x","time":"0x1.8p+0"}|} in
+  [
+    (request, {|[1,2,3]|}, {|request: missing field "type"|});
+    (request, {|{"type":7}|}, {|request: field "type" is not a string|});
+    (request, {|{"type":"warp-speed"}|}, {|request: unknown request type "warp-speed"|});
+    (response, {|{"type":"warp-speed"}|}, {|response: unknown response type "warp-speed"|});
+    (request, {|{"type":"lint"}|}, {|request: missing field "app"|});
+    (request, {|{"type":"lint","app":1}|}, {|request: field "app" is not a string|});
+    (request, {|{"type":"tune","app":"cp","scale":"galactic"}|}, {|request: unknown scale "galactic"|});
+    (request, {|{"type":"tune","app":"cp","scale":"quick","arch":1}|}, {|request: field "arch" is not a string|});
+    ( request,
+      {|{"type":"tune","app":"cp","scale":"quick","deadline_ms":"soon"}|},
+      {|request: field "deadline_ms" is not an integer|} );
+    ( request,
+      {|{"type":"explore","app":"cp","scale":"quick","predict":1}|},
+      {|request: field "predict" is not a boolean|} );
+    ( request,
+      {|{"type":"explore","app":"cp","scale":"quick","chaos":{"seed":"x","count":1}}|},
+      {|request: field "seed" is not an integer|} );
+    ( response,
+      {|{"type":"overloaded","retry_after_ms":"x"}|},
+      {|response: field "retry_after_ms" is not an integer|} );
+    (response, {|{"type":"lint","report":"","errors":"no"}|}, {|response: field "errors" is not a boolean|});
+    (response, {|{"type":"error","code":"oops","msg":"m"}|}, {|response: unknown error code "oops"|});
+    ( response,
+      tune_reply ~chosen:ok_row ~selected:{|"x"|},
+      {|response: field "selected" is not an array|} );
+    (response, tune_reply ~chosen:ok_row ~selected:{|[1]|}, {|response: array item is not a string|});
+    ( response,
+      tune_reply ~chosen:{|{"desc":"x","time":"soon"}|} ~selected:{|[]|},
+      {|response: field "time" is not a hexadecimal float|} );
+    ( response,
+      tune_reply ~chosen:{|{"desc":"x","time":1.5}|} ~selected:{|[]|},
+      {|response: field "time" is not a float-carrying string|} );
+  ]
+
+let error_text_tests =
+  [
+    t "each malformed frame names its fault in the decoder's exact words" (fun () ->
+        List.iter
+          (fun (decode, frame, text) ->
+            match decode frame with
+            | Error (P.Bad_message m) -> Alcotest.(check string) frame text m
+            | Error (P.Bad_json m) -> Alcotest.failf "%s reported as bad JSON: %s" frame m
+            | Ok _ -> Alcotest.failf "%s decoded" frame)
+          error_text_rows);
+  ]
+
+let suite = [ ("proto", roundtrip_tests @ framing_tests @ pin_tests @ error_text_tests) ]

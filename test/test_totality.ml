@@ -79,6 +79,24 @@ let rule_db =
       "";
     ]
 
+(* Every wire message test_proto pins, optional fields absent and
+   present, as the frame payload the decoders read. *)
+let wire_frames =
+  List.map (fun (r, _) -> Tuner.Proto.encode_request r) Test_proto.request_pins
+  @ List.map (fun (r, _) -> Tuner.Proto.encode_response r) Test_proto.response_pins
+
+(* What a mutant decodes to must survive its own re-encoding. *)
+let reencodes decode encode eq m =
+  match decode m with
+  | Error (_ : Tuner.Proto.decode_error) -> ()
+  | Ok v -> (
+    match decode (encode v) with
+    | Ok v' when eq v v' -> ()
+    | Ok _ -> Alcotest.failf "%S re-encodes to %S, which decodes differently" m (encode v)
+    | Error e ->
+      Alcotest.failf "%S re-encodes to %S, which fails: %s" m (encode v)
+        (Tuner.Proto.decode_error_to_string e))
+
 let tests =
   [
     t "minicuda: mutants of saxpy.mcu parse or raise a typed error" (fun () ->
@@ -112,6 +130,17 @@ let tests =
         Alcotest.(check int) "base database parses" 3
           (List.length (Ptx.Patterns.of_string rule_db));
         total ~typed:never_raises Ptx.Patterns.of_string rule_db);
+    t "wire: mutated frames decode or fail typed, and what decodes re-encodes" (fun () ->
+        List.iteri
+          (fun i frame ->
+            total ~seed:(4008 + i) ~count:800 ~typed:never_raises
+              (fun m ->
+                reencodes Tuner.Proto.decode_request Tuner.Proto.encode_request
+                  Test_proto.req_eq m;
+                reencodes Tuner.Proto.decode_response Tuner.Proto.encode_response
+                  Test_proto.resp_eq m)
+              frame)
+          wire_frames);
   ]
 
 let suite = [ ("totality", tests) ]
