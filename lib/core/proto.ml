@@ -8,10 +8,18 @@
    without a socket, and the daemon's network loop reduces to "read
    bytes, call a total function".
 
+   Each message shape is described once, as a codec value: its fields
+   in wire order, each with its name, how its value travels and what
+   its absence means.  The encoder and the decoder are both derived
+   from that description, so the two directions cannot drift apart.
+
    Decoding is total: any input produces either a message or a typed
    error ([frame_error] / [decode_error]), never an exception.  That is
    the daemon's first line of defense — a malicious or confused client
-   must not be able to crash or hang the server with bytes alone.
+   must not be able to crash or hang the server with bytes alone.  A
+   message with several faults is reported by its first in wire order,
+   and a named field holding the wrong kind of value names itself
+   (["field \"best\" is not an object"]).
 
    Floats (simulated seconds, reduction fractions) travel as
    hexadecimal-float strings ("0x1.8p-3"), not JSON numbers: the store
@@ -61,15 +69,16 @@ let frame_len (buf : string) ~(pos : int) : int =
    - [`Need k]: the buffer ends cleanly but [k] more bytes are needed
      to complete the frame in progress (k = 4 when no header has
      started) — feed more input and retry;
-   - [`Error]: the declared length exceeds [max_len]; the stream is
-     unrecoverable from here. *)
-let peek_frame ?(max_len = default_max_frame) (buf : string) ~(pos : int) :
+   - [`Error]: the declared length exceeds [default_max_frame]; the
+     stream is unrecoverable from here. *)
+let peek_frame (buf : string) ~(pos : int) :
     [ `Frame of string * int | `Need of int | `Error of frame_error ] =
   let n = String.length buf in
   if pos + 4 > n then `Need (pos + 4 - n)
   else
     let len = frame_len buf ~pos in
-    if len > max_len then `Error (Oversized { frame_len = len; max_len })
+    if len > default_max_frame then
+      `Error (Oversized { frame_len = len; max_len = default_max_frame })
     else if pos + 4 + len > n then `Need (pos + 4 + len - n)
     else `Frame (String.sub buf (pos + 4) len, pos + 4 + len)
 
@@ -83,41 +92,46 @@ let at_eof ~(pending : int) ~(need : int) : frame_error option =
 (* Messages                                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The wire name of [v] in a closed table of names. *)
+let name_in (table : (string * 'a) list) (v : 'a) : string =
+  fst (List.find (fun (_, x) -> x = v) table)
+
 type scale = Quick | Bench | Full
 
-let scale_name = function Quick -> "quick" | Bench -> "bench" | Full -> "full"
-let scale_of_name = function
-  | "quick" -> Some Quick
-  | "bench" -> Some Bench
-  | "full" -> Some Full
-  | _ -> None
+let scales = [ ("quick", Quick); ("bench", Bench); ("full", Full) ]
+let scale_name = name_in scales
+let scale_of_name n = List.assoc_opt n scales
 
 type chaos_spec = { ch_seed : int; ch_count : int }
 
 (* [arch] names a registry machine model ([Gpu.Arch.find]); [None]
    means the default G80, and is what pre-registry clients send — the
    field is simply absent from their frames. *)
+type tune_request = { app : string; scale : scale; arch : string option; deadline_ms : int option }
+
+type explore_request = {
+  app : string;
+  scale : scale;
+  chaos : chaos_spec option;  (* inject seeded faults *)
+  arch : string option;
+  predict : bool;
+      (* also run the model-driven race (PR 9); absent on the wire
+         for pre-predictor clients, which decodes as [false] *)
+  deadline_ms : int option;
+      (* give up after this many milliseconds of server-side work
+         and answer [Deadline_exceeded]; absent (pre-hardening
+         clients) means no deadline *)
+}
+
+type lint_request = { app : string; config : string option }
+
 type request =
   | Ping
   | Stats  (* server counters *)
   | Shutdown
-  | Tune of { app : string; scale : scale; arch : string option; deadline_ms : int option }
-      (* the paper's methodology: measure only the Pareto subset *)
-  | Explore of {
-      app : string;
-      scale : scale;
-      chaos : chaos_spec option;
-      arch : string option;
-      predict : bool;
-          (* also run the model-driven race (PR 9); absent on the wire
-             for pre-predictor clients, which decodes as [false] *)
-      deadline_ms : int option;
-          (* give up after this many milliseconds of server-side work
-             and answer [Deadline_exceeded]; absent (pre-hardening
-             clients) means no deadline *)
-    }
-      (* exhaustive vs pruned sweep; [chaos] injects seeded faults *)
-  | Lint of { app : string; config : string option }
+  | Tune of tune_request  (* the paper's methodology: measure only the Pareto subset *)
+  | Explore of explore_request  (* exhaustive vs pruned sweep *)
+  | Lint of lint_request
 
 (* One measurement, with the simulated seconds carried exactly. *)
 type measured_row = { m_desc : string; m_time_s : float }
@@ -185,20 +199,20 @@ type error_code =
   | Server_error  (* the handler itself failed *)
   | Deadline_exceeded  (* the request's deadline_ms expired mid-work *)
 
-let error_code_name = function
-  | Unknown_app -> "unknown-app"
-  | Bad_request -> "bad-request"
-  | Protocol_error -> "protocol-error"
-  | Server_error -> "server-error"
-  | Deadline_exceeded -> "deadline-exceeded"
+let error_codes =
+  [ ("unknown-app", Unknown_app); ("bad-request", Bad_request); ("protocol-error", Protocol_error);
+    ("server-error", Server_error); ("deadline-exceeded", Deadline_exceeded) ]
 
-let error_code_of_name = function
-  | "unknown-app" -> Some Unknown_app
-  | "bad-request" -> Some Bad_request
-  | "protocol-error" -> Some Protocol_error
-  | "server-error" -> Some Server_error
-  | "deadline-exceeded" -> Some Deadline_exceeded
-  | _ -> None
+let error_code_name = name_in error_codes
+let error_code_of_name n = List.assoc_opt n error_codes
+
+type lint_reply = { l_report : string; l_errors : bool }
+type error_reply = { e_code : error_code; e_msg : string }
+
+(* The accept queue shed this connection; retry after the hinted
+   backoff — safe, because content-addressed store keys make every
+   request idempotent. *)
+type overloaded_reply = { o_retry_after_ms : int }
 
 type response =
   | Pong
@@ -206,12 +220,9 @@ type response =
   | Stats_r of server_stats
   | Tune_r of tune_reply
   | Explore_r of explore_reply
-  | Lint_r of { l_report : string; l_errors : bool }
-  | Error_r of { e_code : error_code; e_msg : string }
-  | Overloaded_r of { o_retry_after_ms : int }
-      (* the accept queue shed this connection; retry after the hinted
-         backoff — safe, because content-addressed store keys make
-         every request idempotent *)
+  | Lint_r of lint_reply
+  | Error_r of error_reply
+  | Overloaded_r of overloaded_reply
 
 type decode_error =
   | Bad_json of string  (* not JSON at all *)
@@ -222,319 +233,294 @@ let decode_error_to_string = function
   | Bad_message msg -> "bad message: " ^ msg
 
 (* ------------------------------------------------------------------ *)
-(* Encoding                                                            *)
+(* Codecs                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let jfloat (f : float) : Util.Json.t = Str (Hexfloat.to_string f)
-let jrow (r : measured_row) : Util.Json.t =
-  Obj [ ("desc", Str r.m_desc); ("time", jfloat r.m_time_s) ]
-let jfault (r : fault_row) : Util.Json.t =
-  Obj [ ("desc", Str r.f_desc); ("fault", Str r.f_fault) ]
-let jprune (p : prune_row) : Util.Json.t =
-  Obj
-    [
-      ("total", Int p.p_total);
-      ("probes", Int p.p_probes);
-      ("raced", Int p.p_raced);
-      ("simulated", Int p.p_simulated);
-      ("winner", jrow p.p_winner);
-      ("rank", Int p.p_rank);
-      ("recovered", Bool p.p_recovered);
-      ("model", Str p.p_model);
-    ]
-
-let encode_request (r : request) : string =
-  let open Util.Json in
-  let v =
-    match r with
-    | Ping -> Obj [ ("type", Str "ping") ]
-    | Stats -> Obj [ ("type", Str "stats") ]
-    | Shutdown -> Obj [ ("type", Str "shutdown") ]
-    | Tune { app; scale; arch; deadline_ms } ->
-      Obj
-        ([ ("type", Str "tune"); ("app", Str app); ("scale", Str (scale_name scale)) ]
-        @ (match arch with None -> [] | Some a -> [ ("arch", Str a) ])
-        @ match deadline_ms with None -> [] | Some ms -> [ ("deadline_ms", Int ms) ])
-    | Explore { app; scale; chaos; arch; predict; deadline_ms } ->
-      Obj
-        ([ ("type", Str "explore"); ("app", Str app); ("scale", Str (scale_name scale)) ]
-        @ (match arch with None -> [] | Some a -> [ ("arch", Str a) ])
-        @ (if predict then [ ("predict", Bool true) ] else [])
-        @ (match deadline_ms with None -> [] | Some ms -> [ ("deadline_ms", Int ms) ])
-        @
-        match chaos with
-        | None -> []
-        | Some { ch_seed; ch_count } ->
-          [ ("chaos", Obj [ ("seed", Int ch_seed); ("count", Int ch_count) ]) ])
-    | Lint { app; config } ->
-      Obj
-        ([ ("type", Str "lint"); ("app", Str app) ]
-        @ match config with None -> [] | Some c -> [ ("config", Str c) ])
-  in
-  to_string v
-
-let encode_response (r : response) : string =
-  let open Util.Json in
-  let v =
-    match r with
-    | Pong -> Obj [ ("type", Str "pong") ]
-    | Bye -> Obj [ ("type", Str "bye") ]
-    | Stats_r s ->
-      Obj
-        [
-          ("type", Str "stats");
-          ("requests", Int s.sv_requests);
-          ("errors", Int s.sv_errors);
-          ("runs", Int s.sv_runs);
-          ("store_hits", Int s.sv_store_hits);
-          ("store_misses", Int s.sv_store_misses);
-          ("store_entries", Int s.sv_store_entries);
-        ]
-    | Tune_r t ->
-      Obj
-        [
-          ("type", Str "tune");
-          ("app", Str t.t_app);
-          ("arch", Str t.t_arch);
-          ("space_size", Int t.t_space_size);
-          ("chosen", jrow t.t_chosen);
-          ("selected", List (List.map (fun d -> Str d) t.t_selected));
-          ("runs", Int t.t_runs);
-          ("store_hits", Int t.t_store_hits);
-        ]
-    | Explore_r x ->
-      Obj
-        ([
-          ("type", Str "explore");
-          ("app", Str x.x_app);
-          ("arch", Str x.x_arch);
-          ("space_size", Int x.x_space_size);
-          ("invalid", Int x.x_invalid);
-          ("best", jrow x.x_best);
-          ("selected_best", jrow x.x_selected_best);
-          ("selected", List (List.map (fun d -> Str d) x.x_selected));
-          ("exhaustive", List (List.map jrow x.x_exhaustive));
-          ("reduction", jfloat x.x_reduction);
-          ("optimum_selected", Bool x.x_optimum_selected);
-          ("faults", List (List.map jfault x.x_faults));
-          ("runs", Int x.x_runs);
-          ("store_hits", Int x.x_store_hits);
-        ]
-        @ match x.x_prune with None -> [] | Some p -> [ ("prune", jprune p) ])
-    | Lint_r { l_report; l_errors } ->
-      Obj [ ("type", Str "lint"); ("report", Str l_report); ("errors", Bool l_errors) ]
-    | Error_r { e_code; e_msg } ->
-      Obj [ ("type", Str "error"); ("code", Str (error_code_name e_code)); ("msg", Str e_msg) ]
-    | Overloaded_r { o_retry_after_ms } ->
-      Obj [ ("type", Str "overloaded"); ("retry_after_ms", Int o_retry_after_ms) ]
-  in
-  to_string v
-
-(* ------------------------------------------------------------------ *)
-(* Decoding                                                            *)
-(* ------------------------------------------------------------------ *)
+open Util.Json
 
 exception Shape of string
 
 let shape fmt = Printf.ksprintf (fun msg -> raise (Shape msg)) fmt
 
-let str_field (v : Util.Json.t) (k : string) : string =
-  match Util.Json.member k v with
-  | Some (Str s) -> s
-  | Some _ -> shape "field %S is not a string" k
-  | None -> shape "missing field %S" k
+(* How one value travels.  [dec at v] reads [v] or raises [Shape]; [at]
+   names the value's slot in error text ("field \"app\"", "array item")
+   and is built once, with the description. *)
+type 'a codec = { enc : 'a -> t; dec : string -> t -> 'a }
 
-let int_field (v : Util.Json.t) (k : string) : int =
-  match Util.Json.member k v with
-  | Some (Int i) -> i
-  | Some _ -> shape "field %S is not an integer" k
-  | None -> shape "missing field %S" k
+let wrong at what = shape "%s is not %s" at what
 
-let bool_field (v : Util.Json.t) (k : string) : bool =
-  match Util.Json.member k v with
-  | Some (Bool b) -> b
-  | Some _ -> shape "field %S is not a boolean" k
-  | None -> shape "missing field %S" k
+let string =
+  { enc = (fun s -> Str s); dec = (fun at -> function Str s -> s | _ -> wrong at "a string") }
 
-let float_field (v : Util.Json.t) (k : string) : float =
-  match Util.Json.member k v with
-  | Some (Str s) -> (
-    match Hexfloat.of_string_opt s with
-    | Some f -> f
-    | None -> shape "field %S is not a hexadecimal float" k)
-  | Some _ -> shape "field %S is not a float-carrying string" k
-  | None -> shape "missing field %S" k
+let int =
+  { enc = (fun i -> Int i); dec = (fun at -> function Int i -> i | _ -> wrong at "an integer") }
 
-let list_field (v : Util.Json.t) (k : string) : Util.Json.t list =
-  match Util.Json.member k v with
-  | Some (List l) -> l
-  | Some _ -> shape "field %S is not an array" k
-  | None -> shape "missing field %S" k
+let bool =
+  { enc = (fun b -> Bool b); dec = (fun at -> function Bool b -> b | _ -> wrong at "a boolean") }
 
-let scale_field (v : Util.Json.t) : scale =
-  let s = str_field v "scale" in
-  match scale_of_name s with Some sc -> sc | None -> shape "unknown scale %S" s
-
-let row_of (v : Util.Json.t) : measured_row =
-  { m_desc = str_field v "desc"; m_time_s = float_field v "time" }
-
-let fault_of (v : Util.Json.t) : fault_row =
-  { f_desc = str_field v "desc"; f_fault = str_field v "fault" }
-
-let str_item = function
-  | Util.Json.Str s -> s
-  | _ -> shape "array item is not a string"
-
-(* Optional string field — absent means [None], non-string is a shape
-   error (used for the arch name and the lint config). *)
-let opt_str_field (v : Util.Json.t) (k : string) : string option =
-  match Util.Json.member k v with
-  | None -> None
-  | Some (Str s) -> Some s
-  | Some _ -> shape "field %S is not a string" k
-
-(* Reply-side arch name: replies from pre-registry servers carry no
-   arch field and are, by construction, G80 measurements. *)
-let arch_field (v : Util.Json.t) : string =
-  match opt_str_field v "arch" with Some a -> a | None -> "g80"
-
-(* Optional boolean flag — absent means [false] (used for [predict],
-   which pre-predictor clients never send). *)
-let flag_field (v : Util.Json.t) (k : string) : bool =
-  match Util.Json.member k v with
-  | None -> false
-  | Some (Bool b) -> b
-  | Some _ -> shape "field %S is not a boolean" k
-
-(* Optional integer field — absent means [None] (used for
-   [deadline_ms], which pre-hardening clients never send). *)
-let opt_int_field (v : Util.Json.t) (k : string) : int option =
-  match Util.Json.member k v with
-  | None -> None
-  | Some (Int i) -> Some i
-  | Some _ -> shape "field %S is not an integer" k
-
-let prune_of (v : Util.Json.t) : prune_row =
-  let winner =
-    match Util.Json.member "winner" v with
-    | Some w -> row_of w
-    | None -> shape "missing field \"winner\""
+let hexfloat =
+  let dec at = function
+    | Str s -> (
+      match Hexfloat.of_string_opt s with Some f -> f | None -> wrong at "a hexadecimal float")
+    | _ -> wrong at "a float-carrying string"
   in
-  {
-    p_total = int_field v "total";
-    p_probes = int_field v "probes";
-    p_raced = int_field v "raced";
-    p_simulated = int_field v "simulated";
-    p_winner = winner;
-    p_rank = int_field v "rank";
-    p_recovered = bool_field v "recovered";
-    p_model = str_field v "model";
-  }
+  { enc = (fun f -> Str (Hexfloat.to_string f)); dec }
 
-let decode (what : string) (of_json : Util.Json.t -> 'a) (text : string) :
-    ('a, decode_error) result =
-  match Util.Json.of_string text with
-  | Error msg -> Error (Bad_json msg)
-  | Ok v -> (
-    match of_json v with
-    | m -> Ok m
-    | exception Shape msg -> Error (Bad_message (what ^ ": " ^ msg)))
+let item = "array item"
 
-let request_of_json (v : Util.Json.t) : request =
-  match str_field v "type" with
-  | "ping" -> Ping
-  | "stats" -> Stats
-  | "shutdown" -> Shutdown
-  | "tune" ->
-    Tune
-      {
-        app = str_field v "app";
-        scale = scale_field v;
-        arch = opt_str_field v "arch";
-        deadline_ms = opt_int_field v "deadline_ms";
-      }
-  | "explore" ->
-    let chaos =
-      match Util.Json.member "chaos" v with
-      | None -> None
-      | Some c -> Some { ch_seed = int_field c "seed"; ch_count = int_field c "count" }
-    in
-    Explore
-      {
-        app = str_field v "app";
-        scale = scale_field v;
-        chaos;
-        arch = opt_str_field v "arch";
-        predict = flag_field v "predict";
-        deadline_ms = opt_int_field v "deadline_ms";
-      }
-  | "lint" -> Lint { app = str_field v "app"; config = opt_str_field v "config" }
-  | t -> shape "unknown request type %S" t
+let list c =
+  let dec at = function List l -> List.map (c.dec item) l | _ -> wrong at "an array" in
+  { enc = (fun l -> List (List.map c.enc l)); dec }
 
-let response_of_json (v : Util.Json.t) : response =
-  match str_field v "type" with
-  | "pong" -> Pong
-  | "bye" -> Bye
-  | "stats" ->
-    Stats_r
-      {
-        sv_requests = int_field v "requests";
-        sv_errors = int_field v "errors";
-        sv_runs = int_field v "runs";
-        sv_store_hits = int_field v "store_hits";
-        sv_store_misses = int_field v "store_misses";
-        sv_store_entries = int_field v "store_entries";
-      }
-  | "tune" ->
-    let chosen =
-      match Util.Json.member "chosen" v with
-      | Some c -> row_of c
-      | None -> shape "missing field \"chosen\""
-    in
-    Tune_r
-      {
-        t_app = str_field v "app";
-        t_arch = arch_field v;
-        t_space_size = int_field v "space_size";
-        t_chosen = chosen;
-        t_selected = List.map str_item (list_field v "selected");
-        t_runs = int_field v "runs";
-        t_store_hits = int_field v "store_hits";
-      }
-  | "explore" ->
-    let sub k =
-      match Util.Json.member k v with Some c -> row_of c | None -> shape "missing field %S" k
-    in
-    Explore_r
-      {
-        x_app = str_field v "app";
-        x_arch = arch_field v;
-        x_space_size = int_field v "space_size";
-        x_invalid = int_field v "invalid";
-        x_best = sub "best";
-        x_selected_best = sub "selected_best";
-        x_selected = List.map str_item (list_field v "selected");
-        x_exhaustive = List.map row_of (list_field v "exhaustive");
-        x_reduction = float_field v "reduction";
-        x_optimum_selected = bool_field v "optimum_selected";
-        x_faults = List.map fault_of (list_field v "faults");
-        x_runs = int_field v "runs";
-        x_store_hits = int_field v "store_hits";
-        x_prune =
-          (match Util.Json.member "prune" v with None -> None | Some p -> Some (prune_of p));
-      }
-  | "lint" -> Lint_r { l_report = str_field v "report"; l_errors = bool_field v "errors" }
-  | "error" ->
-    let code_s = str_field v "code" in
-    let e_code =
-      match error_code_of_name code_s with
-      | Some c -> c
-      | None -> shape "unknown error code %S" code_s
-    in
-    Error_r { e_code; e_msg = str_field v "msg" }
-  | "overloaded" -> Overloaded_r { o_retry_after_ms = int_field v "retry_after_ms" }
-  | t -> shape "unknown response type %S" t
+(* A name from [table]; [what] names the set in error text. *)
+let names ~what table =
+  let dec at = function
+    | Str s -> (
+      match List.assoc_opt s table with Some v -> v | None -> shape "unknown %s %S" what s)
+    | _ -> wrong at "a string"
+  in
+  { enc = (fun v -> Str (name_in table v)); dec }
 
-let decode_request : string -> (request, decode_error) result = decode "request" request_of_json
-let decode_response : string -> (response, decode_error) result =
-  decode "response" response_of_json
+type members = (string * t) list
+
+(* One field of a record ['r] holding an ['a]: [get] projects it, [put]
+   writes it onto the fields that follow (or leaves it out), [take]
+   reads it from a decoded object. *)
+type ('r, 'a) field = { get : 'r -> 'a; put : 'a -> members -> members; take : members -> 'a }
+
+(* A record's fields in wire order, typed by the curried constructor
+   that rebuilds the record from their values. *)
+module Fields = struct
+  type ('r, 'k) t = [] : ('r, 'r) t | ( :: ) : ('r, 'a) field * ('r, 'k) t -> ('r, 'a -> 'k) t
+end
+
+let missing name () = shape "missing field %S" name
+let always name c v ms = (name, c.enc v) :: ms
+
+let lookup name c ~absent =
+  let at = Printf.sprintf "field %S" name in
+  fun ms -> match List.assoc_opt name ms with Some v -> c.dec at v | None -> absent ()
+
+(* Written always; a frame without it is refused. *)
+let req name c get = { get; put = always name c; take = lookup name c ~absent:(missing name) }
+
+(* Written always; absent (an older peer's frame) reads as [default]. *)
+let dflt name c default get =
+  { get; put = always name c; take = lookup name c ~absent:(fun () -> default) }
+
+(* [None] is left out, and absence reads as [None]. *)
+let opt name c get =
+  let put v ms = match v with Some x -> always name c x ms | None -> ms in
+  let some = { enc = (fun _ -> Null); dec = (fun at v -> Some (c.dec at v)) } in
+  { get; put; take = lookup name some ~absent:(fun () -> None) }
+
+(* Only [true] is written, and absence reads as [false]. *)
+let flag name get =
+  let put b ms = if b then always name bool b ms else ms in
+  { get; put; take = lookup name bool ~absent:(fun () -> false) }
+
+type 'r obj = { write : 'r -> members; read : members -> 'r }
+
+(* The record [make] builds from [fields].  The decoder reads the
+   fields in order, so a frame's first fault in wire order is the one
+   reported. *)
+let obj (type r k) (make : k) (fields : (r, k) Fields.t) : r obj =
+  let rec write : type k. (r, k) Fields.t -> r -> members =
+   fun fields r ->
+    match fields with Fields.[] -> [] | Fields.(f :: rest) -> f.put (f.get r) (write rest r)
+  in
+  let rec read : type k. k -> (r, k) Fields.t -> members -> r =
+   fun make fields ms ->
+    match fields with Fields.[] -> make | Fields.(f :: rest) -> read (make (f.take ms)) rest ms
+  in
+  { write = (fun r -> write fields r); read = (fun ms -> read make fields ms) }
+
+(* An object as a field's value or an array item.  A field must hold an
+   object; an array item that is not one reads, like such a frame, as
+   an object without fields, so its first required field is missing. *)
+let value o =
+  let dec at = function
+    | Obj ms -> o.read ms
+    | _ when String.equal at item -> o.read []
+    | _ -> wrong at "an object"
+  in
+  { enc = (fun r -> Obj (o.write r)); dec }
+
+(* One constructor of a message type: its ["type"] tag, its payload,
+   and how to build and recognise it. *)
+type 'v case =
+  | Case : { tag : string; head : string * t; body : 'p obj; inj : 'p -> 'v; prj : 'v -> 'p option }
+      -> 'v case
+
+let case tag body inj prj = Case { tag; head = ("type", Str tag); body; inj; prj }
+
+let const tag v =
+  case tag (obj () Fields.[]) (fun () -> v) (fun v' -> if v' = v then Some () else None)
+
+(* The encoder and the total decoder of a message type; [what] names
+   it in error text. *)
+let message what (cases : 'v case list) =
+  let tags = List.map (fun (Case c as k) -> (c.tag, k)) cases in
+  let take_case = lookup "type" (names ~what:(what ^ " type") tags) ~absent:(missing "type") in
+  let rec encode v = function
+    | [] -> invalid_arg ("Proto: no case describes this " ^ what)
+    | Case c :: rest -> (
+      match c.prj v with Some p -> Obj (c.head :: c.body.write p) | None -> encode v rest)
+  in
+  let decode text : (_, decode_error) result =
+    match of_string text with
+    | Error msg -> Error (Bad_json msg)
+    | Ok v -> (
+      let ms = match v with Obj ms -> ms | _ -> [] in
+      match match take_case ms with Case c -> c.inj (c.body.read ms) with
+      | m -> Ok m
+      | exception Shape msg -> Error (Bad_message (what ^ ": " ^ msg)))
+  in
+  ((fun v -> to_string (encode v cases)), decode)
+
+(* ------------------------------------------------------------------ *)
+(* The messages                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let scale = names ~what:"scale" scales
+
+let chaos =
+  obj (fun ch_seed ch_count -> { ch_seed; ch_count })
+    Fields.[ req "seed" int (fun c -> c.ch_seed); req "count" int (fun c -> c.ch_count) ]
+
+let row =
+  obj (fun m_desc m_time_s -> { m_desc; m_time_s })
+    Fields.[ req "desc" string (fun r -> r.m_desc); req "time" hexfloat (fun r -> r.m_time_s) ]
+
+let fault =
+  obj (fun f_desc f_fault -> { f_desc; f_fault })
+    Fields.[ req "desc" string (fun r -> r.f_desc); req "fault" string (fun r -> r.f_fault) ]
+
+let prune =
+  obj (fun p_total p_probes p_raced p_simulated p_winner p_rank p_recovered p_model ->
+      { p_total; p_probes; p_raced; p_simulated; p_winner; p_rank; p_recovered; p_model })
+    Fields.[
+      req "total" int (fun p -> p.p_total);
+      req "probes" int (fun p -> p.p_probes);
+      req "raced" int (fun p -> p.p_raced);
+      req "simulated" int (fun p -> p.p_simulated);
+      req "winner" (value row) (fun p -> p.p_winner);
+      req "rank" int (fun p -> p.p_rank);
+      req "recovered" bool (fun p -> p.p_recovered);
+      req "model" string (fun p -> p.p_model) ]
+
+(* The request records share field names, so their projections name
+   the record type. *)
+let tune_request =
+  obj (fun app scale arch deadline_ms -> { app; scale; arch; deadline_ms })
+    Fields.[
+      req "app" string (fun (r : tune_request) -> r.app);
+      req "scale" scale (fun (r : tune_request) -> r.scale);
+      opt "arch" string (fun (r : tune_request) -> r.arch);
+      opt "deadline_ms" int (fun (r : tune_request) -> r.deadline_ms) ]
+
+let explore_request =
+  obj (fun app scale arch predict deadline_ms chaos ->
+      { app; scale; chaos; arch; predict; deadline_ms })
+    Fields.[
+      req "app" string (fun (r : explore_request) -> r.app);
+      req "scale" scale (fun (r : explore_request) -> r.scale);
+      opt "arch" string (fun (r : explore_request) -> r.arch);
+      flag "predict" (fun r -> r.predict);
+      opt "deadline_ms" int (fun (r : explore_request) -> r.deadline_ms);
+      opt "chaos" (value chaos) (fun r -> r.chaos) ]
+
+let lint_request =
+  obj (fun app config -> { app; config })
+    Fields.[
+      req "app" string (fun (r : lint_request) -> r.app); opt "config" string (fun r -> r.config) ]
+
+let encode_request, decode_request =
+  message "request"
+    [
+      const "ping" Ping;
+      const "stats" Stats;
+      const "shutdown" Shutdown;
+      case "tune" tune_request (fun r -> Tune r) (function Tune r -> Some r | _ -> None);
+      case "explore" explore_request
+        (fun r -> Explore r) (function Explore r -> Some r | _ -> None);
+      case "lint" lint_request (fun r -> Lint r) (function Lint r -> Some r | _ -> None);
+    ]
+
+let server_stats =
+  obj (fun sv_requests sv_errors sv_runs sv_store_hits sv_store_misses sv_store_entries ->
+      { sv_requests; sv_errors; sv_runs; sv_store_hits; sv_store_misses; sv_store_entries })
+    Fields.[
+      req "requests" int (fun s -> s.sv_requests);
+      req "errors" int (fun s -> s.sv_errors);
+      req "runs" int (fun s -> s.sv_runs);
+      req "store_hits" int (fun s -> s.sv_store_hits);
+      req "store_misses" int (fun s -> s.sv_store_misses);
+      req "store_entries" int (fun s -> s.sv_store_entries) ]
+
+(* Replies from pre-registry servers carry no arch: by construction
+   they are G80 measurements. *)
+let reply_arch get = dflt "arch" string "g80" get
+
+let tune_reply =
+  obj (fun t_app t_arch t_space_size t_chosen t_selected t_runs t_store_hits ->
+      { t_app; t_arch; t_space_size; t_chosen; t_selected; t_runs; t_store_hits })
+    Fields.[
+      req "app" string (fun t -> t.t_app);
+      reply_arch (fun t -> t.t_arch);
+      req "space_size" int (fun t -> t.t_space_size);
+      req "chosen" (value row) (fun t -> t.t_chosen);
+      req "selected" (list string) (fun t -> t.t_selected);
+      req "runs" int (fun t -> t.t_runs);
+      req "store_hits" int (fun t -> t.t_store_hits) ]
+
+let explore_reply =
+  obj (fun x_app x_arch x_space_size x_invalid x_best x_selected_best x_selected x_exhaustive
+           x_reduction x_optimum_selected x_faults x_runs x_store_hits x_prune ->
+      { x_app; x_arch; x_space_size; x_invalid; x_best; x_selected_best; x_selected;
+        x_exhaustive; x_reduction; x_optimum_selected; x_faults; x_runs; x_store_hits; x_prune })
+    Fields.[
+      req "app" string (fun x -> x.x_app);
+      reply_arch (fun x -> x.x_arch);
+      req "space_size" int (fun x -> x.x_space_size);
+      req "invalid" int (fun x -> x.x_invalid);
+      req "best" (value row) (fun x -> x.x_best);
+      req "selected_best" (value row) (fun x -> x.x_selected_best);
+      req "selected" (list string) (fun x -> x.x_selected);
+      req "exhaustive" (list (value row)) (fun x -> x.x_exhaustive);
+      req "reduction" hexfloat (fun x -> x.x_reduction);
+      req "optimum_selected" bool (fun x -> x.x_optimum_selected);
+      req "faults" (list (value fault)) (fun x -> x.x_faults);
+      req "runs" int (fun x -> x.x_runs);
+      req "store_hits" int (fun x -> x.x_store_hits);
+      opt "prune" (value prune) (fun x -> x.x_prune) ]
+
+let lint_reply =
+  obj (fun l_report l_errors -> { l_report; l_errors })
+    Fields.[ req "report" string (fun l -> l.l_report); req "errors" bool (fun l -> l.l_errors) ]
+
+let error_reply =
+  obj (fun e_code e_msg -> { e_code; e_msg })
+    Fields.[
+      req "code" (names ~what:"error code" error_codes) (fun e -> e.e_code);
+      req "msg" string (fun e -> e.e_msg) ]
+
+let overloaded_reply =
+  obj (fun o_retry_after_ms -> { o_retry_after_ms })
+    Fields.[ req "retry_after_ms" int (fun o -> o.o_retry_after_ms) ]
+
+let encode_response, decode_response =
+  message "response"
+    [
+      const "pong" Pong;
+      const "bye" Bye;
+      case "stats" server_stats (fun s -> Stats_r s) (function Stats_r s -> Some s | _ -> None);
+      case "tune" tune_reply (fun t -> Tune_r t) (function Tune_r t -> Some t | _ -> None);
+      case "explore" explore_reply
+        (fun x -> Explore_r x) (function Explore_r x -> Some x | _ -> None);
+      case "lint" lint_reply (fun l -> Lint_r l) (function Lint_r l -> Some l | _ -> None);
+      case "error" error_reply (fun e -> Error_r e) (function Error_r e -> Some e | _ -> None);
+      case "overloaded" overloaded_reply (fun o -> Overloaded_r o) (function
+        | Overloaded_r o -> Some o
+        | _ -> None);
+    ]

@@ -92,9 +92,9 @@ let to_string (v : t) : string =
 
 exception Bad of string * int  (* reason, byte position *)
 
-let default_max_depth = 512
+let max_depth = 512
 
-let of_string ?(max_depth = default_max_depth) (s : string) : (t, string) result =
+let of_string (s : string) : (t, string) result =
   let n = String.length s in
   let pos = ref 0 in
   let bad reason = raise (Bad (reason, !pos)) in

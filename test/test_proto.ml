@@ -523,8 +523,9 @@ let pin_tests =
   ]
 
 (* One malformed frame per failure kind, and the exact text the decoder
-   reports for it.  A frame here has one fault, so the text does not
-   depend on the order in which the decoder reads fields. *)
+   reports for it.  The last two rows pin the rules for what a frame
+   with several faults names: the first in wire order, and a named
+   field that holds a non-object rather than that object's fields. *)
 let tune_reply ~chosen ~selected =
   Printf.sprintf
     {|{"type":"tune","app":"sad","arch":"g80","space_size":3,"chosen":%s,"selected":%s,"runs":1,"store_hits":1}|}
@@ -567,6 +568,10 @@ let error_text_rows =
     ( response,
       tune_reply ~chosen:{|{"desc":"x","time":1.5}|} ~selected:{|[]|},
       {|response: field "time" is not a float-carrying string|} );
+    (request, {|{"type":"tune"}|}, {|request: missing field "app"|});
+    ( response,
+      {|{"type":"explore","app":"cp","space_size":1,"invalid":0,"best":true,"selected_best":{"desc":"a","time":"0x1p-2"},"selected":["a"],"exhaustive":[],"reduction":"0x0p+0","optimum_selected":true,"faults":[],"runs":1,"store_hits":0}|},
+      {|response: field "best" is not an object|} );
   ]
 
 let error_text_tests =
