@@ -14,7 +14,11 @@
    Shape checks (the qualitative claims the reproduction must satisfy)
    are printed as CHECK lines with pass/fail.  Performance is measured
    by perfbench/, not here; bench/counters.sh gates its
-   host-independent counters. *)
+   host-independent counters.
+
+   Exit status, as gpuopt's: 0 when every CHECK passed, 1 when one
+   printed [FAIL], 124 on a wrong command line (an unknown experiment,
+   a bad --jobs). *)
 
 let printf = Printf.printf
 
@@ -23,7 +27,11 @@ let section title =
   printf "%s\n" title;
   printf "==========================================================\n"
 
-let check name ok = printf "CHECK %-60s %s\n" name (if ok then "[pass]" else "[FAIL]")
+let failed_checks = ref 0
+
+let check name ok =
+  printf "CHECK %-60s %s\n" name (if ok then "[pass]" else "[FAIL]");
+  if not ok then incr failed_checks
 
 (* Every BENCH_*.json goes through the library's one JSON encoder. *)
 let write_json file (v : Util.Json.t) =
@@ -794,39 +802,33 @@ let experiments =
   ]
 
 let () =
+  let usage fmt = Printf.ksprintf (fun msg -> prerr_endline ("bench: " ^ msg); exit 124) fmt in
+  let set_jobs n =
+    match int_of_string_opt n with
+    | Some j when j >= 1 && j <= Util.Pool.max_jobs -> jobs := j
+    | _ -> usage "--jobs expects an integer in 1..%d, got %S" Util.Pool.max_jobs n
+  in
   let rec parse_jobs acc = function
     | [] -> List.rev acc
     | "--jobs" :: n :: rest | "-j" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some j when j >= 1 && j <= Util.Pool.max_jobs -> jobs := j
-      | _ ->
-        printf "--jobs expects an integer in 1..%d, got %S\n" Util.Pool.max_jobs n;
-        exit 1);
+      set_jobs n;
       parse_jobs acc rest
     | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
-      (match int_of_string_opt (String.sub a 7 (String.length a - 7)) with
-      | Some j when j >= 1 && j <= Util.Pool.max_jobs -> jobs := j
-      | _ ->
-        printf "--jobs expects an integer in 1..%d, got %S\n" Util.Pool.max_jobs a;
-        exit 1);
+      set_jobs (String.sub a 7 (String.length a - 7));
       parse_jobs acc rest
     | a :: rest -> parse_jobs (a :: acc) rest
   in
   let args = parse_jobs [] (List.tl (Array.to_list Sys.argv)) in
-  let selected =
-    if args = [] then List.map fst experiments
-    else begin
-      List.iter
-        (fun a ->
-          if not (List.mem_assoc a experiments) then begin
-            printf "unknown experiment %S; available: %s\n" a
-              (String.concat ", " (List.map fst experiments));
-            exit 1
-          end)
-        args;
-      args
-    end
-  in
+  List.iter
+    (fun a ->
+      if not (List.mem_assoc a experiments) then
+        usage "unknown experiment %S; available: %s" a (String.concat ", " (List.map fst experiments)))
+    args;
+  let selected = if args = [] then List.map fst experiments else args in
   let t0 = Unix.gettimeofday () in
   List.iter (fun name -> (List.assoc name experiments) ()) selected;
-  printf "\nTotal harness time: %.1fs\n" (Unix.gettimeofday () -. t0)
+  printf "\nTotal harness time: %.1fs\n" (Unix.gettimeofday () -. t0);
+  if !failed_checks > 0 then begin
+    printf "%d CHECK(s) failed\n" !failed_checks;
+    exit 1
+  end

@@ -880,7 +880,15 @@ let run_cmd =
   let grid = Arg.(value & opt (pair ~sep:'x' int int) (1, 1) & info [ "grid" ] ~docv:"GXxGY") in
   let block = Arg.(value & opt (pair ~sep:'x' int int) (32, 1) & info [ "block" ] ~docv:"BXxBY") in
   let bufs =
-    Arg.(value & opt_all (pair ~sep:'=' string int) [] & info [ "buf" ] ~docv:"NAME=WORDS")
+    (* The G80's 768 MB of global memory (Table 1), in 32-bit words. *)
+    let max_words = 768 * 1024 * 1024 / 4 in
+    let doc =
+      Printf.sprintf "allocate array parameter NAME as WORDS 32-bit words, WORDS in 1..%d" max_words
+    in
+    Arg.(
+      value
+      & opt_all (pair ~sep:'=' string (int_in ~max:max_words 1)) []
+      & info [ "buf" ] ~docv:"NAME=WORDS" ~doc)
   in
   let ramps =
     Arg.(value & opt_all string [] & info [ "ramp" ] ~docv:"NAME" ~doc:"initialize NAME to 0,1,2,...")
@@ -914,7 +922,8 @@ let run_cmd =
           in
           let b =
             match space with
-            | Kir.Ast.Const -> Gpu.Device.alloc_const dev words
+            | Kir.Ast.Const -> (
+              try Gpu.Device.alloc_const dev words with Failure msg -> fail "run: %s: %s" file msg)
             | _ -> Gpu.Device.alloc dev words
           in
           if List.mem name ramps then

@@ -80,9 +80,8 @@ let classify ~(backtrace : string) (e : exn) : t =
   | Kir.Mutate.Mutate_error msg -> Compile_error { stage = "mutate"; reason = msg }
   | Kir.Unroll.No_such_loop msg -> Compile_error { stage = "unroll"; reason = msg }
   | Gpu.Sim.Launch_error msg -> Launch_error { reason = msg }
+  | Gpu.Sim.Trap msg -> Sim_trap { reason = msg }
   | Gpu.Sim.Watchdog { issued; budget } -> Watchdog_exceeded { issued; budget }
-  | Failure msg -> Sim_trap { reason = msg }
-  | Invalid_argument msg -> Sim_trap { reason = "invalid argument: " ^ msg }
   | e -> Worker_crash { exn_name = Printexc.to_string e; backtrace }
 
 (* Run a candidate's measurement thunk, surfacing a fault instead of a

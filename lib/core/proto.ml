@@ -297,27 +297,26 @@ end
 let missing name () = shape "missing field %S" name
 let always name c v ms = (name, c.enc v) :: ms
 
-let lookup name c ~absent =
+let lookup name dec ~absent =
   let at = Printf.sprintf "field %S" name in
-  fun ms -> match List.assoc_opt name ms with Some v -> c.dec at v | None -> absent ()
+  fun ms -> match List.assoc_opt name ms with Some v -> dec at v | None -> absent ()
 
 (* Written always; a frame without it is refused. *)
-let req name c get = { get; put = always name c; take = lookup name c ~absent:(missing name) }
+let req name c get = { get; put = always name c; take = lookup name c.dec ~absent:(missing name) }
 
 (* Written always; absent (an older peer's frame) reads as [default]. *)
 let dflt name c default get =
-  { get; put = always name c; take = lookup name c ~absent:(fun () -> default) }
+  { get; put = always name c; take = lookup name c.dec ~absent:(fun () -> default) }
 
 (* [None] is left out, and absence reads as [None]. *)
 let opt name c get =
   let put v ms = match v with Some x -> always name c x ms | None -> ms in
-  let some = { enc = (fun _ -> Null); dec = (fun at v -> Some (c.dec at v)) } in
-  { get; put; take = lookup name some ~absent:(fun () -> None) }
+  { get; put; take = lookup name (fun at v -> Some (c.dec at v)) ~absent:(fun () -> None) }
 
 (* Only [true] is written, and absence reads as [false]. *)
 let flag name get =
   let put b ms = if b then always name bool b ms else ms in
-  { get; put; take = lookup name bool ~absent:(fun () -> false) }
+  { get; put; take = lookup name bool.dec ~absent:(fun () -> false) }
 
 type 'r obj = { write : 'r -> members; read : members -> 'r }
 
@@ -329,9 +328,17 @@ let obj (type r k) (make : k) (fields : (r, k) Fields.t) : r obj =
    fun fields r ->
     match fields with Fields.[] -> [] | Fields.(f :: rest) -> f.put (f.get r) (write rest r)
   in
+  (* Two fields per application: a two-field object (a row) is built
+     without a partial application of [make]. *)
   let rec read : type k. k -> (r, k) Fields.t -> members -> r =
    fun make fields ms ->
-    match fields with Fields.[] -> make | Fields.(f :: rest) -> read (make (f.take ms)) rest ms
+    match fields with
+    | Fields.[] -> make
+    | Fields.[ f ] -> make (f.take ms)
+    | Fields.(f :: g :: rest) ->
+      let a = f.take ms in
+      let b = g.take ms in
+      read (make a b) rest ms
   in
   { write = (fun r -> write fields r); read = (fun ms -> read make fields ms) }
 
@@ -361,7 +368,7 @@ let const tag v =
    it in error text. *)
 let message what (cases : 'v case list) =
   let tags = List.map (fun (Case c as k) -> (c.tag, k)) cases in
-  let take_case = lookup "type" (names ~what:(what ^ " type") tags) ~absent:(missing "type") in
+  let take_case = lookup "type" (names ~what:(what ^ " type") tags).dec ~absent:(missing "type") in
   let rec encode v = function
     | [] -> invalid_arg ("Proto: no case describes this " ^ what)
     | Case c :: rest -> (

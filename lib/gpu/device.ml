@@ -104,22 +104,28 @@ let fill t (b : buffer) v =
   let arr = match b.space with Ptx.Instr.Const -> t.cst | _ -> t.glob in
   Array.fill arr (b.base / 4) b.words v
 
-(* Raw word access by byte address, used by the executor. *)
+(* Raw word access by byte address, used by the executor.  An access
+   outside the memory a kernel may touch is the kernel's fault, not the
+   host's: it raises [Trap], which [Sim] re-exports as its own. *)
+
+exception Trap of string
+
+let trap fmt = Printf.ksprintf (fun msg -> raise (Trap msg)) fmt
 
 let read_global t (byte_addr : int) : float =
   let w = byte_addr lsr 2 in
   if w < 0 || w >= Array.length t.glob then
-    invalid_arg (Printf.sprintf "Device.read_global: address %d out of range" byte_addr)
+    trap "Device.read_global: address %d out of range" byte_addr
   else t.glob.(w)
 
 let write_global t (byte_addr : int) (v : float) : unit =
   let w = byte_addr lsr 2 in
   if w < 0 || w >= Array.length t.glob then
-    invalid_arg (Printf.sprintf "Device.write_global: address %d out of range" byte_addr)
+    trap "Device.write_global: address %d out of range" byte_addr
   else t.glob.(w) <- v
 
 let read_const t (byte_addr : int) : float =
   let w = byte_addr lsr 2 in
   if w < 0 || w >= Array.length t.cst then
-    invalid_arg (Printf.sprintf "Device.read_const: address %d out of range" byte_addr)
+    trap "Device.read_const: address %d out of range" byte_addr
   else t.cst.(w)

@@ -43,6 +43,10 @@ exception Launch_error of string
 
 let launch_error fmt = Printf.ksprintf (fun s -> raise (Launch_error s)) fmt
 
+(* The launched kernel trapped: a deadlock at a barrier, or a global or
+   constant access out of range ([Device.read_global] and friends). *)
+exception Trap = Device.Trap
+
 (* Watchdog: a launch whose generated code never terminates (a broken
    unroll bound, a mutated loop) would otherwise spin the simulator
    forever.  [run ?budget] caps the warp instructions one launch may
@@ -1596,7 +1600,8 @@ let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
       if (not w.finished) && (not w.at_barrier) && not w.in_heap then push w;
       post_issue ~release ~retire ~admit w c cost
     done;
-    if !n_unfinished > 0 then failwith "Sim: deadlock — all live warps waiting at a barrier"
+    if !n_unfinished > 0 then
+      raise (Trap "Sim: deadlock — all live warps waiting at a barrier")
   | Scan ->
     (* Reference scheduler: pick the runnable warp with the smallest
        earliest-issue cycle by scanning the resident array in admission
@@ -1658,7 +1663,7 @@ let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
       (match !best_w with
       | None ->
         if !n_unfinished > 0 then
-          failwith "Sim: deadlock — all live warps waiting at a barrier"
+          raise (Trap "Sim: deadlock — all live warps waiting at a barrier")
         else continue_ := false
       | Some w ->
         let e = !best_e in

@@ -30,8 +30,11 @@ let classify_tests =
         check_b "mutate" true (tag (Kir.Mutate.Mutate_error "x") = "compile"));
     t "simulator exceptions map to launch/trap/watchdog" (fun () ->
         check_b "launch" true (tag (Gpu.Sim.Launch_error "too big") = "launch");
-        check_b "trap" true (tag (Failure "deadlock") = "trap");
-        check_b "watchdog" true (tag (Gpu.Sim.Watchdog { issued = 11; budget = 10 }) = "watchdog"));
+        check_b "trap" true (tag (Gpu.Sim.Trap "deadlock") = "trap");
+        check_b "watchdog" true (tag (Gpu.Sim.Watchdog { issued = 11; budget = 10 }) = "watchdog");
+        (* a stray stdlib exception is a bug, not a trap *)
+        check_b "Failure" true (tag (Failure "x") = "crash");
+        check_b "Invalid_argument" true (tag (Invalid_argument "x") = "crash"));
     t "unknown exceptions become worker crashes with the backtrace" (fun () ->
         match Tuner.Fault.classify ~backtrace:"frame1\nframe2" (Boom 3) with
         | Tuner.Fault.Worker_crash { exn_name; backtrace } ->
@@ -206,7 +209,7 @@ let measure_tests =
         let attempts = Atomic.make 0 in
         let bad =
           let c = fake ~desc:"bad" ~instr:100.0 ~regions:10.0 ~time:1.0 in
-          { c with run = (fun () -> Atomic.incr attempts; failwith "trap") }
+          { c with run = (fun () -> Atomic.incr attempts; raise (Gpu.Sim.Trap "trap")) }
         in
         let engine = Tuner.Measure.create ~app_name:"synthetic" () in
         let o1 = Tuner.Measure.measure_outcomes ~jobs:1 engine [ bad ] in
@@ -220,7 +223,7 @@ let measure_tests =
     t "time_exn on a faulted candidate names app, config and fault" (fun () ->
         let bad =
           let c = fake ~desc:"bad" ~instr:100.0 ~regions:10.0 ~time:1.0 in
-          { c with run = (fun () -> failwith "sim exploded") }
+          { c with run = (fun () -> raise (Gpu.Sim.Trap "sim exploded")) }
         in
         let engine = Tuner.Measure.create ~app_name:"myapp" () in
         ignore (Tuner.Measure.measure_outcomes ~jobs:1 engine [ bad ]);
@@ -243,7 +246,8 @@ let measure_tests =
            let cands =
              fake_space 12
              |> List.map (fun (c : Tuner.Candidate.t) ->
-                    if c.desc = "c5" then { c with run = (fun () -> failwith "trap") } else c)
+                    if c.desc = "c5" then { c with run = (fun () -> raise (Gpu.Sim.Trap "trap")) }
+                    else c)
            in
            let n = List.length cands in
            let reference =
@@ -343,7 +347,7 @@ let search_tests =
         let cands =
           fake_space 8
           |> List.mapi (fun k (c : Tuner.Candidate.t) ->
-                 if k = 0 then { c with run = (fun () -> failwith "dead") } else c)
+                 if k = 0 then { c with run = (fun () -> raise (Gpu.Sim.Trap "dead")) } else c)
         in
         (* c0 has time 1.0 — the optimum — and it faults. *)
         let r = Tuner.Search.run ~jobs:1 ~app_name:"synthetic" cands in
@@ -360,7 +364,7 @@ let search_tests =
         let cands =
           fake_space 4
           |> List.mapi (fun k (c : Tuner.Candidate.t) ->
-                 if k >= 2 then { c with run = (fun () -> failwith "dead") } else c)
+                 if k >= 2 then { c with run = (fun () -> raise (Gpu.Sim.Trap "dead")) } else c)
         in
         match Tuner.Search.run ~jobs:1 ~fail_fast:true ~app_name:"synthetic" cands with
         | (_ : Tuner.Search.result) -> Alcotest.fail "expected Fail"
@@ -379,10 +383,11 @@ let search_tests =
                      while (not (Atomic.get c4_settled)) && Unix.gettimeofday () < deadline do
                        Unix.sleepf 0.001
                      done;
-                     failwith "late"
+                     raise (Gpu.Sim.Trap "late")
                    in
                    { c with run }
-                 | 4 -> { c with run = (fun () -> Atomic.set c4_settled true; failwith "early") }
+                 | 4 ->
+                   { c with run = (fun () -> Atomic.set c4_settled true; raise (Gpu.Sim.Trap "early")) }
                  | _ -> c)
         in
         match Tuner.Search.run ~jobs:4 ~fail_fast:true ~app_name:"synthetic" cands with
@@ -394,7 +399,7 @@ let search_tests =
         let cands =
           fake_space 3
           |> List.map (fun (c : Tuner.Candidate.t) ->
-                 { c with run = (fun () -> failwith "dead") })
+                 { c with run = (fun () -> raise (Gpu.Sim.Trap "dead")) })
         in
         match Tuner.Search.run ~jobs:1 ~app_name:"synthetic" cands with
         | (_ : Tuner.Search.result) -> Alcotest.fail "expected invalid_arg"
