@@ -115,7 +115,7 @@ type explore_request = {
   chaos : chaos_spec option;  (* inject seeded faults *)
   arch : string option;
   predict : bool;
-      (* also run the model-driven race (PR 9); absent on the wire
+      (* also run the model-driven race; absent on the wire
          for pre-predictor clients, which decodes as [false] *)
   deadline_ms : int option;
       (* give up after this many milliseconds of server-side work
