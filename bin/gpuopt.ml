@@ -357,12 +357,18 @@ let explore_cmd =
         rs;
       `Ok Cmd.Exit.ok
     | Some arch ->
-      let r =
+      (* The simulator's counters are process-wide; this command runs
+         one search, so the difference around it is that search's work. *)
+      let r, launches, warp_instrs =
         with_store store_file (fun store ->
             let sp = space ?store ~jobs e ~quick ~rules arch in
-            Tuner.Search.run ~jobs ~fail_fast ?store
-              ?predict:(if predict then Some (sp.race budget) else None)
-              ~store_scale ~app_name:e.name sp.cands)
+            let launches0 = Gpu.Sim.sim_runs () and wi0 = Gpu.Sim.warp_instrs_issued () in
+            let r =
+              Tuner.Search.run ~jobs ~fail_fast ?store
+                ?predict:(if predict then Some (sp.race budget) else None)
+                ~store_scale ~app_name:e.name sp.cands
+            in
+            (r, Gpu.Sim.sim_runs () - launches0, Gpu.Sim.warp_instrs_issued () - wi0))
       in
       Printf.printf "%d valid configurations (%d invalid)\n\n" r.space_size r.invalid;
       print_string (Tuner.Report.figure6 r);
@@ -384,10 +390,10 @@ let explore_cmd =
         Printf.printf "\nmeasurement engine: %d requests -> %d simulator runs + %d cache hits\n"
           requests s.measure_runs s.measure_hits;
         Printf.printf "                    (the Pareto subset re-reads the exhaustive sweep's cache)\n";
-        Printf.printf "simulator:          %d launches, %d warp-instrs in %.2fs host time" s.sim_launches
-          s.sim_warp_instrs s.measure_host_s;
+        Printf.printf "simulator:          %d launches, %d warp-instrs in %.2fs host time" launches
+          warp_instrs s.measure_host_s;
         if s.measure_host_s > 0.0 then
-          Printf.printf " (%.2f M warp-instrs/s)" (float_of_int s.sim_warp_instrs /. s.measure_host_s /. 1e6);
+          Printf.printf " (%.2f M warp-instrs/s)" (float_of_int warp_instrs /. s.measure_host_s /. 1e6);
         Printf.printf "\n";
         if store_file <> None then
           Printf.printf "result store:       %d hit(s), %d miss(es)\n" s.store_hits s.store_misses
@@ -459,9 +465,8 @@ let predict_cmd =
           (o.Tuner.Prune.pr_winner.Tuner.Measure.time_s *. 1000.0);
         winner_line arch o.Tuner.Prune.pr_winner;
         if store_file <> None then begin
-          let c = Tuner.Measure.counters engine and r = o.Tuner.Prune.pr_reduced_engine in
-          Printf.printf "result store: %d hit(s), %d miss(es)\n"
-            (c.c_store_hits + r.c_store_hits) (c.c_store_misses + r.c_store_misses)
+          let s = Tuner.Measure.sum [ Tuner.Measure.stats engine; o.Tuner.Prune.pr_reduced_engine ] in
+          Printf.printf "result store: %d hit(s), %d miss(es)\n" s.store_hits s.store_misses
         end);
     Cmd.Exit.ok
   in
@@ -1018,8 +1023,8 @@ let serve_cmd =
   in
   let run socket store_file conns jobs durable =
     (* The daemon's domains, the main one and [conns] connection workers
-       that may each run a pool of [jobs], fit the runtime's limit while
-       [jobs <= fit]. *)
+       that may each spawn [jobs] measurement domains, fit the runtime's
+       limit while [jobs <= fit]. *)
     let fit = ((Util.Pool.max_domains - 1) / conns) - 1 in
     match jobs with
     | Some jobs when jobs > fit ->

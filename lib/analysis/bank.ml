@@ -16,7 +16,7 @@ type prediction = {
 (* Warp-level conflict degree, exactly as the simulator charges it:
    shared memory takes the max over the two half-warps; the constant
    cache serializes over distinct addresses of the whole warp. *)
-let degree_of ?(banks = Gpu.Sim.g80_banks) (space : Kir.Ast.space) ~addrs ~mask : int =
+let degree_of ~banks (space : Kir.Ast.space) ~addrs ~mask : int =
   match space with
   | Kir.Ast.Const ->
     let distinct = Hashtbl.create 8 in

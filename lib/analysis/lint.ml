@@ -125,7 +125,7 @@ let is_warning = function
   | Uncoalesced _ | Bank_conflict _ | Serialized _ -> true
   | Coalesced _ | Bank_clean _ | Broadcast _ | Opaque _ -> false
 
-let analyze ?races_max_blocks (inp : input) : report =
+let analyze (inp : input) : report =
   let _ptx, lsites = Kir.Lower.lower_with_sites inp.li_kernel in
   let params = int_params inp in
   let infos =
@@ -174,7 +174,7 @@ let analyze ?races_max_blocks (inp : input) : report =
       lsites infos
   in
   let races =
-    Races.check ?max_blocks:races_max_blocks
+    Races.check
       {
         Races.rc_kernel = inp.li_kernel;
         rc_grid = inp.li_grid;

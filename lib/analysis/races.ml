@@ -323,18 +323,13 @@ let check_block (inp : input) (bx : int) (by : int) (seen : (string, unit) Hasht
         c.writes)
     cells
 
-(* Check every block of the launch (or the first [max_blocks]).  The
-   result is deduplicated by conflicting access-site pair. *)
-let check ?max_blocks (inp : input) : report =
+(* Check every block of the launch.  The result is deduplicated by
+   conflicting access-site pair. *)
+let check (inp : input) : report =
   if inp.rc_kernel.shared_decls = [] then { findings = []; incomplete = None }
   else begin
     let gx, gy = inp.rc_grid in
     let coords = List.init (gx * gy) (fun i -> (i mod gx, i / gx)) in
-    let coords =
-      match max_blocks with
-      | Some n -> List.filteri (fun i _ -> i < n) coords
-      | None -> coords
-    in
     let seen = Hashtbl.create 16 in
     let findings = ref [] in
     try

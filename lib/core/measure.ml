@@ -10,8 +10,9 @@
      so any candidate is simulated at most once per engine no matter
      how many passes (exhaustive sweep, Pareto subset, reports) ask for
      its time;
-   - parallel bulk measurement over a [Util.Pool] of domains, with
-     per-candidate host wall-time bookkeeping;
+   - parallel bulk measurement over [Util.Pool] domains, reported as
+     one [stats] record (simulator runs, cache and store traffic,
+     summed host wall time);
    - crash isolation: a thunk that throws (pass bug, launch rejection,
      simulator trap, watchdog abort) is recorded in the cache as a
      [Fault.t] — measured-as-failed exactly once, so retries are
@@ -39,15 +40,46 @@ type outcome = (float, Fault.t) result
    content-addressed key. *)
 type store_binding = { sb_store : Store.t; sb_key : Candidate.t -> string }
 
+(* What one engine did, or several summed ([sum]): the one counter
+   record behind a search's engine report, a race's reduced-shape work
+   and the daemon's totals. *)
+type stats = {
+  measure_runs : int;  (* simulator invocations actually performed *)
+  measure_hits : int;  (* measurements answered from the cache *)
+  measure_host_s : float;
+      (* summed host seconds inside [run] thunks: under parallel
+         measurement, the per-worker sum, which can exceed elapsed time *)
+  store_hits : int;  (* cache hits answered by the result store *)
+  store_misses : int;  (* store consulted, simulator paid anyway *)
+}
+
+let zero =
+  { measure_runs = 0; measure_hits = 0; measure_host_s = 0.0; store_hits = 0; store_misses = 0 }
+
+let sum (ss : stats list) : stats =
+  List.fold_left
+    (fun a s ->
+      {
+        measure_runs = a.measure_runs + s.measure_runs;
+        measure_hits = a.measure_hits + s.measure_hits;
+        measure_host_s = a.measure_host_s +. s.measure_host_s;
+        store_hits = a.store_hits + s.store_hits;
+        store_misses = a.store_misses + s.store_misses;
+      })
+    zero ss
+
+(* The counters are fields of their own, not a [stats] value replaced
+   on each count: a warm request counts a hit per candidate, and
+   counting must not allocate. *)
 type t = {
   app_name : string;
   lock : Mutex.t;  (* guards every field below *)
   cache : (string, outcome) Hashtbl.t;  (* desc -> settled outcome *)
-  host : (string, float) Hashtbl.t;  (* desc -> host seconds spent measuring *)
-  mutable runs : int;  (* simulator invocations actually performed *)
-  mutable hits : int;  (* measurements answered from the cache *)
-  mutable store_hits : int;  (* ...of which answered by the result store *)
-  mutable store_misses : int;  (* store consulted, simulator paid anyway *)
+  mutable runs : int;
+  mutable hits : int;
+  mutable host_s : float;
+  mutable store_hits : int;
+  mutable store_misses : int;
   mutable store : store_binding option;
 }
 
@@ -56,13 +88,24 @@ let create ~app_name () =
     app_name;
     lock = Mutex.create ();
     cache = Hashtbl.create 64;
-    host = Hashtbl.create 64;
     runs = 0;
     hits = 0;
+    host_s = 0.0;
     store_hits = 0;
     store_misses = 0;
     store = None;
   }
+
+(* A snapshot of the engine's counters. *)
+let stats t : stats =
+  Mutex.protect t.lock (fun () ->
+      {
+        measure_runs = t.runs;
+        measure_hits = t.hits;
+        measure_host_s = t.host_s;
+        store_hits = t.store_hits;
+        store_misses = t.store_misses;
+      })
 
 (* Bind a content-addressed result store.  [key] derives a candidate's
    store key (see [Store.candidate_key]); the caller fixes the arch and
@@ -115,8 +158,8 @@ let time_exn t (c : Candidate.t) : float =
 let record t desc ?(store_key : string option) (o : outcome) (host_s : float) : unit =
   Mutex.protect t.lock (fun () ->
       Hashtbl.replace t.cache desc o;
-      Hashtbl.replace t.host desc host_s;
       t.runs <- t.runs + 1;
+      t.host_s <- t.host_s +. host_s;
       match (t.store, store_key) with
       | Some sb, Some key -> Store.put sb.sb_store ~key ~desc o
       | _ -> ())
@@ -196,28 +239,3 @@ let measure_outcomes ?jobs ?cancel t (cands : Candidate.t list) : (Candidate.t *
          duplicates and previously settled candidates resolve
          uniformly. *)
       List.map (fun (c : Candidate.t) -> (c, find_exn t c)) cands)
-
-(* Simulator invocations actually performed. *)
-let runs t = Mutex.protect t.lock (fun () -> t.runs)
-
-(* One engine's bookkeeping at a point in time, for callers that report
-   the work of several engines together.  [c_host_s] is the summed host
-   wall-clock time spent inside [run] thunks: under parallel
-   measurement, the per-worker sum, which can exceed elapsed time. *)
-type counters = {
-  c_runs : int;  (* simulator invocations actually performed *)
-  c_hits : int;  (* measurements answered from the cache *)
-  c_store_hits : int;  (* ...of which answered by the result store *)
-  c_store_misses : int;  (* store consulted, simulator paid anyway *)
-  c_host_s : float;
-}
-
-let counters t : counters =
-  Mutex.protect t.lock (fun () ->
-      {
-        c_runs = t.runs;
-        c_hits = t.hits;
-        c_store_hits = t.store_hits;
-        c_store_misses = t.store_misses;
-        c_host_s = Hashtbl.fold (fun _ s acc -> acc +. s) t.host 0.0;
-      })

@@ -44,11 +44,8 @@ let demanded_bytes_per_cycle_per_sm (c : Candidate.t) : float =
     *. float_of_int c.arch.Gpu.Arch.limits.warp_size
     /. float_of_int c.arch.Gpu.Arch.latencies.issue
 
-let bandwidth_bound ?budget (c : Candidate.t) : bool =
-  let budget =
-    match budget with Some b -> b | None -> Gpu.Arch.bytes_per_cycle_per_sm c.arch
-  in
-  demanded_bytes_per_cycle_per_sm c > budget
+let bandwidth_bound (c : Candidate.t) : bool =
+  demanded_bytes_per_cycle_per_sm c > Gpu.Arch.bytes_per_cycle_per_sm c.arch
 
 (* Normalize a list of metric points so each axis has maximum 1 (the
    paper's Figure 6 presentation). *)

@@ -42,16 +42,11 @@ type kir_pass = { kp_name : string; kp_fn : Kir.Ast.kernel -> Kir.Ast.kernel }
 
 type ptx_pass =
   | Ptx_pass of { pp_name : string; pp_fn : Ptx.Prog.t -> Ptx.Prog.t }
-  | Fixpoint of {
-      fp_name : string;
-      max_rounds : int;
-      fp_passes : (string * (Ptx.Prog.t -> Ptx.Prog.t)) list;
-    }
+  | Fixpoint of { fp_name : string; fp_passes : (string * (Ptx.Prog.t -> Ptx.Prog.t)) list }
 
 let kir_pass name fn = { kp_name = name; kp_fn = fn }
 let ptx_pass name fn = Ptx_pass { pp_name = name; pp_fn = fn }
-let fixpoint ?(max_rounds = 8) name passes =
-  Fixpoint { fp_name = name; max_rounds; fp_passes = passes }
+let fixpoint name passes = Fixpoint { fp_name = name; fp_passes = passes }
 
 type schedule = { kir_passes : kir_pass list; ptx_passes : ptx_pass list }
 
@@ -183,9 +178,9 @@ let compile ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) : compil
       let p' = run_one Ptx pp_name p pp_fn in
       verify_ptx pp_name p';
       p'
-    | Fixpoint { fp_name; max_rounds; fp_passes } ->
+    | Fixpoint { fp_name; fp_passes } ->
       (* Same termination rule as [Ptx.Opt.run]: stop when a whole round
-         leaves the kernel unchanged, bounded by [max_rounds]. *)
+         leaves the kernel unchanged, bounded by [Ptx.Opt.max_rounds]. *)
       let rec go p n round =
         if n = 0 then p
         else
@@ -197,7 +192,7 @@ let compile ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) : compil
           if Ptx.Prog.equal p' p then p
           else go p' (n - 1) (round + 1)
       in
-      let p' = go p max_rounds 1 in
+      let p' = go p Ptx.Opt.max_rounds 1 in
       verify_ptx fp_name p';
       p'
   in

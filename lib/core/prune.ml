@@ -70,7 +70,7 @@ type outcome = {
   pr_residuals : (string * float * float) list;
       (* desc, predicted s, measured s — every fully simulated point,
          space order; journaled to the store for later refits *)
-  pr_reduced_engine : Measure.counters;
+  pr_reduced_engine : Measure.stats;
       (* the reduced-shape engine's runs and store traffic: race work
          that the caller's [engine] does not see (all zero when the
          space races against itself) *)
@@ -121,7 +121,7 @@ let blob_content (o : outcome) : string =
    probe and survivor requests from cache, so the structural counts in
    the outcome stay honest either way.  [store] additionally backs the
    reduced-scale race and receives the residual journal. *)
-let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cancel
+let run ?jobs ?store ?(store_scale = "full") ?cancel
     ~(engine : Measure.t) ~(app_name : string) (s : spec) (cands : Candidate.t list) : outcome
     =
   let valid = List.filter (fun (c : Candidate.t) -> c.valid) cands in
@@ -198,7 +198,7 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
   if copies <> [] then
     Option.iter
       (fun st ->
-        let arch, space = Store.space_digests ~app_name ~scale:reduced_scale s.sp_reduced in
+        let arch, space = Store.space_digests ~app_name ~scale:"reduced" s.sp_reduced in
         Measure.attach_store rengine ~store:st ~key:(Store.candidate_key ~arch ~space))
       store;
   let reduced_times = Hashtbl.create 64 in
@@ -288,7 +288,7 @@ let run ?jobs ?store ?(reduced_scale = "reduced") ?(store_scale = "full") ?cance
         List.map
           (fun ((c : Candidate.t), t) -> (c.desc, Float.exp (Predict.predict model (feat_of c)), t))
           pool;
-      pr_reduced_engine = Measure.counters rengine;
+      pr_reduced_engine = Measure.stats rengine;
     }
   in
   (match store with

@@ -19,20 +19,6 @@
 
 type measured = Measure.measured = { cand : Candidate.t; time_s : float }
 
-(* Where the search's host time went: how often the measurement engine
-   actually paid for the simulator versus answering from its cache, and
-   the simulator work performed (from [Gpu.Sim]'s global counters, so
-   parallel worker domains are included). *)
-type engine_stats = {
-  measure_runs : int;  (* simulator measurements actually performed *)
-  measure_hits : int;  (* measurement requests answered from the cache *)
-  measure_host_s : float;  (* summed host seconds inside [run] thunks *)
-  sim_launches : int;  (* simulator launches during the search *)
-  sim_warp_instrs : int;  (* warp instructions those launches issued *)
-  store_hits : int;  (* answered from the content-addressed store *)
-  store_misses : int;  (* store consulted but had to simulate *)
-}
-
 type result = {
   app_name : string;
   space_size : int;  (* valid configurations *)
@@ -52,28 +38,14 @@ type result = {
          equivalence — the paper's own MRI clusters treat <= 5.4%
          differences as "identical or nearly identical"; we use 2%)? *)
   optimum_exact : bool;  (* strict version: the argmin itself selected *)
-  engine : engine_stats;  (* measurement-engine and simulator counters *)
+  engine : Measure.stats;
+      (* the sweep engine's counters, summed with the race's
+         reduced-shape engine when [?predict] was given *)
   prune : Prune.outcome option;
       (* the model-driven race's outcome when [?predict] was given:
          what a budget-bounded search would have simulated and chosen,
          measured against this result's exhaustive ground truth *)
 }
-
-(* The summed counters of every engine the search measured through
-   (its own, plus the race's reduced-shape engine) and the simulator
-   work since [launches0] / [wi0], the [Gpu.Sim] counters read when the
-   search started. *)
-let engine_stats (engines : Measure.counters list) ~launches0 ~wi0 : engine_stats =
-  let sum f = List.fold_left (fun a c -> a + f c) 0 engines in
-  {
-    measure_runs = sum (fun c -> c.Measure.c_runs);
-    measure_hits = sum (fun c -> c.Measure.c_hits);
-    measure_host_s = List.fold_left (fun a c -> a +. c.Measure.c_host_s) 0.0 engines;
-    sim_launches = Gpu.Sim.sim_runs () - launches0;
-    sim_warp_instrs = Gpu.Sim.warp_instrs_issued () - wi0;
-    store_hits = sum (fun c -> c.Measure.c_store_hits);
-    store_misses = sum (fun c -> c.Measure.c_store_misses);
-  }
 
 (* Bind a content-addressed result store to a measurement engine.  The
    key function defaults to [Store.candidate_key] over this candidate
@@ -128,7 +100,6 @@ let run ?jobs ?(fail_fast = false) ?store ?store_key ?store_scale ?predict ?canc
   let valid, invalid = List.partition (fun (c : Candidate.t) -> c.valid) cands in
   if valid = [] then invalid_arg (app_name ^ ": no valid configuration in the space");
   let all = List.map (fun c -> (c, Metrics.of_candidate c)) valid in
-  let wi0 = Gpu.Sim.warp_instrs_issued () and launches0 = Gpu.Sim.sim_runs () in
   let engine = Measure.create ~app_name () in
   bind_store engine ~app_name cands ~store ~store_key ~store_scale;
   (* Exhaustive exploration: measure everything; faults settle as
@@ -220,10 +191,9 @@ let run ?jobs ?(fail_fast = false) ?store ?store_key ?store_scale ?predict ?canc
         (fun ((c : Candidate.t), _) -> String.equal c.desc best.cand.desc)
         selected;
     engine =
-      engine_stats
-        (Measure.counters engine
-        :: Option.to_list (Option.map (fun (o : Prune.outcome) -> o.pr_reduced_engine) prune))
-        ~launches0 ~wi0;
+      Measure.sum
+        (Measure.stats engine
+        :: Option.to_list (Option.map (fun (o : Prune.outcome) -> o.pr_reduced_engine) prune));
     prune;
   }
 
@@ -235,7 +205,7 @@ type tuned = {
   chosen : measured;  (* fastest surviving Pareto-selected config *)
   considered : (Candidate.t * Metrics.t) list;  (* the Pareto subset *)
   tune_space_size : int;  (* valid configurations in the space *)
-  tune_engine : engine_stats;
+  tune_engine : Measure.stats;
 }
 
 let tune_full ?jobs ?store ?store_key ?store_scale ?cancel ~(app_name : string)
@@ -246,7 +216,6 @@ let tune_full ?jobs ?store ?store_key ?store_scale ?cancel ~(app_name : string)
   let selected =
     Pareto.frontier_quantized (fun (_, m) -> Metrics.(m.efficiency, m.utilization)) all
   in
-  let wi0 = Gpu.Sim.warp_instrs_issued () and launches0 = Gpu.Sim.sim_runs () in
   let engine = Measure.create ~app_name () in
   bind_store engine ~app_name cands ~store ~store_key ~store_scale;
   let outcomes = Measure.measure_outcomes ?jobs ?cancel engine (List.map fst selected) in
@@ -262,7 +231,7 @@ let tune_full ?jobs ?store ?store_key ?store_scale ?cancel ~(app_name : string)
       chosen = best;
       considered = selected;
       tune_space_size = List.length valid;
-      tune_engine = engine_stats [ Measure.counters engine ] ~launches0 ~wi0;
+      tune_engine = Measure.stats engine;
     }
   | None -> invalid_arg (app_name ^ ": every selected configuration faulted")
 

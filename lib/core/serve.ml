@@ -86,9 +86,7 @@ type t = {
          lazy that another domain is forcing raises [Lazy.Undefined] *)
   mutable requests : int;
   mutable errors : int;
-  mutable runs : int;  (* simulator measurements performed *)
-  mutable store_hits : int;
-  mutable store_misses : int;
+  mutable totals : Measure.stats;  (* every request's engine counters, summed *)
   stop : bool Atomic.t;
       (* set by a Shutdown request or a SIGTERM; atomic (not under
          [lock]) so the signal handler installed by [listen
@@ -105,20 +103,15 @@ let create ?jobs ~(store : Store.t) (resolver : resolver) : t =
     reduced_lock = Mutex.create ();
     requests = 0;
     errors = 0;
-    runs = 0;
-    store_hits = 0;
-    store_misses = 0;
+    totals = Measure.zero;
     stop = Atomic.make false;
   }
 
 let stopping t = Atomic.get t.stop
 let request_stop t = Atomic.set t.stop true
 
-let note_engine t (e : Search.engine_stats) : unit =
-  Mutex.protect t.lock (fun () ->
-      t.runs <- t.runs + e.measure_runs;
-      t.store_hits <- t.store_hits + e.store_hits;
-      t.store_misses <- t.store_misses + e.store_misses)
+let note_engine t (e : Measure.stats) : unit =
+  Mutex.protect t.lock (fun () -> t.totals <- Measure.sum [ t.totals; e ])
 
 let stats t : Proto.server_stats =
   let entries = Store.entries t.store in
@@ -126,9 +119,9 @@ let stats t : Proto.server_stats =
       {
         Proto.sv_requests = t.requests;
         sv_errors = t.errors;
-        sv_runs = t.runs;
-        sv_store_hits = t.store_hits;
-        sv_store_misses = t.store_misses;
+        sv_runs = t.totals.measure_runs;
+        sv_store_hits = t.totals.store_hits;
+        sv_store_misses = t.totals.store_misses;
         sv_store_entries = entries;
       })
 
@@ -453,7 +446,7 @@ let claim_socket (socket : string) : unit =
    and [listen] returns — a graceful drain rather than mid-sweep
    death.  Off by default so library users (tests, benches that manage
    their own signals) keep process-global state untouched. *)
-let listen ?(conn_workers = 4) ?(backlog = 64) ?(poll_s = 0.2) ?(max_queue = 128)
+let listen ?(conn_workers = 4) ?(poll_s = 0.2) ?(max_queue = 128)
     ?(io_timeout_s = 30.0) ?(retry_after_ms = 200) ?(on_sigterm = false) t
     ~(socket : string) () : unit =
   claim_socket socket;
@@ -462,7 +455,8 @@ let listen ?(conn_workers = 4) ?(backlog = 64) ?(poll_s = 0.2) ?(max_queue = 128
     Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> request_stop t));
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX socket);
-  Unix.listen sock backlog;
+  (* The OS's pending-connection backlog; admission control is [max_queue]. *)
+  Unix.listen sock 64;
   let q : Unix.file_descr Queue.t = Queue.create () in
   let qlock = Mutex.create () in
   let qcond = Condition.create () in

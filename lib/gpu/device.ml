@@ -14,21 +14,22 @@ type buffer = {
   words : int;  (* length in 32-bit words *)
 }
 
+(* Constant-bank capacity in bytes (Table 1: 64KB on G80). *)
+let const_capacity = 65536
+
 type t = {
   mutable glob : float array;  (* global memory, word-indexed *)
   mutable glob_brk : int;  (* allocation high-water mark, words *)
-  mutable cst : float array;  (* constant memory *)
+  cst : float array;  (* constant memory, the whole bank *)
   mutable cst_brk : int;
-  const_capacity : int;  (* constant-bank capacity in bytes (Table 1: 64KB on G80) *)
 }
 
-let create ?(global_words = 1 lsl 16) ?(const_words = 1 lsl 14) ?(const_capacity = 65536) () =
+let create ?(global_words = 1 lsl 16) () =
   {
     glob = Array.make global_words 0.0;
     glob_brk = 0;
-    cst = Array.make const_words 0.0;
+    cst = Array.make (const_capacity / 4) 0.0;
     cst_brk = 0;
-    const_capacity;
   }
 
 let grow arr needed =
@@ -53,11 +54,10 @@ let alloc t words =
 (* Allocate in the constant bank (capacity enforced; Table 1: 64KB). *)
 let alloc_const t words =
   if words < 0 then invalid_arg "Device.alloc_const: negative size";
-  if (t.cst_brk + words) * 4 > t.const_capacity then
+  if (t.cst_brk + words) * 4 > const_capacity then
     failwith
       (Printf.sprintf "Device.alloc_const: constant memory exhausted (%dKB)"
-         (t.const_capacity / 1024));
-  t.cst <- grow t.cst (t.cst_brk + words);
+         (const_capacity / 1024));
   let b = { space = Ptx.Instr.Const; base = t.cst_brk * 4; words } in
   t.cst_brk <- t.cst_brk + words;
   b
@@ -72,7 +72,6 @@ let clone t =
     glob_brk = t.glob_brk;
     cst = Array.copy t.cst;
     cst_brk = t.cst_brk;
-    const_capacity = t.const_capacity;
   }
 
 let check_bounds (b : buffer) i =

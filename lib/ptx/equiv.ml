@@ -454,7 +454,8 @@ let check ?(sweep = 128) ?seed (lhs : t list) (rhs : t list) : verdict =
    block-structure-preserving [Ptx.Opt] passes and the peephole pass:
    it cannot prove a transformation, but it puts the same adversarial
    machinery behind "this pass did not change my kernel's meaning" as
-   behind the rule database. *)
+   behind the rule database.  The valuations are 12 vectors from a fixed
+   seed, so a verdict is reproducible; [Ok] carries the vector count. *)
 
 type mismatch = { m_label : string; m_vector : int; m_reason : string }
 
@@ -463,8 +464,8 @@ let mismatch_to_string (m : mismatch) : string =
 
 let space_code = function Global -> 1 | Shared -> 2 | Const -> 3 | Local -> 4
 
-let validate ?(vectors = 12) ?(seed = 1337) (orig : Prog.t) (trans : Prog.t) :
-    (int, mismatch) result =
+let validate (orig : Prog.t) (trans : Prog.t) : (int, mismatch) result =
+  let vectors = 12 and seed = 1337 in
   let labels k = List.map (fun (b : Prog.block) -> b.Prog.label) k.Prog.blocks in
   if labels orig <> labels trans then
     Error { m_label = "<kernel>"; m_vector = 0; m_reason = "block structure differs" }

@@ -301,9 +301,13 @@ let cse (k : Prog.t) : Prog.t = map_blocks cse_block k
 
 let one_round (k : Prog.t) : Prog.t = k |> propagate |> cse |> dce
 
-(* Run optimization rounds to a fixed point (bounded at 8 rounds; a
-   paper-scale SAD kernel takes about five, since DCE removes one link
-   of a dead chain per round). *)
+(* The bound on optimization rounds, here and in the pass manager's
+   fixpoint, which must reproduce [run] byte for byte: a paper-scale SAD
+   kernel takes about five, since DCE removes one link of a dead chain
+   per round. *)
+let max_rounds = 8
+
+(* Run optimization rounds to a fixed point, at most [max_rounds]. *)
 let run (k : Prog.t) : Prog.t =
   let rec go k n =
     if n = 0 then k
@@ -311,4 +315,4 @@ let run (k : Prog.t) : Prog.t =
       let k' = one_round k in
       if Prog.equal k' k then k else go k' (n - 1)
   in
-  go k 8
+  go k max_rounds

@@ -107,54 +107,64 @@ let equal (a : t) (b : t) : bool =
   && List.equal same_length a.blocks b.blocks
   && List.equal block a.blocks b.blocks
 
-(* Structural sanity checks: every control-flow target exists, labels
-   are unique, the entry block is first, and reconvergence labels are
-   real blocks.  Raises [Invalid_argument] describing the first
-   violation. *)
-let validate t =
-  if t.blocks = [] then invalid_arg "Prog.validate: kernel has no blocks";
-  let seen = Hashtbl.create 16 in
+(* The structural rules every kernel keeps, as its violations in kernel
+   order: blocks exist, labels are unique, every terminator and
+   reconvergence target names a real block, parameters are unique and
+   every [Par] operand is declared.  Each violation is (where, what):
+   a block label, or "kernel" for the kernel as a whole, and the broken
+   rule.  [validate] raises the first; [Verify.structural] reports them
+   all. *)
+let violations t : (string * string) list =
+  let out = ref [] in
+  let add where what = out := (where, what) :: !out in
+  if t.blocks = [] then add "kernel" "kernel has no blocks";
+  let labels = Hashtbl.create 16 in
   List.iter
     (fun b ->
-      if Hashtbl.mem seen b.label then
-        invalid_arg (Printf.sprintf "Prog.validate: duplicate label %S" b.label);
-      Hashtbl.replace seen b.label ())
+      if Hashtbl.mem labels b.label then add b.label "duplicate block label"
+      else Hashtbl.replace labels b.label ())
     t.blocks;
-  let check_label where l =
-    if not (Hashtbl.mem seen l) then
-      invalid_arg (Printf.sprintf "Prog.validate: %s refers to unknown block %S" where l)
+  let target b what l =
+    if not (Hashtbl.mem labels l) then
+      add b.label (Printf.sprintf "%s targets unknown block %S" what l)
   in
   List.iter
     (fun b ->
-      List.iter (check_label (Printf.sprintf "terminator of %S" b.label)) (term_successors b.term);
       match b.term with
-      | Br { reconv; _ } -> check_label (Printf.sprintf "reconvergence of %S" b.label) reconv
-      | Jump _ | Ret -> ())
+      | Jump l -> target b "jump" l
+      | Br { if_true; if_false; reconv; _ } ->
+        target b "branch (taken)" if_true;
+        target b "branch (fall-through)" if_false;
+        target b "reconvergence point" reconv
+      | Ret -> ())
     t.blocks;
-  (* Parameter names must be unique. *)
-  let pseen = Hashtbl.create 8 in
+  let params = Hashtbl.create 8 in
   List.iter
     (fun p ->
-      if Hashtbl.mem pseen p.pname then
-        invalid_arg (Printf.sprintf "Prog.validate: duplicate parameter %S" p.pname);
-      Hashtbl.replace pseen p.pname ())
+      if Hashtbl.mem params p.pname then
+        add "kernel" (Printf.sprintf "duplicate parameter %S" p.pname)
+      else Hashtbl.replace params p.pname ())
     t.params;
-  (* Every [Par] operand must name a declared parameter. *)
   List.iter
     (fun b ->
       List.iter
         (fun i ->
           List.iter
             (function
-              | Instr.Par name ->
-                if not (Hashtbl.mem pseen name) then
-                  invalid_arg
-                    (Printf.sprintf "Prog.validate: use of undeclared parameter %S" name)
+              | Instr.Par name when not (Hashtbl.mem params name) ->
+                add b.label (Printf.sprintf "references undeclared parameter %S" name)
               | _ -> ())
             (Instr.operands i))
         b.body)
     t.blocks;
-  t
+  List.rev !out
+
+(* [t] itself when it keeps every structural rule; otherwise raises
+   [Invalid_argument] naming the first violation. *)
+let validate t =
+  match violations t with
+  | [] -> t
+  | (where, what) :: _ -> invalid_arg (Printf.sprintf "Prog.validate: [%s] %s" where what)
 
 (* Number of static instructions (bodies + terminators). *)
 let static_size t =

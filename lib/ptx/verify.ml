@@ -32,54 +32,9 @@ let to_string v = Printf.sprintf "[%s] %s" v.where v.what
 let pp fmt v = Format.pp_print_string fmt (to_string v)
 let report vs = String.concat "; " (List.map to_string vs)
 
-(* ------------------------------------------------------------------ *)
-(* Structural checks (the collected-violation mirror of Prog.validate) *)
-(* ------------------------------------------------------------------ *)
-
+(* The structural rules of [Prog.violations], every violation reported. *)
 let structural (k : Prog.t) : violation list =
-  let out = ref [] in
-  let add v = out := v :: !out in
-  if k.blocks = [] then add (violation "kernel" "kernel has no blocks");
-  let labels = Hashtbl.create 16 in
-  List.iter
-    (fun (b : Prog.block) ->
-      if Hashtbl.mem labels b.label then add (violation b.label "duplicate block label")
-      else Hashtbl.replace labels b.label ())
-    k.blocks;
-  let check_label where what l =
-    if not (Hashtbl.mem labels l) then
-      add (violation where "%s targets unknown block %S" what l)
-  in
-  List.iter
-    (fun (b : Prog.block) ->
-      match b.term with
-      | Prog.Jump l -> check_label b.label "jump" l
-      | Prog.Br { if_true; if_false; reconv; _ } ->
-        check_label b.label "branch (taken)" if_true;
-        check_label b.label "branch (fall-through)" if_false;
-        check_label b.label "reconvergence point" reconv
-      | Prog.Ret -> ())
-    k.blocks;
-  let pseen = Hashtbl.create 8 in
-  List.iter
-    (fun (p : Prog.param) ->
-      if Hashtbl.mem pseen p.pname then
-        add (violation "kernel" "duplicate parameter %S" p.pname)
-      else Hashtbl.replace pseen p.pname ())
-    k.params;
-  List.iter
-    (fun (b : Prog.block) ->
-      List.iter
-        (fun i ->
-          List.iter
-            (function
-              | Instr.Par name when not (Hashtbl.mem pseen name) ->
-                add (violation b.label "references undeclared parameter %S" name)
-              | _ -> ())
-            (Instr.operands i))
-        b.body)
-    k.blocks;
-  List.rev !out
+  List.map (fun (where, what) -> { where; what }) (Prog.violations k)
 
 (* ------------------------------------------------------------------ *)
 (* Def-before-use: forward must-defined dataflow                       *)

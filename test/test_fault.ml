@@ -196,7 +196,7 @@ let sweep_stored ~jobs ?cancel ?(app_name = "synthetic") store cands =
   Tuner.Search.bind_store engine ~app_name cands ~store:(Some store) ~store_key:None
     ~store_scale:None;
   let outcomes = Tuner.Measure.measure_outcomes ~jobs ?cancel engine cands in
-  (outcomes, Tuner.Measure.runs engine)
+  (outcomes, (Tuner.Measure.stats engine).measure_runs)
 
 let same_outcomes a b =
   List.equal

@@ -1,4 +1,4 @@
-(* Unit tests for the domain pool that backs parallel measurement.
+(* Unit tests for [Util.Pool], the parallel map behind measurement.
 
    The tuner's determinism guarantee rests on [Pool.map] behaving as an
    order-preserving, exception-faithful [List.map]; these tests lock
@@ -63,22 +63,10 @@ let pool_tests =
     t "stress: 1000 small tasks across 4 domains" (fun () ->
         let xs = List.init 1000 Fun.id in
         let r = Util.Pool.map ~jobs:4 (fun x -> (x * 37) mod 1009) xs in
-        Alcotest.(check (list int)) "matches List.map" (List.map (fun x -> (x * 37) mod 1009) xs) r;
-        (* Tasks actually spread across domains: the pool reports its
-           worker count, and results stay ordered regardless. *)
-        check_i "pool size honors jobs" 4
-          (let p = Util.Pool.create ~jobs:4 in
-           let n = Util.Pool.size p in
-           Util.Pool.shutdown p;
-           n));
-    t "pool rejects submit after shutdown" (fun () ->
-        let p = Util.Pool.create ~jobs:2 in
-        Util.Pool.shutdown p;
-        Alcotest.check_raises "invalid" (Invalid_argument "Pool.submit: pool is shut down")
-          (fun () -> Util.Pool.submit p (fun () -> ())));
+        Alcotest.(check (list int)) "matches List.map" (List.map (fun x -> (x * 37) mod 1009) xs) r);
     t "default_jobs respects GPUOPT_JOBS and stays >= 1" (fun () ->
         (* Only 1..max_jobs is taken; anything else falls back to the
-           core count, kept in the same range.  No pool starts here. *)
+           core count, kept in the same range.  No domain starts here. *)
         let saved = Sys.getenv_opt "GPUOPT_JOBS" in
         Fun.protect
           ~finally:(fun () -> Unix.putenv "GPUOPT_JOBS" (Option.value saved ~default:""))
@@ -148,46 +136,56 @@ let map_result_tests =
           |> List.map (function Ok v -> v | Error (e, _) -> raise e)));
   ]
 
-(* Shutdown-path coverage: the pool must come down cleanly whatever the
-   queue and workers were doing. *)
-let shutdown_tests =
+(* The map against its specification, over jobs 1..8, lists
+   of 0..64 items and raising items wherever the generator puts them:
+   [map_result] is [List.map] of the wrapped function, runs each item
+   exactly once, on at most [min jobs n] domains (the calling one when
+   it spawns none); [map] is [List.map] or re-raises the first failure
+   in input order. *)
+let arb_case =
+  QCheck.(pair (int_range 1 8) (list_of_size Gen.(int_range 0 64) bool))
+
+let square_unless raises i = if raises.(i) then raise (Boom i) else i * i
+
+let property_tests =
   [
-    t "shutdown with workers idle on an empty queue" (fun () ->
-        let p = Util.Pool.create ~jobs:3 in
-        (* Workers are parked in Condition.wait; the broadcast must wake
-           and end all three, and shutdown joins them. *)
-        Util.Pool.shutdown p;
-        check_b "returned" true true);
-    t "shutdown drains queued tasks first" (fun () ->
-        let p = Util.Pool.create ~jobs:2 in
-        let done_count = Atomic.make 0 in
-        for _ = 1 to 50 do
-          Util.Pool.submit p (fun () -> Atomic.incr done_count)
-        done;
-        Util.Pool.shutdown p;
-        check_i "all queued tasks ran" 50 (Atomic.get done_count));
-    t "a raising task does not kill its worker" (fun () ->
-        let p = Util.Pool.create ~jobs:1 in
-        let done_count = Atomic.make 0 in
-        (* With one worker, the raising task and its successors run on
-           the same domain: if the exception killed it, the later tasks
-           would never run and shutdown would hang on a dead join. *)
-        Util.Pool.submit p (fun () -> raise (Boom 1));
-        for _ = 1 to 10 do
-          Util.Pool.submit p (fun () -> Atomic.incr done_count)
-        done;
-        Util.Pool.shutdown p;
-        check_i "worker survived the raise" 10 (Atomic.get done_count));
-    t "shutdown is idempotent" (fun () ->
-        let p = Util.Pool.create ~jobs:2 in
-        Util.Pool.shutdown p;
-        Util.Pool.shutdown p;
-        check_b "second shutdown is a no-op" true true);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"map_result is List.map of the wrapped function (qcheck)" ~count:100
+         arb_case (fun (jobs, raising) ->
+           let raises = Array.of_list raising in
+           let n = Array.length raises in
+           let xs = List.init n Fun.id in
+           let expected =
+             List.map (fun i -> try Ok (square_unless raises i) with e -> Error e) xs
+           in
+           let runs = Array.init n (fun _ -> Atomic.make 0) in
+           let ran_on = Array.make n (-1) in
+           let got =
+             Util.Pool.map_result ~jobs
+               (fun i ->
+                 Atomic.incr runs.(i);
+                 ran_on.(i) <- (Domain.self () :> int);
+                 square_unless raises i)
+               xs
+           in
+           let domains = List.sort_uniq compare (Array.to_list ran_on) in
+           List.map (Result.map_error fst) got = expected
+           && Array.for_all (fun r -> Atomic.get r = 1) runs
+           && List.length domains <= max 1 (min jobs n)
+           && (jobs > 1 && n > 1 || List.for_all (( = ) (Domain.self () :> int)) domains)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"map re-raises the first failure in input order (qcheck)" ~count:100
+         arb_case (fun (jobs, raising) ->
+           let raises = Array.of_list raising in
+           let xs = List.init (Array.length raises) Fun.id in
+           match Util.Pool.map ~jobs (square_unless raises) xs with
+           | ys -> (not (Array.mem true raises)) && ys = List.map (fun i -> i * i) xs
+           | exception Boom i -> List.find_opt (fun j -> raises.(j)) xs = Some i));
   ]
 
 let suite =
   [
     ("util.pool", pool_tests);
     ("util.pool.map_result", map_result_tests);
-    ("util.pool.shutdown", shutdown_tests);
+    ("util.pool.properties", property_tests);
   ]

@@ -106,6 +106,35 @@ let cache_tests =
             match S.handle server (P.Tune { app = "matmul"; scale = P.Quick; arch = None; deadline_ms = None }) with
             | P.Tune_r r -> Alcotest.(check int) "tune runs" 0 r.t_runs
             | _ -> Alcotest.fail "tune failed on a warm store"));
+    t "the stats reply sums the runs and store hits of every reply" (fun () ->
+        with_server (fun server _ ->
+            let counts (x : P.explore_reply) = (x.x_runs, x.x_store_hits) in
+            let cold = counts (explore_reply server "cp") in
+            let warm = counts (explore_reply server "cp") in
+            let tune =
+              match S.handle server (P.Tune { app = "cp"; scale = P.Quick; arch = None; deadline_ms = None }) with
+              | P.Tune_r r -> (r.t_runs, r.t_store_hits)
+              | _ -> Alcotest.fail "tune did not return Tune_r"
+            in
+            let raced =
+              match
+                S.handle server
+                  (P.Explore
+                     { app = "cp"; scale = P.Quick; chaos = None; arch = None; predict = true; deadline_ms = None })
+              with
+              | P.Explore_r x -> counts x
+              | _ -> Alcotest.fail "predict-explore did not return Explore_r"
+            in
+            Alcotest.(check bool) "the cold explore paid the simulator" true (fst cold > 0);
+            Alcotest.(check bool) "the warm explore hit the store" true (snd warm > 0);
+            let replies = [ cold; warm; tune; raced ] in
+            match S.handle server P.Stats with
+            | P.Stats_r s ->
+              Alcotest.(check int) "sv_runs" (List.fold_left (fun a (r, _) -> a + r) 0 replies) s.sv_runs;
+              Alcotest.(check int) "sv_store_hits"
+                (List.fold_left (fun a (_, h) -> a + h) 0 replies)
+                s.sv_store_hits
+            | _ -> Alcotest.fail "stats did not return Stats_r"));
     t "a served predict-explore keys its model blob under the request's scale" (fun () ->
         with_server (fun server _ ->
             (match

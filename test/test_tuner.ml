@@ -306,7 +306,7 @@ let search_tests =
           (match Tuner.Measure.time_exn engine b with
           | (_ : float) -> false
           | exception Invalid_argument _ -> true);
-        check_i "only one run happened" 1 (Tuner.Measure.runs engine));
+        check_i "only one run happened" 1 (Tuner.Measure.stats engine).measure_runs);
     t "measure_outcomes memoizes across calls and within a batch" (fun () ->
         let runs = Atomic.make 0 in
         let c =
@@ -367,6 +367,23 @@ let search_tests =
         check_b "modest smem valid" true (with_smem 100).valid);
   ]
 
+(* The quick cp sweep's simulator work, read from [Gpu.Sim]'s
+   process-wide counters around [Search.run] as [gpuopt explore --stats]
+   reads them.  Host-independent and the same at every jobs value: a
+   change to the timing model or the search moves it, a pure simulator
+   speedup does not. *)
+let sim_work_tests =
+  List.map
+    (fun jobs ->
+      t (Printf.sprintf "the quick cp sweep issues 38 launches and 85512 warp-instrs at jobs %d" jobs)
+        (fun () ->
+          let cands = (Option.get (Apps.Registry.find "cp")).quick_candidates () in
+          let launches0 = Gpu.Sim.sim_runs () and wi0 = Gpu.Sim.warp_instrs_issued () in
+          ignore (Tuner.Search.run ~jobs ~app_name:"cp" cands);
+          check_i "launches" 38 (Gpu.Sim.sim_runs () - launches0);
+          check_i "warp instructions" 85512 (Gpu.Sim.warp_instrs_issued () - wi0)))
+    [ 1; 4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Report rendering                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -401,6 +418,6 @@ let suite =
   [
     ("tuner.metrics", metrics_tests);
     ("tuner.pareto", pareto_tests);
-    ("tuner.search", search_tests);
+    ("tuner.search", search_tests @ sim_work_tests);
     ("tuner.report", report_tests);
   ]
