@@ -200,6 +200,33 @@ let crossval_tests =
           (List.for_all (function Analysis.Lint.Broadcast _ -> true | _ -> false) vs && vs <> []));
   ]
 
+(* Every site's static and dynamic counters, pinned through an md5 of
+   the rendered cross-validation: the exact tests above pin only the
+   mismatch and ⊤ counts. *)
+let crossval_md5 (cv : Analysis.Crossval.t) =
+  Digest.to_hex (Digest.string (Analysis.Crossval.render cv))
+
+let crossval_pins =
+  let smoke name build want =
+    t (Printf.sprintf "%s smoke crossval render md5" name) (fun () ->
+        Alcotest.(check string) name want (crossval_md5 (Apps.Workbench.crossval (wb_exn (build ())))))
+  in
+  let mutant name mutate want =
+    t (Printf.sprintf "matmul %s mutant crossval render md5" name) (fun () ->
+        let wb = wb_exn (Apps.Matmul.workbench Apps.Matmul.smoke) in
+        Alcotest.(check string) name want (crossval_md5 (Apps.Workbench.crossval ~mutate wb)))
+  in
+  [
+    smoke "matmul" (fun () -> Apps.Matmul.workbench Apps.Matmul.smoke) "44c4f6756541cd1db49544ee686d1df6";
+    smoke "cp" (fun () -> Apps.Cp.workbench Apps.Cp.smoke) "394e8d7ef75084f198f923ccdb018fc7";
+    smoke "sad" (fun () -> Apps.Sad.workbench Apps.Sad.smoke) "10d11c37f6c0707fe9fe82c70d87d07f";
+    smoke "mri" (fun () -> Apps.Mri_fhd.workbench Apps.Mri_fhd.smoke) "95c5423d10cfea7f04f1448db0f2dcf3";
+    mutant "transposed-As" (Kir.Mutate.transpose_store ~array:"As") "4e4ad3554f0b03234967fc731b6ea867";
+    (* A dropped barrier moves no site's counters: the render is the
+       default's. *)
+    mutant "dropped-sync" (Kir.Mutate.drop_sync ~index:1) "44c4f6756541cd1db49544ee686d1df6";
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Mutants: bank conflicts and races                                   *)
 (* ------------------------------------------------------------------ *)
@@ -415,6 +442,7 @@ let suite =
   [
     ("analysis:affine", qcheck_tests);
     ("analysis:crossval", crossval_tests);
+    ("analysis:crossval-pins", crossval_pins);
     ("analysis:mutants", mutant_tests);
     ("analysis:divergence", divergence_tests);
     ("analysis:counters", counter_tests);

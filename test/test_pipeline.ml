@@ -248,6 +248,158 @@ let pipeline_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* The stage trace, pinned row by row                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* One hook row without its time: stage, layer, size before and after,
+   registers. *)
+let trace_row (s : Tuner.Pipeline.stat) =
+  Printf.sprintf "%s %s %d %d %d" s.stage (Tuner.Pipeline.layer_name s.layer) s.size_before
+    s.size_after s.regs
+
+let traced compile =
+  let rows = ref [] in
+  ignore (compile (fun s -> rows := trace_row s :: !rows) : Tuner.Pipeline.compiled);
+  String.concat "\n" (List.rev !rows)
+
+(* Paper-shape configurations whose schedules run KIR passes where the
+   app has any. *)
+let traced_configs =
+  [
+    ( "matmul",
+      "16x16/1x2/u4/pf/sp",
+      {|unroll(k,4) kir 19 28 0
+prefetch kir 28 40 0
+spill(sum0) kir 40 40 0
+lower lower 40 139 13
+copy-prop#1 ptx 139 139 13
+cse#1 ptx 139 139 15
+dce#1 ptx 139 136 15
+copy-prop#2 ptx 136 136 15
+cse#2 ptx 136 136 17
+dce#2 ptx 136 126 15
+copy-prop#3 ptx 126 126 15
+cse#3 ptx 126 126 16
+dce#3 ptx 126 116 15
+copy-prop#4 ptx 116 116 15
+cse#4 ptx 116 116 15
+dce#4 ptx 116 113 15
+copy-prop#5 ptx 113 113 15
+cse#5 ptx 113 113 15
+dce#5 ptx 113 113 15
+characterize characterize 113 113 15|} );
+    ( "cp",
+      "b16x4/t2/co",
+      {|lower lower 24 50 13
+copy-prop#1 ptx 50 50 13
+cse#1 ptx 50 50 13
+dce#1 ptx 50 49 13
+copy-prop#2 ptx 49 49 13
+cse#2 ptx 49 49 14
+dce#2 ptx 49 45 13
+copy-prop#3 ptx 45 45 13
+cse#3 ptx 45 45 13
+dce#3 ptx 45 41 13
+copy-prop#4 ptx 41 41 13
+cse#4 ptx 41 41 13
+dce#4 ptx 41 41 13
+characterize characterize 41 41 13|} );
+    ( "sad",
+      "tpb128/t2/uv2/uy2/ux2",
+      {|unroll(px,2) kir 29 32 0
+unroll(py,2) kir 32 39 0
+unroll(t,2) kir 39 61 0
+lower lower 61 229 26
+copy-prop#1 ptx 229 229 26
+cse#1 ptx 229 229 27
+dce#1 ptx 229 229 27
+copy-prop#2 ptx 229 229 27
+cse#2 ptx 229 229 29
+dce#2 ptx 229 215 28
+copy-prop#3 ptx 215 215 28
+cse#3 ptx 215 215 29
+dce#3 ptx 215 207 27
+copy-prop#4 ptx 207 207 27
+cse#4 ptx 207 207 28
+dce#4 ptx 207 201 27
+copy-prop#5 ptx 201 201 27
+cse#5 ptx 201 201 27
+dce#5 ptx 201 199 27
+copy-prop#6 ptx 199 199 27
+cse#6 ptx 199 199 27
+dce#6 ptx 199 199 27
+characterize characterize 199 199 27|} );
+    ( "mri",
+      "tpb128/u4/w2",
+      {|unroll(k,4) kir 23 53 0
+lower lower 53 158 17
+copy-prop#1 ptx 158 158 17
+cse#1 ptx 158 158 17
+dce#1 ptx 158 158 17
+copy-prop#2 ptx 158 158 17
+cse#2 ptx 158 158 17
+dce#2 ptx 158 142 17
+copy-prop#3 ptx 142 142 17
+cse#3 ptx 142 142 17
+dce#3 ptx 142 126 17
+copy-prop#4 ptx 126 126 17
+cse#4 ptx 126 126 17
+dce#4 ptx 126 114 17
+copy-prop#5 ptx 114 114 17
+cse#5 ptx 114 114 17
+dce#5 ptx 114 114 17
+characterize characterize 114 114 17|} );
+  ]
+
+let trace_tests =
+  List.map
+    (fun (app, desc, want) ->
+      t (Printf.sprintf "the hook's rows for %s %s" app desc) (fun () ->
+          let e = Option.get (Apps.Registry.find app) in
+          let got =
+            traced (fun hook ->
+                match e.compile ~hook desc with Ok c -> c | Error m -> Alcotest.fail m)
+          in
+          Alcotest.(check string) "rows" want got))
+    traced_configs
+  @ [
+      t "the hook's rows with the peephole pass appended" (fun () ->
+          let rules = (Tuner.Superopt.discover ~max_len:1 ()).rules in
+          let cfg =
+            { Apps.Matmul.tile = 16; rect = 2; unroll = 4; prefetch = true; spill = false }
+          in
+          let sched = Apps.Matmul.schedule cfg in
+          let got =
+            traced (fun hook ->
+                Tuner.Pipeline.compile ~hook
+                  { sched with ptx_passes = sched.ptx_passes @ [ Tuner.Pipeline.peephole rules ] }
+                  (Apps.Matmul.kernel Apps.Matmul.paper cfg))
+          in
+          Alcotest.(check string) "rows"
+            {|unroll(k,4) kir 19 28 0
+prefetch kir 28 40 0
+lower lower 40 130 14
+copy-prop#1 ptx 130 130 14
+cse#1 ptx 130 130 15
+dce#1 ptx 130 127 15
+copy-prop#2 ptx 127 127 15
+cse#2 ptx 127 127 17
+dce#2 ptx 127 117 15
+copy-prop#3 ptx 117 117 15
+cse#3 ptx 117 117 15
+dce#3 ptx 117 107 14
+copy-prop#4 ptx 107 107 14
+cse#4 ptx 107 107 14
+dce#4 ptx 107 104 14
+copy-prop#5 ptx 104 104 14
+cse#5 ptx 104 104 14
+dce#5 ptx 104 104 14
+peephole ptx 104 104 14
+characterize characterize 104 104 14|}
+            got);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Spaces vs candidate enumerations                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -291,5 +443,6 @@ let suite =
   [
     ("pipeline.verify", verify_tests);
     ("pipeline.compile", pipeline_tests);
+    ("pipeline.trace", trace_tests);
     ("pipeline.spaces", space_tests);
   ]
