@@ -85,7 +85,7 @@ let table1 () =
   in
   print_string (Tuner.Report.table [ "Memory"; "Location"; "Size"; "Latency"; "RO" ] rows);
   printf "\nSimulator latency/bandwidth parameters:\n";
-  let l = Gpu.Arch.g80_latencies in
+  let l = Gpu.Arch.g80.latencies in
   printf "  issue %d cy/warp, ALU RAW %d cy, SFU %d cy (issue %d), shared %d cy,\n" l.issue l.alu
     l.sfu l.sfu_issue l.shared;
   printf "  global %d cy + channel (64B tx / %d cy = %.1f B/cy/SM; %.1f GB/s device)\n" l.global
@@ -488,7 +488,7 @@ let trace () =
       let desc = List.hd (List.rev (Lazy.force e.configs)) in
       let stats = ref [] in
       match e.compile ~hook:(fun s -> stats := s :: !stats) desc with
-      | exception Tuner.Pipeline.Pass_failed { stage; reason } ->
+      | exception Tuner.Fault.Pass_failed { stage; reason } ->
         printf "\n--- %s %s ---\n" e.display desc;
         check (Printf.sprintf "%s: per-stage verification clean" e.name) false;
         printf "  pass %s failed: %s\n" stage reason
@@ -524,7 +524,7 @@ let lint () =
         let report = Apps.Workbench.lint wb in
         printf "\n";
         print_string (Analysis.Lint.render report);
-        let cv = Apps.Workbench.crossval wb in
+        let cv = Apps.Workbench.crossval wb report in
         printf "  crossval: %d sites, %d checked, %d not analyzable, %d mismatches\n"
           cv.Analysis.Crossval.cv_total cv.Analysis.Crossval.cv_checked
           cv.Analysis.Crossval.cv_top cv.Analysis.Crossval.cv_mismatches;

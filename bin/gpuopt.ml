@@ -96,7 +96,7 @@ let quick_arg =
 let stats_arg =
   let doc =
     "Print measurement-engine statistics: simulator runs vs cache hits, and simulator throughput \
-     (warp instructions per host second)."
+     (warp instructions per host second); summed over the archs under $(b,--arch all)."
   in
   Arg.(value & flag & info [ "stats" ] ~doc)
 
@@ -105,8 +105,8 @@ let stats_arg =
    target arch. *)
 let rules_flag =
   let doc =
-    "Append the superoptimizer's verified peephole pass to every candidate's schedule.  The \
-     rule database is discovered for the target arch (and cached in $(b,--store) when given)."
+    "Append the superoptimizer's verified peephole pass to every candidate's PTX optimization.  \
+     The rule database is discovered for the target arch (and cached in $(b,--store) when given)."
   in
   Arg.(value & flag & info [ "rules" ] ~doc)
 
@@ -202,6 +202,29 @@ let arch_arg = Term.(const Option.get $ arch_opt ~all:false ~doc:arch_doc)
 
 let winner_line (arch : Gpu.Arch.t) (m : Tuner.Search.measured) =
   Printf.printf "winner[%s] %s  (%.4f ms)\n" arch.Gpu.Arch.name m.cand.desc (m.time_s *. 1000.0)
+
+(* [f ()] with the simulator launches and warp instructions issued
+   while it ran.  The counters are process-wide; a command runs one
+   search (or one cross-arch run), so the difference around it is that
+   run's work. *)
+let sim_work f =
+  let launches0 = Gpu.Sim.sim_runs () and wi0 = Gpu.Sim.warp_instrs_issued () in
+  let r = f () in
+  (r, Gpu.Sim.sim_runs () - launches0, Gpu.Sim.warp_instrs_issued () - wi0)
+
+(* explore's --stats block: the engine's requests, the simulator's work
+   and, under --store, the store's hits. *)
+let print_stats ~stored (s : Tuner.Measure.stats) (launches, warp_instrs) =
+  let requests = s.measure_runs + s.measure_hits in
+  Printf.printf "\nmeasurement engine: %d requests -> %d simulator runs + %d cache hits\n"
+    requests s.measure_runs s.measure_hits;
+  Printf.printf "                    (the Pareto subset re-reads the exhaustive sweep's cache)\n";
+  Printf.printf "simulator:          %d launches, %d warp-instrs in %.2fs host time" launches
+    warp_instrs s.measure_host_s;
+  if s.measure_host_s > 0.0 then
+    Printf.printf " (%.2f M warp-instrs/s)" (float_of_int warp_instrs /. s.measure_host_s /. 1e6);
+  Printf.printf "\n";
+  if stored then Printf.printf "result store:       %d hit(s), %d miss(es)\n" s.store_hits s.store_misses
 
 (* Shared by explore/tune: an optional content-addressed result store,
    the same file format the serve daemon uses, so one-shot CLI sweeps
@@ -343,11 +366,13 @@ let explore_cmd =
     | None ->
       (* Cross-arch sweep: arch is the outer enumeration axis; one
          engine (and store binding) per arch, then the per-arch winner
-         table and greppable winner lines. *)
-      let rs =
-        with_store store_file (fun store ->
-            Tuner.Search.run_archs ~jobs ~fail_fast ?store ~store_scale ~app_name:e.name
-              ~archs:Gpu.Arch.archs (fun arch -> (space ?store ~jobs e ~quick ~rules arch).cands))
+         table, greppable winner lines and the statistics summed over
+         the archs. *)
+      let rs, launches, warp_instrs =
+        sim_work (fun () ->
+            with_store store_file (fun store ->
+                Tuner.Search.run_archs ~jobs ~fail_fast ?store ~store_scale ~app_name:e.name
+                  ~archs:Gpu.Arch.archs (fun arch -> (space ?store ~jobs e ~quick ~rules arch).cands)))
       in
       print_string (Tuner.Report.arch_winner_table rs);
       Printf.printf "\n";
@@ -355,20 +380,20 @@ let explore_cmd =
         (fun (r : Tuner.Search.arch_result) ->
           winner_line r.ar_arch r.ar_result.Tuner.Search.selected_best)
         rs;
+      if stats then
+        print_stats ~stored:(store_file <> None)
+          (Tuner.Measure.sum
+             (List.map (fun (r : Tuner.Search.arch_result) -> r.ar_result.Tuner.Search.engine) rs))
+          (launches, warp_instrs);
       `Ok Cmd.Exit.ok
     | Some arch ->
-      (* The simulator's counters are process-wide; this command runs
-         one search, so the difference around it is that search's work. *)
       let r, launches, warp_instrs =
         with_store store_file (fun store ->
             let sp = space ?store ~jobs e ~quick ~rules arch in
-            let launches0 = Gpu.Sim.sim_runs () and wi0 = Gpu.Sim.warp_instrs_issued () in
-            let r =
-              Tuner.Search.run ~jobs ~fail_fast ?store
-                ?predict:(if predict then Some (sp.race budget) else None)
-                ~store_scale ~app_name:e.name sp.cands
-            in
-            (r, Gpu.Sim.sim_runs () - launches0, Gpu.Sim.warp_instrs_issued () - wi0))
+            sim_work (fun () ->
+                Tuner.Search.run ~jobs ~fail_fast ?store
+                  ?predict:(if predict then Some (sp.race budget) else None)
+                  ~store_scale ~app_name:e.name sp.cands))
       in
       Printf.printf "%d valid configurations (%d invalid)\n\n" r.space_size r.invalid;
       print_string (Tuner.Report.figure6 r);
@@ -384,20 +409,7 @@ let explore_cmd =
           (List.length r.faults);
         print_string (Tuner.Report.fault_table r.faults)
       end;
-      if stats then begin
-        let s = r.engine in
-        let requests = s.measure_runs + s.measure_hits in
-        Printf.printf "\nmeasurement engine: %d requests -> %d simulator runs + %d cache hits\n"
-          requests s.measure_runs s.measure_hits;
-        Printf.printf "                    (the Pareto subset re-reads the exhaustive sweep's cache)\n";
-        Printf.printf "simulator:          %d launches, %d warp-instrs in %.2fs host time" launches
-          warp_instrs s.measure_host_s;
-        if s.measure_host_s > 0.0 then
-          Printf.printf " (%.2f M warp-instrs/s)" (float_of_int warp_instrs /. s.measure_host_s /. 1e6);
-        Printf.printf "\n";
-        if store_file <> None then
-          Printf.printf "result store:       %d hit(s), %d miss(es)\n" s.store_hits s.store_misses
-      end;
+      if stats then print_stats ~stored:(store_file <> None) r.engine (launches, warp_instrs);
       `Ok Cmd.Exit.ok
   in
   command "explore" ~doc
@@ -823,9 +835,7 @@ let lint_cmd =
         end;
         if crossval then begin
           Printf.printf "\ncross-validation against the simulator:\n";
-          print_string
-            (Analysis.Crossval.render
-               (Apps.Workbench.crossval ?mutate:(Option.map (fun k _ -> k) mutant) wb))
+          print_string (Analysis.Crossval.render (Apps.Workbench.crossval wb report))
         end;
         `Ok
           (verdict

@@ -1,15 +1,15 @@
-(* Cross-validation harness: run the analyzer's per-site predictions
+(* Cross-validation harness: run a lint report's per-site predictions
    against the simulator's per-site dynamic counters on the same
    launch, and diff them site by site.
 
-   The simulator runs the *raw* lowering (the program
-   [Kir.Lower.lower_with_sites] returns), so the (label, index) keys
-   of the site table identify exactly the instructions the static
-   analysis reasoned about.  Functional mode executes every block of
-   the grid, matching the enumeration engine's coverage, so agreement
-   on affine-analyzable sites must be exact — any difference is a bug
-   in one of the two models.  ⊤ sites are listed with their dynamic
-   counts but carry no prediction. *)
+   The simulator runs the *raw* lowering the report kept, so the
+   (label, index) keys of its site table identify exactly the
+   instructions the static analysis reasoned about, and each site's
+   static counters are read off its verdict.  Functional mode executes
+   every block of the grid, matching the enumeration engine's coverage,
+   so agreement on affine-analyzable sites must be exact — any
+   difference is a bug in one of the two models.  ⊤ sites are listed
+   with their dynamic counts but carry no prediction. *)
 
 type counters = { execs : int; tx : int; bytes : int; replays : int }
 
@@ -32,41 +32,23 @@ type t = {
 let exact (d : site_diff) : bool =
   match d.d_static with Error _ -> true | Ok s -> s = d.d_dynamic
 
-(* Static prediction normalized per space: off-chip spaces predict
-   transactions and bytes, on-chip spaces predict replays. *)
-let static_counters (env : Access.launch_env) (info : Access.info) : (counters, string) result =
-  match Access.analyzable info with
-  | Error r -> Error r
-  | Ok () -> (
-    try
-      match info.Access.i_space with
-      | Kir.Ast.Global | Kir.Ast.Local ->
-        let p = Coalesce.predict env info in
-        Ok { execs = p.Coalesce.p_execs; tx = p.Coalesce.p_tx; bytes = p.Coalesce.p_bytes; replays = 0 }
-      | Kir.Ast.Shared | Kir.Ast.Const ->
-        let p = Bank.predict env info in
-        Ok { execs = p.Bank.b_execs; tx = 0; bytes = 0; replays = p.Bank.b_replays }
-    with Access.Unpredictable r -> Error r)
+(* A verdict's prediction normalized per space: off-chip verdicts
+   predict transactions and bytes, on-chip verdicts predict replays. *)
+let static_counters : Lint.verdict -> (counters, string) result = function
+  | Lint.Coalesced p | Lint.Uncoalesced p ->
+    Ok { execs = p.Coalesce.p_execs; tx = p.Coalesce.p_tx; bytes = p.Coalesce.p_bytes; replays = 0 }
+  | Lint.Bank_clean p | Lint.Bank_conflict p | Lint.Broadcast p | Lint.Serialized p ->
+    Ok { execs = p.Bank.b_execs; tx = 0; bytes = 0; replays = p.Bank.b_replays }
+  | Lint.Opaque why -> Error why
 
-let run ~(dev : Gpu.Device.t) (inp : Lint.input) : t =
-  let ptx, lsites = Kir.Lower.lower_with_sites inp.Lint.li_kernel in
-  let params = Lint.int_params inp in
-  let infos =
-    Access.sites_of ~block:inp.Lint.li_block ~grid:inp.Lint.li_grid ~params inp.Lint.li_kernel
-  in
-  if List.length lsites <> List.length infos then
-    failwith "Analysis.Crossval: walker out of sync with the lowering";
-  let env = Lint.launch_env inp in
-  (* Execute on a clone: cross-validation must not clobber the
-     caller's device memory. *)
+(* Simulate [r]'s raw lowering on [r]'s grid and block with [args], on
+   a clone of [dev] (cross-validation must not clobber the caller's
+   device memory), and pair each of [r]'s sites with its counters. *)
+let run ~(dev : Gpu.Device.t) ~(arch : Gpu.Arch.t) ~(args : (string * Gpu.Sim.arg) list)
+    (r : Lint.report) : t =
   let stats =
-    Gpu.Sim.run ~mode:Gpu.Sim.Functional ~arch:inp.Lint.li_arch (Gpu.Device.clone dev)
-      {
-        Gpu.Sim.kernel = ptx;
-        grid = inp.Lint.li_grid;
-        block = inp.Lint.li_block;
-        args = inp.Lint.li_args;
-      }
+    Gpu.Sim.run ~mode:Gpu.Sim.Functional ~arch (Gpu.Device.clone dev)
+      { Gpu.Sim.kernel = r.Lint.r_ptx; grid = r.Lint.r_grid; block = r.Lint.r_block; args }
   in
   let dyn : (string * int, counters) Hashtbl.t = Hashtbl.create 32 in
   List.iter
@@ -81,8 +63,9 @@ let run ~(dev : Gpu.Device.t) (inp : Lint.input) : t =
         })
     stats.Gpu.Sim.site_counters;
   let sites =
-    List.map2
-      (fun (ls : Kir.Lower.site) (info : Access.info) ->
+    List.map
+      (fun (sr : Lint.site_report) ->
+        let ls = sr.Lint.sr_site and info = sr.Lint.sr_info in
         let dynamic =
           match Hashtbl.find_opt dyn (ls.Kir.Lower.s_label, ls.Kir.Lower.s_index) with
           | Some c -> c
@@ -99,14 +82,19 @@ let run ~(dev : Gpu.Device.t) (inp : Lint.input) : t =
             (Affine.to_string ~loop_name info.Access.i_index)
             ls.Kir.Lower.s_label ls.Kir.Lower.s_index
         in
-        { d_site = ls; d_desc = desc; d_static = static_counters env info; d_dynamic = dynamic })
-      lsites infos
+        {
+          d_site = ls;
+          d_desc = desc;
+          d_static = static_counters sr.Lint.sr_verdict;
+          d_dynamic = dynamic;
+        })
+      r.Lint.r_sites
   in
   let checked = List.length (List.filter (fun d -> Result.is_ok d.d_static) sites) in
   let top = List.length sites - checked in
   let mismatches = List.length (List.filter (fun d -> not (exact d)) sites) in
   {
-    cv_name = inp.Lint.li_name;
+    cv_name = r.Lint.r_name;
     cv_sites = sites;
     cv_total = List.length sites;
     cv_checked = checked;

@@ -33,6 +33,7 @@ type site_report = {
 
 type report = {
   r_name : string;
+  r_ptx : Ptx.Prog.t;  (* the raw lowering whose sites [r_sites] indexes *)
   r_grid : int * int;
   r_block : int * int;
   r_sites : site_report list;
@@ -126,7 +127,7 @@ let is_warning = function
   | Coalesced _ | Bank_clean _ | Broadcast _ | Opaque _ -> false
 
 let analyze (inp : input) : report =
-  let _ptx, lsites = Kir.Lower.lower_with_sites inp.li_kernel in
+  let ptx, lsites = Kir.Lower.lower_with_sites inp.li_kernel in
   let params = int_params inp in
   let infos =
     Access.sites_of ~block:inp.li_block ~grid:inp.li_grid ~params inp.li_kernel
@@ -202,6 +203,7 @@ let analyze (inp : input) : report =
   in
   {
     r_name = inp.li_name;
+    r_ptx = ptx;
     r_grid = inp.li_grid;
     r_block = inp.li_block;
     r_sites = sites;

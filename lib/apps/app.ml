@@ -26,7 +26,7 @@ module Entry = struct
     candidates :
       ?arch:Gpu.Arch.t -> ?extra_ptx:Tuner.Pipeline.ptx_pass list -> unit -> Tuner.Candidate.t list;
         (* paper shape; [extra_ptx] appends passes (e.g. the verified
-           peephole leg) to every candidate's schedule *)
+           peephole leg) to every candidate's PTX leg *)
     quick_candidates :
       ?arch:Gpu.Arch.t -> ?extra_ptx:Tuner.Pipeline.ptx_pass list -> unit -> Tuner.Candidate.t list;
         (* smoke shape *)
@@ -57,7 +57,7 @@ module type S = sig
   val space : config Tuner.Space.t
   val describe : config -> string
 
-  (* The configuration's KIR and PTX passes. *)
+  (* The configuration's KIR passes. *)
   val schedule : config -> Tuner.Pipeline.schedule
 
   (* The baseline kernel a configuration compiles from at [shape]. *)
@@ -115,24 +115,18 @@ module Make (A : S) = struct
 
   (* The one compile entry point: [schedule cfg] applied to the kernel
      for [shape] through the verified pipeline. *)
-  let compile ?hook ?analyze (shape : shape) (cfg : config) : Tuner.Pipeline.compiled =
-    Tuner.Pipeline.compile ?hook ?analyze (schedule cfg) (kernel shape cfg)
+  let compile ?hook ?analyze ?extra_ptx (shape : shape) (cfg : config) : Tuner.Pipeline.compiled =
+    Tuner.Pipeline.compile ?hook ?analyze ?extra_ptx (schedule cfg) (kernel shape cfg)
 
   (* Every point of the space at [shape], compiled, characterized and
      given a simulated measurement thunk, in the space's enumeration
      order.  [?arch] sets occupancy, validity and the machine the thunk
      launches on. *)
-  let candidates ?(arch = Gpu.Arch.g80) ?(extra_ptx = []) (shape : shape) :
-      Tuner.Candidate.t list =
+  let candidates ?(arch = Gpu.Arch.g80) ?extra_ptx (shape : shape) : Tuner.Candidate.t list =
     let p = setup shape and max_blocks = max_blocks shape in
     List.map
       (fun (cfg, params) ->
-        let sched = schedule cfg in
-        let c =
-          Tuner.Pipeline.compile
-            { sched with ptx_passes = sched.ptx_passes @ extra_ptx }
-            (kernel shape cfg)
-        in
+        let c = compile ?extra_ptx shape cfg in
         let (gx, gy), (bx, by) = launch_shape p cfg in
         (* The thunk captures the PTX alone: reading [c.ptx] inside it
            would keep every candidate's KIR source alive. *)

@@ -41,8 +41,8 @@ let describe (c : config) =
   Printf.sprintf "b16x%d/t%d%s" c.block_y c.tiling (if c.coalesce then "/co" else "/unco")
 
 (* Every configuration axis changes the generated kernel, not a KIR
-   pass, so the schedule is the bare default pipeline. *)
-let schedule (_ : config) : Tuner.Pipeline.schedule = Tuner.Pipeline.default_schedule
+   pass, so the schedule runs no KIR pass. *)
+let schedule (_ : config) : Tuner.Pipeline.schedule = []
 
 (* ------------------------------------------------------------------ *)
 (* Problem shapes                                                      *)

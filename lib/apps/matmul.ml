@@ -47,21 +47,15 @@ let describe (c : config) =
    first accumulator — the order the paper applies them in. *)
 let schedule (c : config) : Tuner.Pipeline.schedule =
   let open Tuner.Pipeline in
-  {
-    kir_passes =
-      (if c.unroll <> 1 then
-         [
-           kir_pass
-             (Printf.sprintf "unroll(k,%s)"
-                (if c.unroll = 0 then "complete" else string_of_int c.unroll))
-             (Kir.Unroll.apply ~select:(Kir.Unroll.Named "k") ~factor:c.unroll);
-         ]
-       else [])
-      @ (if c.prefetch then [ kir_pass "prefetch" (fun k -> fst (Kir.Prefetch.apply k)) ]
-         else [])
-      @ (if c.spill then [ kir_pass "spill(sum0)" (Kir.Spill.apply ~vars:[ "sum0" ]) ] else []);
-    ptx_passes = default_ptx_passes;
-  }
+  (if c.unroll <> 1 then
+     [
+       kir_pass
+         (Printf.sprintf "unroll(k,%s)" (if c.unroll = 0 then "complete" else string_of_int c.unroll))
+         (Kir.Unroll.apply ~select:(Kir.Unroll.Named "k") ~factor:c.unroll);
+     ]
+   else [])
+  @ (if c.prefetch then [ kir_pass "prefetch" (fun k -> fst (Kir.Prefetch.apply k)) ] else [])
+  @ if c.spill then [ kir_pass "spill(sum0)" (Kir.Spill.apply ~vars:[ "sum0" ]) ] else []
 
 (* ------------------------------------------------------------------ *)
 (* Problem shapes                                                      *)

@@ -41,18 +41,13 @@ let describe (c : config) = Printf.sprintf "tpb%d/u%d/w%d" c.tpb c.unroll c.wpt
 (* One optimization axis changes the pass schedule: the sample-loop
    unroll, selected by exact loop label. *)
 let schedule (c : config) : Tuner.Pipeline.schedule =
-  let open Tuner.Pipeline in
-  {
-    kir_passes =
-      (if c.unroll <> 1 then
-         [
-           kir_pass
-             (Printf.sprintf "unroll(k,%d)" c.unroll)
-             (Kir.Unroll.apply ~select:(Kir.Unroll.Named "k") ~factor:c.unroll);
-         ]
-       else []);
-    ptx_passes = default_ptx_passes;
-  }
+  if c.unroll = 1 then []
+  else
+    [
+      Tuner.Pipeline.kir_pass
+        (Printf.sprintf "unroll(k,%d)" c.unroll)
+        (Kir.Unroll.apply ~select:(Kir.Unroll.Named "k") ~factor:c.unroll);
+    ]
 
 let two_pi = Util.Float32.round (2.0 *. Float.pi)
 

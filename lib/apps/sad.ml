@@ -65,10 +65,7 @@ let schedule (c : config) : Tuner.Pipeline.schedule =
           (Kir.Unroll.apply ~select:(Kir.Unroll.Named label) ~factor);
       ]
   in
-  {
-    kir_passes = unroll "px" c.u_px @ unroll "py" c.u_py @ unroll "t" c.u_vec;
-    ptx_passes = default_ptx_passes;
-  }
+  unroll "px" c.u_px @ unroll "py" c.u_py @ unroll "t" c.u_vec
 
 (* Search geometry: vectors dx, dy in [-sr, sr), i.e. (2*sr)^2
    candidates per macroblock. *)

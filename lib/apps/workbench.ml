@@ -22,40 +22,29 @@ type t = {
   wb_compiled : Tuner.Pipeline.compiled;  (* lint = Some _ *)
 }
 
-let lint_input ?name (wb : t) : Analysis.Lint.input =
-  {
-    Analysis.Lint.li_name =
-      (match name with Some n -> n | None -> Printf.sprintf "%s %s" wb.wb_app wb.wb_config);
-    li_kernel = wb.wb_kernel;
-    li_grid = wb.wb_grid;
-    li_block = wb.wb_block;
-    li_args = wb.wb_args;
-    li_arch = wb.wb_arch;
-  }
+let name (wb : t) = Printf.sprintf "%s %s" wb.wb_app wb.wb_config
 
 (* The lint report the pipeline's analyze stage produced; every
    workbench is compiled with [~analyze]. *)
 let lint (wb : t) : Analysis.Lint.report =
-  {
-    (Option.get wb.wb_compiled.Tuner.Pipeline.lint) with
-    Analysis.Lint.r_name = Printf.sprintf "%s %s" wb.wb_app wb.wb_config;
-  }
+  { (Option.get wb.wb_compiled.Tuner.Pipeline.lint) with Analysis.Lint.r_name = name wb }
 
 (* Re-analyze a mutated variant of the workbench kernel (dropped
    barrier, transposed store, ...) under the same launch. *)
 let lint_mutant (wb : t) (mutate : Kir.Ast.kernel -> Kir.Ast.kernel) : Analysis.Lint.report =
   Analysis.Lint.analyze
-    { (lint_input wb ~name:(Printf.sprintf "%s %s (mutant)" wb.wb_app wb.wb_config)) with
-      Analysis.Lint.li_kernel = mutate wb.wb_kernel
+    {
+      Analysis.Lint.li_name = name wb ^ " (mutant)";
+      li_kernel = mutate wb.wb_kernel;
+      li_grid = wb.wb_grid;
+      li_block = wb.wb_block;
+      li_args = wb.wb_args;
+      li_arch = wb.wb_arch;
     }
 
-(* Diff static predictions against the simulator's per-site counters;
-   [?mutate] cross-validates a mutated kernel instead. *)
-let crossval ?mutate (wb : t) : Analysis.Crossval.t =
-  let inp = lint_input wb in
-  let inp =
-    match mutate with
-    | None -> inp
-    | Some f -> { inp with Analysis.Lint.li_kernel = f wb.wb_kernel }
-  in
-  Analysis.Crossval.run ~dev:wb.wb_dev inp
+(* Diff [report]'s static predictions — [lint wb]'s, or a mutant's from
+   [lint_mutant wb] — against the simulator's per-site counters on the
+   workbench's launch.  The diff is named for the workbench either way. *)
+let crossval (wb : t) (report : Analysis.Lint.report) : Analysis.Crossval.t =
+  Analysis.Crossval.run ~dev:wb.wb_dev ~arch:wb.wb_arch ~args:wb.wb_args
+    { report with Analysis.Lint.r_name = name wb }

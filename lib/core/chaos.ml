@@ -93,19 +93,15 @@ let runaway_time () : float =
 
 (* Compile through a pass that corrupts its kernel: the appended
    assignment targets a variable no scope declares, so the pipeline's
-   post-pass typecheck rejects the stage ([Pipeline.Pass_failed], which
+   post-pass typecheck rejects the stage ([Fault.Pass_failed], which
    classifies as [Verify_rejected]). *)
 let corrupt_pass_time () : float =
   let corrupt (k : Kir.Ast.kernel) =
     { k with Kir.Ast.body = k.Kir.Ast.body @ [ Kir.Ast.Assign ("chaos_undefined", Kir.Ast.Flt 0.0) ] }
   in
-  let sched =
-    {
-      Pipeline.kir_passes = [ Pipeline.kir_pass "chaos-corrupt" corrupt ];
-      ptx_passes = Pipeline.default_ptx_passes;
-    }
+  let (_ : Pipeline.compiled) =
+    Pipeline.compile [ Pipeline.kir_pass "chaos-corrupt" corrupt ] tiny_kernel
   in
-  let (_ : Pipeline.compiled) = Pipeline.compile sched tiny_kernel in
   0.0
 
 let faulty_run (k : kind) ~(desc : string) : unit -> float =

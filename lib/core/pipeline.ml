@@ -2,16 +2,19 @@
 
    Every kernel in the repository — app candidates, single-config
    validation runs, minicuda files from the CLI — flows through
-   [compile]: named KIR passes, lowering, named PTX passes, then the
-   static characterization (resources, execution profile) the paper's
-   metrics consume.  One entry point means the kernel the tuner
-   *measures* is always the kernel it *characterized*.
+   [compile]: the configuration's named KIR passes, lowering, the fixed
+   PTX leg ([Ptx.Opt.fixpoint], then any extra passes the caller
+   appends), then the static characterization (resources, execution
+   profile) the paper's metrics consume.  One entry point means the
+   kernel the tuner *measures* is always the kernel it
+   *characterized*.
 
    Between stages the pipeline always verifies its own output:
    [Kir.Typecheck.check] after every KIR pass, [Ptx.Verify.check] after
-   lowering and after every PTX pass.  A pass that corrupts the program
-   raises [Pass_failed] naming the stage, instead of the corruption
-   surfacing later as a wrong simulation result.
+   lowering, after the optimization fixpoint and after every extra PTX
+   pass.  A pass that corrupts the program raises [Fault.Pass_failed]
+   naming the stage, instead of the corruption surfacing later as a
+   wrong simulation result.
 
    Per-stage statistics (static size before/after, registers, wall
    time) are emitted through an optional [hook]; with no hook nothing
@@ -40,30 +43,17 @@ type stat = {
 
 type kir_pass = { kp_name : string; kp_fn : Kir.Ast.kernel -> Kir.Ast.kernel }
 
-type ptx_pass =
-  | Ptx_pass of { pp_name : string; pp_fn : Ptx.Prog.t -> Ptx.Prog.t }
-  | Fixpoint of { fp_name : string; fp_passes : (string * (Ptx.Prog.t -> Ptx.Prog.t)) list }
+type ptx_pass = { pp_name : string; pp_fn : Ptx.Prog.t -> Ptx.Prog.t }
 
 let kir_pass name fn = { kp_name = name; kp_fn = fn }
-let ptx_pass name fn = Ptx_pass { pp_name = name; pp_fn = fn }
-let fixpoint name passes = Fixpoint { fp_name = name; fp_passes = passes }
+let ptx_pass name fn = { pp_name = name; pp_fn = fn }
 
-type schedule = { kir_passes : kir_pass list; ptx_passes : ptx_pass list }
-
-(* The standard PTX leg: copy-prop → cse → dce iterated to a fixed
-   point, bounded — the exact composition (and termination test) of
-   [Ptx.Opt.run], so scheduling the passes individually produces
-   byte-identical kernels. *)
-let default_ptx_passes =
-  [
-    fixpoint "opt"
-      [ ("copy-prop", Ptx.Opt.propagate); ("cse", Ptx.Opt.cse); ("dce", Ptx.Opt.dce) ];
-  ]
-
-let default_schedule = { kir_passes = []; ptx_passes = default_ptx_passes }
+(* A configuration's schedule: its KIR passes, in order.  The PTX leg is
+   the same for every kernel. *)
+type schedule = kir_pass list
 
 (* The verified-peephole leg: apply a superoptimizer rule database as an
-   ordinary named PTX pass, so it runs under the same per-stage
+   extra PTX pass, so it runs under the same per-stage
    [Ptx.Verify.check] as every hand-written pass. *)
 let peephole (rules : Ptx.Patterns.rule list) : ptx_pass =
   ptx_pass "peephole" (Ptx.Peephole.run rules)
@@ -87,11 +77,6 @@ type analysis_input = {
   an_arch : Gpu.Arch.t;  (* machine whose geometry the predictors use *)
 }
 
-(* The historical name; the exception itself lives in [Fault] (with its
-   printer) so the fault classifier can match on it without a
-   dependency cycle through the report layer. *)
-exception Pass_failed = Fault.Pass_failed
-
 (* Static size of a KIR body, for the trace. *)
 let rec stmt_count (ss : Kir.Ast.stmt list) : int =
   List.fold_left
@@ -106,7 +91,10 @@ let rec stmt_count (ss : Kir.Ast.stmt list) : int =
 
 let kir_size (k : Kir.Ast.kernel) = stmt_count k.body
 
-let compile ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) : compiled =
+(* [extra_ptx] runs after the optimization fixpoint, each pass verified
+   on its own: the --rules peephole leg, or a test's broken pass. *)
+let compile ?hook ?analyze ?(extra_ptx = []) (kir_passes : schedule) (kernel : Kir.Ast.kernel) :
+    compiled =
   let emit stat = match hook with Some f -> f stat | None -> () in
   let timed f x =
     let t0 = Unix.gettimeofday () in
@@ -118,12 +106,12 @@ let compile ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) : compil
   let regs_of p = if Option.is_none hook then 0 else (Ptx.Regalloc.allocate p).reg_count in
   let typecheck stage k =
     try Kir.Typecheck.check k
-    with Kir.Typecheck.Type_error msg -> raise (Pass_failed { stage; reason = msg })
+    with Kir.Typecheck.Type_error msg -> raise (Fault.Pass_failed { stage; reason = msg })
   in
   let verify_ptx stage p =
     match Ptx.Verify.check p with
     | Ok () -> ()
-    | Error vs -> raise (Pass_failed { stage; reason = Ptx.Verify.report vs })
+    | Error vs -> raise (Fault.Pass_failed { stage; reason = Ptx.Verify.report vs })
   in
   typecheck "input" kernel;
   let kir =
@@ -143,7 +131,7 @@ let compile ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) : compil
             notes = [];
           };
         k')
-      kernel sched.kir_passes
+      kernel kir_passes
   in
   let ksize = kir_size kir in
   let ptx0, dt = timed Kir.Lower.lower kir in
@@ -158,13 +146,13 @@ let compile ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) : compil
       elapsed_s = dt;
       notes = [];
     };
-  let run_one layer name p fn =
+  let run_ptx name fn p =
     let before = Ptx.Prog.static_size p in
     let p', dt = timed fn p in
     emit
       {
         stage = name;
-        layer;
+        layer = Ptx;
         size_before = before;
         size_after = Ptx.Prog.static_size p';
         regs = regs_of p';
@@ -173,30 +161,19 @@ let compile ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) : compil
       };
     p'
   in
-  let apply_ptx p = function
-    | Ptx_pass { pp_name; pp_fn } ->
-      let p' = run_one Ptx pp_name p pp_fn in
-      verify_ptx pp_name p';
-      p'
-    | Fixpoint { fp_name; fp_passes } ->
-      (* Same termination rule as [Ptx.Opt.run]: stop when a whole round
-         leaves the kernel unchanged, bounded by [Ptx.Opt.max_rounds]. *)
-      let rec go p n round =
-        if n = 0 then p
-        else
-          let p' =
-            List.fold_left
-              (fun p (name, fn) -> run_one Ptx (Printf.sprintf "%s#%d" name round) p fn)
-              p fp_passes
-          in
-          if Ptx.Prog.equal p' p then p
-          else go p' (n - 1) (round + 1)
-      in
-      let p' = go p Ptx.Opt.max_rounds 1 in
-      verify_ptx fp_name p';
-      p'
+  (* [Ptx.Opt.run]'s loop itself, each pass traced as "name#round". *)
+  let opt =
+    Ptx.Opt.fixpoint (fun ~round name fn p -> run_ptx (Printf.sprintf "%s#%d" name round) fn p) ptx0
   in
-  let ptx = List.fold_left apply_ptx ptx0 sched.ptx_passes in
+  verify_ptx "opt" opt;
+  let ptx =
+    List.fold_left
+      (fun p { pp_name; pp_fn } ->
+        let p' = run_ptx pp_name pp_fn p in
+        verify_ptx pp_name p';
+        p')
+      opt extra_ptx
+  in
   (* Static memory-access analysis of the (post-KIR-pass) source the
      lowering consumed: affine per-site transaction / bank-conflict
      prediction plus the shared-memory race check, reported through the
@@ -247,7 +224,7 @@ let compile ?hook ?analyze (sched : schedule) (kernel : Kir.Ast.kernel) : compil
 
 (* Lower + standard PTX optimization, no KIR passes: the entry point
    for already-configured kernels (minicuda files, examples). *)
-let lower_opt ?hook (k : Kir.Ast.kernel) : compiled = compile ?hook default_schedule k
+let lower_opt ?hook (k : Kir.Ast.kernel) : compiled = compile ?hook [] k
 
 (* Render a hook's collected stats as a report table; stage notes (the
    analyze stage's lint warnings) follow as indented lines. *)

@@ -36,10 +36,10 @@ let table ?(sep = "  ") (header : string list) (rows : string list list) : strin
 
 type mark = Dot | Front | Best
 
-(* Plot points in [0,1]^2; '.' = configuration, 'o' = Pareto-optimal,
-   '*' = true optimum. *)
-let scatter ?(width = 64) ?(height = 20) ?(xlabel = "efficiency") ?(ylabel = "utilization")
-    (points : (float * float * mark) list) : string =
+(* Plot (efficiency, utilization) points in [0,1]^2 on a 64 x 20 grid;
+   '.' = configuration, 'o' = Pareto-optimal, '*' = true optimum. *)
+let scatter (points : (float * float * mark) list) : string =
+  let width = 64 and height = 20 in
   let grid = Array.make_matrix height width ' ' in
   let plot (x, y, m) =
     let cx = Util.Stats.clamp 0 (width - 1) (int_of_float (x *. float_of_int (width - 1))) in
@@ -52,14 +52,14 @@ let scatter ?(width = 64) ?(height = 20) ?(xlabel = "efficiency") ?(ylabel = "ut
   in
   List.iter plot points;
   let buf = Buffer.create (width * height) in
-  Buffer.add_string buf (Printf.sprintf "%s ^\n" ylabel);
+  Buffer.add_string buf "utilization ^\n";
   Array.iter
     (fun row ->
       Buffer.add_string buf "  |";
       Array.iter (Buffer.add_char buf) row;
       Buffer.add_char buf '\n')
     grid;
-  Buffer.add_string buf ("  +" ^ String.make width '-' ^ "> " ^ xlabel ^ "\n");
+  Buffer.add_string buf ("  +" ^ String.make width '-' ^ "> efficiency\n");
   Buffer.add_string buf "  legend: . config   o Pareto-optimal subset   * optimum\n";
   Buffer.contents buf
 
@@ -67,10 +67,11 @@ let scatter ?(width = 64) ?(height = 20) ?(xlabel = "efficiency") ?(ylabel = "ut
 (* Line/series plot (Figure 4/5 style)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Plot one or more named series over a shared x axis; y is auto-scaled.
-   Each series gets a distinct character. *)
-let series_plot ?(width = 64) ?(height = 18) ~(x_name : string) ~(y_name : string)
-    (series : (string * (float * float) list) list) : string =
+(* Plot one or more named series over a shared x axis on a 64 x 18
+   grid; y is auto-scaled.  Each series gets a distinct character. *)
+let series_plot ~(x_name : string) ~(y_name : string) (series : (string * (float * float) list) list)
+    : string =
+  let width = 64 and height = 18 in
   let all_pts = List.concat_map snd series in
   if all_pts = [] then "(no data)\n"
   else begin

@@ -205,9 +205,6 @@ let peak_gflops (a : t) : float =
 let bytes_per_cycle_per_sm (a : t) : float =
   a.global_bandwidth_gbs *. 1e9 /. clock_hz a /. float_of_int a.limits.num_sms
 
-(* Legacy alias: the paper's latency table, i.e. [g80.latencies]. *)
-let g80_latencies : latencies = g80.latencies
-
 (* ------------------------------------------------------------------ *)
 (* Table 1: properties of GeForce 8800 memories (for reports)          *)
 (* ------------------------------------------------------------------ *)

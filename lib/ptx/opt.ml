@@ -6,14 +6,15 @@
    and dead copies disappear.  All passes are intraprocedural and, with
    the exception of DCE, block-local.
 
-   Pass order used by [run]: copy-prop → cse → dce, iterated to a
-   fixed point (bounded).  There is no separate constant-folding pass:
-   copy propagation folds each instruction through [simplify] as it
-   substitutes operands.  Copy-prop and CSE kill stale facts through
-   reverse indexes (source register → its aliases; register → the
-   available expressions that mention or hold it), and DCE reads the
-   bitset liveness of [Liveness] in one backward walk per block, so a
-   round costs time linear in the kernel, not in block length squared. *)
+   Pass order used by [fixpoint]: copy-prop → cse → dce, iterated to a
+   fixed point (bounded); [run] is that loop with nothing watching.
+   There is no separate constant-folding pass: copy propagation folds
+   each instruction through [simplify] as it substitutes operands.
+   Copy-prop and CSE kill stale facts through reverse indexes (source
+   register → its aliases; register → the available expressions that
+   mention or hold it), and DCE reads the bitset liveness of [Liveness]
+   in one backward walk per block, so a round costs time linear in the
+   kernel, not in block length squared. *)
 
 open Instr
 
@@ -293,26 +294,29 @@ let dce (k : Prog.t) : Prog.t =
 let map_blocks f (k : Prog.t) : Prog.t =
   { k with blocks = List.map (fun (b : Prog.block) -> { b with body = f b.body }) k.blocks }
 
-(* The individual passes, exposed so a pass manager (Tuner.Pipeline)
-   can schedule, verify and time them one by one.  [run] below remains
-   the reference composition. *)
 let propagate (k : Prog.t) : Prog.t = map_blocks propagate_block k
 let cse (k : Prog.t) : Prog.t = map_blocks cse_block k
 
-let one_round (k : Prog.t) : Prog.t = k |> propagate |> cse |> dce
-
-(* The bound on optimization rounds, here and in the pass manager's
-   fixpoint, which must reproduce [run] byte for byte: a paper-scale SAD
+(* Run copy-prop → cse → dce rounds until a round leaves the kernel
+   unchanged ([Prog.equal]) or eight rounds have run: a paper-scale SAD
    kernel takes about five, since DCE removes one link of a dead chain
-   per round. *)
-let max_rounds = 8
-
-(* Run optimization rounds to a fixed point, at most [max_rounds]. *)
-let run (k : Prog.t) : Prog.t =
-  let rec go k n =
-    if n = 0 then k
+   per round.  [apply ~round name pass k] runs one named pass of round
+   [round] (counted from 1) on [k]; the pass manager (Tuner.Pipeline)
+   times and traces each one through it. *)
+let fixpoint (apply : round:int -> string -> (Prog.t -> Prog.t) -> Prog.t -> Prog.t)
+    (k : Prog.t) : Prog.t =
+  let max_rounds = 8 in
+  let rec go k round =
+    if round > max_rounds then k
     else
-      let k' = one_round k in
-      if Prog.equal k' k then k else go k' (n - 1)
+      let k' =
+        List.fold_left
+          (fun k (name, pass) -> apply ~round name pass k)
+          k
+          [ ("copy-prop", propagate); ("cse", cse); ("dce", dce) ]
+      in
+      if Prog.equal k' k then k else go k' (round + 1)
   in
-  go k max_rounds
+  go k 1
+
+let run : Prog.t -> Prog.t = fixpoint (fun ~round:_ _ pass k -> pass k)

@@ -88,12 +88,12 @@ let all_regs t =
   !set
 
 (* Bitwise program equality ([Instr.equal]; block weights by their
-   bits too): the convergence test of the optimization fixpoint, in
-   [Opt.run] and in the pass manager alike.  Structural [=] is false on
-   any kernel carrying a NaN immediate, so such a kernel would never
-   be seen to converge.  Block lengths are compared first: most rounds
-   remove an instruction somewhere, and that test rejects them without
-   comparing instructions. *)
+   bits too): the convergence test of the optimization fixpoint
+   ([Opt.fixpoint]).  Structural [=] is false on any kernel carrying a
+   NaN immediate, so such a kernel would never be seen to converge.
+   Block lengths are compared first: most rounds remove an instruction
+   somewhere, and that test rejects them without comparing
+   instructions. *)
 let equal (a : t) (b : t) : bool =
   let same_length x y = List.compare_lengths x.body y.body = 0 in
   let block x y =

@@ -135,7 +135,8 @@ let wb_exn (r : (Apps.Workbench.t, string) result) : Apps.Workbench.t =
 
 let crossval_exact ?config ~expect_top name build () =
   let wb = wb_exn (build ?config ()) in
-  let cv = Apps.Workbench.crossval wb in
+  let lint = Apps.Workbench.lint wb in
+  let cv = Apps.Workbench.crossval wb lint in
   check_i (name ^ " mismatches") 0 cv.Analysis.Crossval.cv_mismatches;
   check_b (name ^ " has analyzable sites") true (cv.Analysis.Crossval.cv_checked > 0);
   check_i (name ^ " sites partition")
@@ -143,7 +144,6 @@ let crossval_exact ?config ~expect_top name build () =
     (cv.Analysis.Crossval.cv_checked + cv.Analysis.Crossval.cv_top);
   check_i (name ^ " top sites") expect_top cv.Analysis.Crossval.cv_top;
   (* shipped kernels are race-free with convergent barriers *)
-  let lint = Apps.Workbench.lint wb in
   check_b (name ^ " race-free") false (Analysis.Lint.has_errors lint)
 
 let verdicts_of (r : Analysis.Lint.report) (arr : string) (kind : [ `Load | `Store ]) =
@@ -209,12 +209,15 @@ let crossval_md5 (cv : Analysis.Crossval.t) =
 let crossval_pins =
   let smoke name build want =
     t (Printf.sprintf "%s smoke crossval render md5" name) (fun () ->
-        Alcotest.(check string) name want (crossval_md5 (Apps.Workbench.crossval (wb_exn (build ())))))
+        let wb = wb_exn (build ()) in
+        Alcotest.(check string) name want
+          (crossval_md5 (Apps.Workbench.crossval wb (Apps.Workbench.lint wb))))
   in
   let mutant name mutate want =
     t (Printf.sprintf "matmul %s mutant crossval render md5" name) (fun () ->
         let wb = wb_exn (Apps.Matmul.workbench Apps.Matmul.smoke) in
-        Alcotest.(check string) name want (crossval_md5 (Apps.Workbench.crossval ~mutate wb)))
+        Alcotest.(check string) name want
+          (crossval_md5 (Apps.Workbench.crossval wb (Apps.Workbench.lint_mutant wb mutate))))
   in
   [
     smoke "matmul" (fun () -> Apps.Matmul.workbench Apps.Matmul.smoke) "44c4f6756541cd1db49544ee686d1df6";
@@ -243,7 +246,7 @@ let mutant_tests =
                | Analysis.Lint.Bank_conflict p -> p.Analysis.Bank.b_max_degree > 1
                | _ -> false)
              vs);
-        let cv = Apps.Workbench.crossval ~mutate:(Kir.Mutate.transpose_store ~array:"As") wb in
+        let cv = Apps.Workbench.crossval wb r in
         check_i "mutant crossval mismatches" 0 cv.Analysis.Crossval.cv_mismatches;
         check_b "mutant replays predicted" true
           (List.exists
@@ -359,7 +362,7 @@ let counter_tests =
         in
         check_i "Σ shared replays · issue = conflict extra"
           stats.Gpu.Sim.bank_conflict_extra
-          (shared_replays * Gpu.Arch.g80_latencies.Gpu.Arch.issue));
+          (shared_replays * Gpu.Arch.g80.Gpu.Arch.latencies.issue));
     t "bank-conflict mutant: replay counters light up in the simulator" (fun () ->
         let wb = wb_exn (Apps.Matmul.workbench Apps.Matmul.smoke) in
         let k = Kir.Mutate.transpose_store ~array:"As" wb.Apps.Workbench.wb_kernel in

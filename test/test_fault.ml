@@ -19,7 +19,7 @@ let classify_tests =
     t "pass failure classifies as a verifier rejection" (fun () ->
         match
           Tuner.Fault.classify ~backtrace:""
-            (Tuner.Pipeline.Pass_failed { stage = "unroll"; reason = "bad" })
+            (Tuner.Fault.Pass_failed { stage = "unroll"; reason = "bad" })
         with
         | Tuner.Fault.Verify_rejected { stage; reason } ->
           check_b "stage" true (stage = "unroll" && reason = "bad")

@@ -144,12 +144,9 @@ let pipeline_tests =
           Tuner.Pipeline.kir_pass "break-kir" (fun k ->
               { k with Kir.Ast.body = [ Kir.Ast.Assign ("ghost", Kir.Ast.v "ghost") ] })
         in
-        let sched =
-          { (Apps.Matmul.schedule mm_cfg) with Tuner.Pipeline.kir_passes = [ broken ] }
-        in
-        match Tuner.Pipeline.compile sched (Apps.Matmul.kernel Apps.Matmul.smoke mm_cfg) with
+        match Tuner.Pipeline.compile [ broken ] (Apps.Matmul.kernel Apps.Matmul.smoke mm_cfg) with
         | _ -> Alcotest.fail "expected Pass_failed"
-        | exception Tuner.Pipeline.Pass_failed { stage; _ } ->
+        | exception Tuner.Fault.Pass_failed { stage; _ } ->
           check_b "stage names the pass" true (stage = "break-kir"));
     t "a PTX pass that corrupts the kernel is caught and named" (fun () ->
         (* Empty the entry block's body: downstream blocks then use
@@ -159,17 +156,14 @@ let pipeline_tests =
           | b :: rest -> { p with blocks = { b with body = [] } :: rest }
           | [] -> p
         in
-        let base = Apps.Matmul.schedule mm_cfg in
-        let sched =
-          {
-            base with
-            Tuner.Pipeline.ptx_passes =
-              base.ptx_passes @ [ Tuner.Pipeline.ptx_pass "break-ptx" break_entry ];
-          }
-        in
-        (match Tuner.Pipeline.compile sched (Apps.Matmul.kernel Apps.Matmul.smoke mm_cfg) with
+        (match
+           Tuner.Pipeline.compile
+             ~extra_ptx:[ Tuner.Pipeline.ptx_pass "break-ptx" break_entry ]
+             (Apps.Matmul.schedule mm_cfg)
+             (Apps.Matmul.kernel Apps.Matmul.smoke mm_cfg)
+         with
         | _ -> Alcotest.fail "expected Pass_failed"
-        | exception Tuner.Pipeline.Pass_failed { stage; _ } ->
+        | exception Tuner.Fault.Pass_failed { stage; _ } ->
           check_b "stage names the pass" true (stage = "break-ptx"));
         (* The same corruption applied to a kernel that passed every
            check fails [Ptx.Verify.check] on its own: the checks, not
@@ -203,7 +197,7 @@ let pipeline_tests =
         let kir =
           List.fold_left
             (fun k (p : Tuner.Pipeline.kir_pass) -> p.kp_fn k)
-            kir (Apps.Matmul.schedule mm_cfg).kir_passes
+            kir (Apps.Matmul.schedule mm_cfg)
         in
         let direct = Ptx.Opt.run (Kir.Lower.lower kir) in
         let piped = (Tuner.Pipeline.lower_opt kir).ptx in
@@ -368,11 +362,11 @@ let trace_tests =
           let cfg =
             { Apps.Matmul.tile = 16; rect = 2; unroll = 4; prefetch = true; spill = false }
           in
-          let sched = Apps.Matmul.schedule cfg in
           let got =
             traced (fun hook ->
                 Tuner.Pipeline.compile ~hook
-                  { sched with ptx_passes = sched.ptx_passes @ [ Tuner.Pipeline.peephole rules ] }
+                  ~extra_ptx:[ Tuner.Pipeline.peephole rules ]
+                  (Apps.Matmul.schedule cfg)
                   (Apps.Matmul.kernel Apps.Matmul.paper cfg))
           in
           Alcotest.(check string) "rows"

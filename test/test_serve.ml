@@ -92,6 +92,31 @@ let identity_tests =
 
 let cache_tests =
   [
+    t "a cold space compiles outside the resolver's table lock" (fun () ->
+        let rv = Apps.Serving.resolver () in
+        let resolve app scale =
+          match rv.S.rv_space ~app ~scale ~arch:"g80" with
+          | Ok (_ : S.resolved_space) -> ()
+          | Error (_, msg) -> Alcotest.fail msg
+        in
+        resolve "cp" P.Quick;
+        let started = Atomic.make false and cold_done = Atomic.make false in
+        let cold =
+          Domain.spawn (fun () ->
+              Atomic.set started true;
+              resolve "sad" P.Full;
+              Atomic.set cold_done true)
+        in
+        while not (Atomic.get started) do
+          Domain.cpu_relax ()
+        done;
+        (* Past its lookup and into the compile, which takes seconds. *)
+        Unix.sleepf 0.1;
+        resolve "cp" P.Quick;
+        let warm_first = not (Atomic.get cold_done) in
+        Domain.join cold;
+        Alcotest.(check bool) "the warm space resolved while the cold one compiled" true
+          warm_first);
     t "warm replay does zero new measurements" (fun () ->
         with_server (fun server _ ->
             let cold = explore_reply server "matmul" in
