@@ -11,7 +11,7 @@
 
    Between stages the pipeline always verifies its own output:
    [Kir.Typecheck.check] after every KIR pass, [Ptx.Verify.check] after
-   lowering, after the optimization fixpoint and after every extra PTX
+   lowering, after the optimization loop and after every extra PTX
    pass.  A pass that corrupts the program raises [Fault.Pass_failed]
    naming the stage, instead of the corruption surfacing later as a
    wrong simulation result.
@@ -32,7 +32,7 @@ let layer_name = function
   | Characterize -> "characterize"
 
 type stat = {
-  stage : string;  (* pass name; fixpoint rounds are suffixed "#n" *)
+  stage : string;  (* pass name; optimization rounds are suffixed "#n" *)
   layer : layer;
   size_before : int;  (* static size: KIR statements or PTX instructions *)
   size_after : int;
@@ -91,7 +91,7 @@ let rec stmt_count (ss : Kir.Ast.stmt list) : int =
 
 let kir_size (k : Kir.Ast.kernel) = stmt_count k.body
 
-(* [extra_ptx] runs after the optimization fixpoint, each pass verified
+(* [extra_ptx] runs after the optimization loop, each pass verified
    on its own: the --rules peephole leg, or a test's broken pass. *)
 let compile ?hook ?analyze ?(extra_ptx = []) (kir_passes : schedule) (kernel : Kir.Ast.kernel) :
     compiled =
