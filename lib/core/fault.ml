@@ -18,8 +18,7 @@
 (* Raised by [Pipeline] when a pass corrupts its kernel (the stage's
    verifier rejected the output) or a verifier itself finds the input
    ill-formed.  Defined here, below [Pipeline], so the classifier can
-   match on it without a dependency cycle through the report layer;
-   [Pipeline.Pass_failed] re-exports it under the historical name. *)
+   match on it without a dependency cycle through the report layer. *)
 exception Pass_failed of { stage : string; reason : string }
 
 type t =
@@ -64,7 +63,7 @@ let to_string = function
 let () =
   Printexc.register_printer (function
     | Pass_failed { stage; reason } ->
-      Some (Printf.sprintf "Tuner.Pipeline.Pass_failed(%s: %s)" stage reason)
+      Some (Printf.sprintf "Tuner.Fault.Pass_failed(%s: %s)" stage reason)
     | Fail { desc; fault } ->
       Some (Printf.sprintf "Tuner.Fault.Fail(%s: %s)" desc (to_string fault))
     | _ -> None)
