@@ -814,17 +814,22 @@ let lint_cmd =
         print_string (Analysis.Lint.render report);
         (* Dead-store lint ([Ptx.Liveness.dead_defs]): instructions whose
            defined register is dead on every path out of their position.
-           The raw lowering is reported as a count (DCE will remove
-           those); anything still dead in the *optimized* kernel is a
-           wasted issue slot and is listed instruction by instruction. *)
-        let lowered = Kir.Lower.lower wb.Apps.Workbench.wb_kernel in
-        let dead_lowered = Ptx.Liveness.dead_defs lowered in
+           The report's raw lowering is reported as a count (DCE will
+           remove those); anything still dead in the *optimized* kernel
+           is a wasted issue slot and is listed instruction by
+           instruction.  The workbench's own kernel comes optimized from
+           its compile; a mutant is optimized here. *)
+        let raw = report.Analysis.Lint.r_ptx in
+        let dead_lowered = Ptx.Liveness.dead_defs raw in
         if dead_lowered <> [] then
           Printf.printf "dead stores: %d in the raw lowering (removed by dce)\n"
             (List.length dead_lowered);
-        let dead =
-          Ptx.Liveness.dead_defs wb.Apps.Workbench.wb_compiled.Tuner.Pipeline.ptx
+        let optimized =
+          match mutant with
+          | None -> wb.Apps.Workbench.wb_compiled.Tuner.Pipeline.ptx
+          | Some _ -> Ptx.Opt.run raw
         in
+        let dead = Ptx.Liveness.dead_defs optimized in
         if dead = [] then Printf.printf "dead stores: none in the optimized kernel\n"
         else begin
           Printf.printf "dead stores: %d survive optimization (wasted issue slots):\n"
@@ -952,12 +957,8 @@ let run_cmd =
       @ List.map (fun (n, v) -> (n, Gpu.Sim.F v)) floats
     in
     let launch = { Gpu.Sim.kernel = ptx; grid = (gx, gy); block = (bx, by); args } in
-    (* The timing pass executes its blocks too; it runs on a copy so
-       the printed buffers hold exactly one functional execution. *)
     let stats =
-      Gpu.Sim.run
-        ~mode:(Gpu.Sim.Timing { max_blocks = Gpu.Sim.default_max_blocks })
-        (Gpu.Device.clone dev) launch
+      Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks = Gpu.Sim.default_max_blocks }) dev launch
     in
     ignore (Gpu.Sim.run ~mode:Gpu.Sim.Functional dev launch);
     Printf.printf

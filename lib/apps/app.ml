@@ -135,10 +135,11 @@ module Make (A : S) = struct
           ~profile:c.profile ~threads_per_block:(bx * by)
           ~threads_total:(gx * gy * bx * by)
           ~run:(fun () ->
-            (* A private clone of the staged device: thunks may run on
-               concurrent domains (Search ~jobs). *)
-            let dev = Gpu.Device.clone (device p) in
-            (Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks }) ~arch dev (launch_of p cfg ptx))
+            (* A timing launch writes nothing of the device it is given,
+               so thunks on concurrent domains (Search ~jobs) share the
+               staged one. *)
+            (Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks }) ~arch (device p)
+               (launch_of p cfg ptx))
               .time_s)
           ())
       (Tuner.Space.elements space)

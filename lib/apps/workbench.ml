@@ -44,7 +44,7 @@ let lint_mutant (wb : t) (mutate : Kir.Ast.kernel -> Kir.Ast.kernel) : Analysis.
 
 (* Diff [report]'s static predictions — [lint wb]'s, or a mutant's from
    [lint_mutant wb] — against the simulator's per-site counters on the
-   workbench's launch.  The diff is named for the workbench either way. *)
+   workbench's launch.  The diff keeps the report's name, so a mutant's
+   says so. *)
 let crossval (wb : t) (report : Analysis.Lint.report) : Analysis.Crossval.t =
-  Analysis.Crossval.run ~dev:wb.wb_dev ~arch:wb.wb_arch ~args:wb.wb_args
-    { report with Analysis.Lint.r_name = name wb }
+  Analysis.Crossval.run ~dev:wb.wb_dev ~arch:wb.wb_arch ~args:wb.wb_args report

@@ -64,8 +64,9 @@ let alloc_const t words =
 
 (* Deep copy: a private memory image with the same buffer addresses.
    Buffers allocated on the original remain valid on the clone, so a
-   staged problem can be cloned per measurement and kernels launched on
-   the clones from concurrent domains without sharing mutable state. *)
+   launch that must not write the caller's memory runs on a clone: a
+   timing launch whose slice keeps global stores ([Sim.run]), or the
+   functional replay of a cross-validation. *)
 let clone t =
   {
     glob = Array.copy t.glob;

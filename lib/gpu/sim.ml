@@ -20,12 +20,17 @@
    - block residency limited by occupancy (B_SM), with finished blocks
      replaced from the pending queue.
 
-   Execution is functional as well as timed: instructions compute real
-   binary32 values against device memory, so the same engine validates
-   kernel outputs and measures performance.  Large grids are simulated
-   for a bounded number of blocks on one representative SM and
-   extrapolated linearly (the paper observes linear scaling in input
-   size).
+   [Functional] launches compute real binary32 values against device
+   memory, so the same engine validates kernel outputs.  [Timing]
+   launches execute only the kernel's timing slice ([timing_slice]):
+   the registers and memory spaces whose values can reach a branch or
+   an address.  Every other instruction keeps its issue cost, latency
+   and scoreboard effect and every memory access its addresses, bounds
+   traps, cost and site counters, but computes, reads and writes no
+   value; a timing launch never writes the device it is given.  Large
+   grids are simulated for a bounded number of blocks on one
+   representative SM and extrapolated linearly (the paper observes
+   linear scaling in input size).
 
    The execution core is compiled, not interpretive: [compile_kernel]
    pre-decodes every instruction into a record of closures with operand
@@ -482,17 +487,198 @@ type ckernel = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* Timing slice                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* A timing launch reports cycles, transactions, bank conflicts and
+   site counters.  A lane's value reaches them only through a branch
+   predicate (which lanes take which path) or a load or store base
+   (coalescing, bank degree, constant broadcast and the bounds traps).
+   The timing slice is the registers and memory spaces whose values
+   can get there:
+
+   - seeds: the base of every [Ld] and [St] and the predicate of every
+     [Br];
+   - an instruction whose destination is kept keeps its operands.  The
+     rule is flow-insensitive by register, so every definition of a
+     kept register is kept;
+   - a load into a kept register keeps its global, shared or local
+     space, and a store to a kept space keeps its value operand.
+     Constant memory is read-only.
+
+   At the fixpoint every value a kept instruction reads was computed
+   by a kept instruction or loaded from a kept space, so executing
+   only the kept work leaves every kept value, hence every statistic,
+   as it was. *)
+type slice = {
+  keep_f : bool array;  (* kept registers per class, by index *)
+  keep_r : bool array;
+  keep_p : bool array;
+  mutable keep_global : bool;  (* spaces whose stores keep their value *)
+  mutable keep_shared : bool;
+  mutable keep_local : bool;
+}
+
+let keeps (s : slice) (r : Reg.t) : bool =
+  let i = Reg.idx r in
+  match Reg.ty r with Reg.F32 -> s.keep_f.(i) | Reg.S32 -> s.keep_r.(i) | Reg.Pred -> s.keep_p.(i)
+
+let keeps_space (s : slice) (sp : Instr.space) : bool =
+  match sp with
+  | Instr.Global -> s.keep_global
+  | Instr.Shared -> s.keep_shared
+  | Instr.Local -> s.keep_local
+  | Instr.Const -> true
+
+(* The slice of [k], whose register files are [nf], [nr] and [np]
+   wide ([Prog.regfile_sizes], shared with the decode).  Each round
+   walks the kernel backward, because a definition usually precedes
+   its uses: straight-line chains close in one round, and loop-carried
+   ones and the memory rule take one more each.  No round allocates. *)
+let timing_slice (k : Prog.t) ~nf ~nr ~np : slice =
+  let s =
+    {
+      keep_f = Array.make nf false;
+      keep_r = Array.make nr false;
+      keep_p = Array.make np false;
+      keep_global = false;
+      keep_shared = false;
+      keep_local = false;
+    }
+  in
+  let grew = ref true in
+  let mark r =
+    let a = match Reg.ty r with Reg.F32 -> s.keep_f | Reg.S32 -> s.keep_r | Reg.Pred -> s.keep_p in
+    let i = Reg.idx r in
+    if not a.(i) then begin
+      a.(i) <- true;
+      grew := true
+    end
+  in
+  let keep_space (sp : Instr.space) =
+    if not (keeps_space s sp) then begin
+      (match sp with
+      | Instr.Global -> s.keep_global <- true
+      | Instr.Shared -> s.keep_shared <- true
+      | Instr.Local -> s.keep_local <- true
+      | Instr.Const -> ());
+      grew := true
+    end
+  in
+  let step (ins : Instr.t) =
+    match ins with
+    | Instr.Ld (sp, d, { base; _ }) ->
+      Instr.use_op mark base;
+      if keeps s d then keep_space sp
+    | Instr.St (sp, { base; _ }, v) ->
+      Instr.use_op mark base;
+      if keeps_space s sp then Instr.use_op mark v
+    | Instr.Bar -> ()
+    | Instr.Mov (d, _)
+    | Instr.F2 (_, d, _, _)
+    | Instr.F1 (_, d, _)
+    | Instr.Fmad (d, _, _, _)
+    | Instr.I2 (_, d, _, _)
+    | Instr.Imad (d, _, _, _)
+    | Instr.Cvt_f2i (d, _)
+    | Instr.Cvt_i2f (d, _)
+    | Instr.Setp (_, _, d, _, _)
+    | Instr.Selp (d, _, _, _)
+    | Instr.Pnot (d, _)
+    | Instr.P2 (_, d, _, _) -> if keeps s d then Instr.iter_uses mark ins
+  in
+  let rec body = function
+    | [] -> ()
+    | ins :: rest ->
+      body rest;
+      step ins
+  in
+  let rec blocks = function
+    | [] -> ()
+    | (b : Prog.block) :: rest ->
+      blocks rest;
+      (match b.term with Prog.Br { pred; _ } -> mark pred | Prog.Jump _ | Prog.Ret -> ());
+      body b.body
+  in
+  while !grew do
+    grew := false;
+    blocks k.blocks
+  done;
+  s
+
+(* ------------------------------------------------------------------ *)
 (* Pre-decode                                                          *)
 (* ------------------------------------------------------------------ *)
 
 let no_def : warp -> int = fun _ -> 0
 
+(* The memory-cost tails shared by a space's loads and stores, run
+   after the lane loop has filled [env.addrs].  [global_tx] charges the
+   two half-warps' coalesced or per-lane transactions to the channel
+   and returns the cycle the last completes; [bank_replays] returns the
+   shared-memory conflict degree after charging its extra issue cycles;
+   [local_tx] charges one 64-byte transaction per active half-warp. *)
+let global_tx (env : env) (tx : int -> int -> unit) (mask : int) (c : int) : int =
+  let lat = env.lat and addrs = env.addrs in
+  let p0 = coalesce_packed addrs mask 0 in
+  let tx0 = p0 lsr 16 and by0 = p0 land 0xFFFF in
+  let p1 = coalesce_packed addrs mask 1 in
+  let tx1 = p1 lsr 16 and by1 = p1 land 0xFFFF in
+  tx (tx0 + tx1) ((if tx0 = 1 then by0 else 64 * tx0) + if tx1 = 1 then by1 else 64 * tx1);
+  let cost0 = if tx0 = 1 then lat.coalesced_tx else lat.uncoalesced_tx in
+  let cost1 = if tx1 = 1 then lat.coalesced_tx else lat.uncoalesced_tx in
+  let done0 =
+    charge_channel env (c + lat.issue) ~tx:tx0
+      ~bytes:(if tx0 = 1 then by0 else 64 * tx0)
+      ~tx_cost:cost0
+  in
+  charge_channel env done0 ~tx:tx1 ~bytes:(if tx1 = 1 then by1 else 64 * tx1) ~tx_cost:cost1
+
+let bank_replays (env : env) (replays : int -> unit) (mask : int) : int =
+  let deg =
+    max (bank_degree env.per_bank env.addrs mask 0) (bank_degree env.per_bank env.addrs mask 1)
+  in
+  replays deg;
+  env.sm.conflict_extra <- env.sm.conflict_extra + ((deg - 1) * env.lat.issue);
+  deg
+
+let local_tx (env : env) (tx : int -> int -> unit) (mask : int) (c : int) : int =
+  let halves =
+    (if mask land 0xFFFF <> 0 then 1 else 0) + if mask land 0xFFFF0000 <> 0 then 1 else 0
+  in
+  tx halves (64 * halves);
+  charge_channel env (c + env.lat.issue) ~tx:halves ~bytes:(64 * halves)
+    ~tx_cost:env.lat.coalesced_tx
+
+(* The lane loop of a memory access outside the timing slice: the
+   active lanes' byte addresses into [env.addrs], each checked in lane
+   order against the [words] the space holds, with [oob] raising the
+   full form's error for the first address out of range.  Inlined, so
+   each decoded access runs its own copy of the loop, as the full forms
+   do. *)
+let[@inline] lane_addrs (env : env) (base : isrc) (offset : int) (w : warp) (mask : int) (words : int)
+    (oob : int -> unit) : unit =
+  let ir = w.iregs and addrs = env.addrs in
+  for l = 0 to 31 do
+    if mask land (1 lsl l) <> 0 then begin
+      let a = get_i base ir w l + offset in
+      addrs.(l) <- a;
+      if a lsr 2 >= words then oob a
+    end
+  done
+
 (* Compile [k] against the launch environment: resolve labels,
    parameters and operand classes once, turning each instruction into a
    [dinstr].  All operand/type validation happens here, at launch time,
-   instead of on the execution path. *)
-let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
-    (site_rows : site_counter option array array) : ckernel =
+   instead of on the execution path.  [regs] is [Prog.regfile_sizes k].
+   A timing launch passes its [slice]: an instruction outside it
+   decodes to its timing-only form, with the same validation, issue
+   cost, latency and scoreboard effect and, for a memory access, the
+   same lane addresses, bounds traps, memory cost and site counters,
+   but no value computed, read or written.  A functional launch passes
+   [None] and decodes every instruction in full. *)
+let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : Prog.t)
+    (args : (string * arg) list) (site_rows : site_counter option array array) : ckernel =
   let lat = env.lat in
   let cell = Domain.DLS.get f32_cell in
   let idx = Prog.block_index k in
@@ -501,7 +687,8 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
     | Some i -> i
     | None -> launch_error "unknown block label %S" l
   in
-  let nf, nr, np = Prog.regfile_sizes k in
+  let keep_reg r = match slice with None -> true | Some s -> keeps s r in
+  let keep_space sp = match slice with None -> true | Some s -> keeps_space s sp in
   let params : (string, pval) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (p : Prog.param) ->
@@ -602,16 +789,20 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
     | Reg.Pred -> fun w c -> w.p_ready.(i) <- c
   in
   (* ALU-class instruction: occupies one issue slot, result ready after
-     the SP pipeline RAW latency. *)
+     the SP pipeline RAW latency.  Outside the slice, [body] never
+     runs. *)
   let alu ops d (body : warp -> int -> unit) : dinstr =
     let sr = set_ready d in
     {
       d_ready = ready_of ops;
       d_exec =
-        (fun w mask c ->
-          body w mask;
-          sr w (c + lat.alu);
-          lat.issue);
+        (if keep_reg d then fun w mask c ->
+           body w mask;
+           sr w (c + lat.alu);
+           lat.issue
+         else fun w _ c ->
+           sr w (c + lat.alu);
+           lat.issue);
       d_long = false;
       d_barrier = false;
       d_def_ready = no_def;
@@ -732,10 +923,13 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
         {
           d_ready = ready_of [ a ];
           d_exec =
-            (fun w mask c ->
-              body w mask;
-              sr w (c + lat.sfu);
-              lat.sfu_issue);
+            (if keep_reg d then fun w mask c ->
+               body w mask;
+               sr w (c + lat.sfu);
+               lat.sfu_issue
+             else fun w _ c ->
+               sr w (c + lat.sfu);
+               lat.sfu_issue);
           d_long = true;
           d_barrier = false;
           d_def_ready = reg_ready d;
@@ -921,6 +1115,10 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
       let doff = Reg.idx d * 32 in
       let sr = set_ready d in
       let tx = count_tx sc and replays = count_replays sc in
+      (* Outside the slice a load fills [env.addrs] and checks its
+         bounds like the full form ([lane_addrs]), then pays the same
+         memory cost; it reads no memory and writes no register. *)
+      let keep = keep_reg d in
       match space with
       | Instr.Global ->
         {
@@ -929,44 +1127,32 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
           d_barrier = false;
           d_def_ready = reg_ready d;
           d_exec =
-            (fun w mask c ->
-              let fr = w.fregs and ir = w.iregs and pr = w.pregs in
-              let addrs = env.addrs in
-              let g = env.dev.Device.glob in
-              let glen = Array.length g in
-              for l = 0 to 31 do
-                if mask land (1 lsl l) <> 0 then begin
-                  let a = get_i base' ir w l + offset in
-                  addrs.(l) <- a;
-                  (* Bounds check mirrors [Device.read_global]; the out-of-
-                     range path re-enters it for the identical exception. *)
-                  let wi = a lsr 2 in
-                  let v =
-                    if wi < 0 || wi >= glen then Device.read_global env.dev a else g.(wi)
-                  in
-                  put_ld dty fr ir pr doff l v
-                end
-              done;
-              let p0 = coalesce_packed addrs mask 0 in
-              let tx0 = p0 lsr 16 and by0 = p0 land 0xFFFF in
-              let p1 = coalesce_packed addrs mask 1 in
-              let tx1 = p1 lsr 16 and by1 = p1 land 0xFFFF in
-              tx (tx0 + tx1)
-                ((if tx0 = 1 then by0 else 64 * tx0) + if tx1 = 1 then by1 else 64 * tx1);
-              let cost0 = if tx0 = 1 then lat.coalesced_tx else lat.uncoalesced_tx in
-              let cost1 = if tx1 = 1 then lat.coalesced_tx else lat.uncoalesced_tx in
-              let done0 =
-                charge_channel env (c + lat.issue) ~tx:tx0
-                  ~bytes:(if tx0 = 1 then by0 else 64 * tx0)
-                  ~tx_cost:cost0
-              in
-              let done1 =
-                charge_channel env done0 ~tx:tx1
-                  ~bytes:(if tx1 = 1 then by1 else 64 * tx1)
-                  ~tx_cost:cost1
-              in
-              sr w (done1 + lat.global);
-              lat.issue);
+            (if keep then fun w mask c ->
+               let fr = w.fregs and ir = w.iregs and pr = w.pregs in
+               let addrs = env.addrs in
+               let g = env.dev.Device.glob in
+               let glen = Array.length g in
+               for l = 0 to 31 do
+                 if mask land (1 lsl l) <> 0 then begin
+                   let a = get_i base' ir w l + offset in
+                   addrs.(l) <- a;
+                   (* Bounds check mirrors [Device.read_global]; the out-of-
+                      range path re-enters it for the identical exception. *)
+                   let wi = a lsr 2 in
+                   let v =
+                     if wi < 0 || wi >= glen then Device.read_global env.dev a else g.(wi)
+                   in
+                   put_ld dty fr ir pr doff l v
+                 end
+               done;
+               sr w (global_tx env tx mask c + lat.global);
+               lat.issue
+             else
+               let oob a = ignore (Device.read_global env.dev a) in
+               fun w mask c ->
+                 lane_addrs env base' offset w mask (Array.length env.dev.Device.glob) oob;
+                 sr w (global_tx env tx mask c + lat.global);
+                 lat.issue);
         }
       | Instr.Shared ->
         {
@@ -975,28 +1161,31 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
           d_barrier = false;
           d_def_ready = no_def;
           d_exec =
-            (fun w mask c ->
-              let fr = w.fregs and ir = w.iregs and pr = w.pregs in
-              let addrs = env.addrs in
-              let sh = w.blk.shared in
-              let n = Array.length sh in
-              for l = 0 to 31 do
-                if mask land (1 lsl l) <> 0 then begin
-                  let a = get_i base' ir w l + offset in
-                  addrs.(l) <- a;
-                  let wi = a lsr 2 in
-                  if wi < 0 || wi >= n then
-                    launch_error "shared load out of bounds (addr %d)" a;
-                  put_ld dty fr ir pr doff l sh.(wi)
-                end
-              done;
-              let deg =
-                max (bank_degree env.per_bank addrs mask 0) (bank_degree env.per_bank addrs mask 1)
-              in
-              replays deg;
-              env.sm.conflict_extra <- env.sm.conflict_extra + ((deg - 1) * lat.issue);
-              sr w (c + lat.shared);
-              lat.issue * deg);
+            (if keep then fun w mask c ->
+               let fr = w.fregs and ir = w.iregs and pr = w.pregs in
+               let addrs = env.addrs in
+               let sh = w.blk.shared in
+               let n = Array.length sh in
+               for l = 0 to 31 do
+                 if mask land (1 lsl l) <> 0 then begin
+                   let a = get_i base' ir w l + offset in
+                   addrs.(l) <- a;
+                   let wi = a lsr 2 in
+                   if wi < 0 || wi >= n then
+                     launch_error "shared load out of bounds (addr %d)" a;
+                   put_ld dty fr ir pr doff l sh.(wi)
+                 end
+               done;
+               let deg = bank_replays env replays mask in
+               sr w (c + lat.shared);
+               lat.issue * deg
+             else
+               let oob a = launch_error "shared load out of bounds (addr %d)" a in
+               fun w mask c ->
+                 lane_addrs env base' offset w mask (Array.length w.blk.shared) oob;
+                 let deg = bank_replays env replays mask in
+                 sr w (c + lat.shared);
+                 lat.issue * deg);
         }
       | Instr.Const ->
         {
@@ -1005,26 +1194,34 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
           d_barrier = false;
           d_def_ready = no_def;
           d_exec =
-            (fun w mask c ->
-              let fr = w.fregs and ir = w.iregs and pr = w.pregs in
-              let addrs = env.addrs in
-              let cst = env.dev.Device.cst in
-              let clen = Array.length cst in
-              for l = 0 to 31 do
-                if mask land (1 lsl l) <> 0 then begin
-                  let a = get_i base' ir w l + offset in
-                  addrs.(l) <- a;
-                  let wi = a lsr 2 in
-                  let v =
-                    if wi < 0 || wi >= clen then Device.read_const env.dev a else cst.(wi)
-                  in
-                  put_ld dty fr ir pr doff l v
-                end
-              done;
-              let deg = max 1 (distinct_addresses addrs mask) in
-              replays deg;
-              sr w (c + lat.const_hit);
-              lat.issue * deg);
+            (if keep then fun w mask c ->
+               let fr = w.fregs and ir = w.iregs and pr = w.pregs in
+               let addrs = env.addrs in
+               let cst = env.dev.Device.cst in
+               let clen = Array.length cst in
+               for l = 0 to 31 do
+                 if mask land (1 lsl l) <> 0 then begin
+                   let a = get_i base' ir w l + offset in
+                   addrs.(l) <- a;
+                   let wi = a lsr 2 in
+                   let v =
+                     if wi < 0 || wi >= clen then Device.read_const env.dev a else cst.(wi)
+                   in
+                   put_ld dty fr ir pr doff l v
+                 end
+               done;
+               let deg = max 1 (distinct_addresses addrs mask) in
+               replays deg;
+               sr w (c + lat.const_hit);
+               lat.issue * deg
+             else
+               let oob a = ignore (Device.read_const env.dev a) in
+               fun w mask c ->
+                 lane_addrs env base' offset w mask (Array.length env.dev.Device.cst) oob;
+                 let deg = max 1 (distinct_addresses env.addrs mask) in
+                 replays deg;
+                 sr w (c + lat.const_hit);
+                 lat.issue * deg);
         }
       | Instr.Local ->
         (* Local memory is off-chip but laid out interleaved per thread,
@@ -1035,32 +1232,29 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
           d_barrier = false;
           d_def_ready = reg_ready d;
           d_exec =
-            (fun w mask c ->
-              let fr = w.fregs and ir = w.iregs and pr = w.pregs in
-              let addrs = env.addrs in
-              let lm = w.blk.local in
-              for l = 0 to 31 do
-                if mask land (1 lsl l) <> 0 then begin
-                  let a = get_i base' ir w l + offset in
-                  addrs.(l) <- a;
-                  let tid = (w.wid * 32) + l in
-                  let wi = (tid * lmem_words) + (a lsr 2) in
-                  if a lsr 2 >= lmem_words then
-                    launch_error "local load out of bounds (addr %d)" a;
-                  put_ld dty fr ir pr doff l lm.(wi)
-                end
-              done;
-              let halves =
-                (if mask land 0xFFFF <> 0 then 1 else 0)
-                + if mask land 0xFFFF0000 <> 0 then 1 else 0
-              in
-              tx halves (64 * halves);
-              let done_ =
-                charge_channel env (c + lat.issue) ~tx:halves ~bytes:(64 * halves)
-                  ~tx_cost:lat.coalesced_tx
-              in
-              sr w (done_ + lat.global);
-              lat.issue);
+            (if keep then fun w mask c ->
+               let fr = w.fregs and ir = w.iregs and pr = w.pregs in
+               let addrs = env.addrs in
+               let lm = w.blk.local in
+               for l = 0 to 31 do
+                 if mask land (1 lsl l) <> 0 then begin
+                   let a = get_i base' ir w l + offset in
+                   addrs.(l) <- a;
+                   let tid = (w.wid * 32) + l in
+                   let wi = (tid * lmem_words) + (a lsr 2) in
+                   if a lsr 2 >= lmem_words then
+                     launch_error "local load out of bounds (addr %d)" a;
+                   put_ld dty fr ir pr doff l lm.(wi)
+                 end
+               done;
+               sr w (local_tx env tx mask c + lat.global);
+               lat.issue
+             else
+               let oob a = launch_error "local load out of bounds (addr %d)" a in
+               fun w mask c ->
+                 lane_addrs env base' offset w mask lmem_words oob;
+                 sr w (local_tx env tx mask c + lat.global);
+                 lat.issue);
         })
     | Instr.St (space, { base; offset }, v) -> (
       let base' = isrc_of base in
@@ -1077,6 +1271,10 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
         | Instr.Par p -> VF (FK (param_flt p))
       in
       let tx = count_tx sc and replays = count_replays sc in
+      (* A store to a space outside the slice fills [env.addrs], checks
+         its bounds and pays its cost like the full form, and writes
+         nothing. *)
+      let keep = keep_space space in
       match space with
       | Instr.Global ->
         {
@@ -1085,39 +1283,30 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
           d_barrier = false;
           d_def_ready = no_def;
           d_exec =
-            (fun w mask c ->
-              let fr = w.fregs and ir = w.iregs in
-              let addrs = env.addrs in
-              fill_v v' fr ir w mask va;
-              let g = env.dev.Device.glob in
-              let glen = Array.length g in
-              for l = 0 to 31 do
-                if mask land (1 lsl l) <> 0 then begin
-                  let a = get_i base' ir w l + offset in
-                  addrs.(l) <- a;
-                  let wi = a lsr 2 in
-                  if wi < 0 || wi >= glen then Device.write_global env.dev a va.(l)
-                  else g.(wi) <- va.(l)
-                end
-              done;
-              let p0 = coalesce_packed addrs mask 0 in
-              let tx0 = p0 lsr 16 and by0 = p0 land 0xFFFF in
-              let p1 = coalesce_packed addrs mask 1 in
-              let tx1 = p1 lsr 16 and by1 = p1 land 0xFFFF in
-              tx (tx0 + tx1)
-                ((if tx0 = 1 then by0 else 64 * tx0) + if tx1 = 1 then by1 else 64 * tx1);
-              let cost0 = if tx0 = 1 then lat.coalesced_tx else lat.uncoalesced_tx in
-              let cost1 = if tx1 = 1 then lat.coalesced_tx else lat.uncoalesced_tx in
-              let done0 =
-                charge_channel env (c + lat.issue) ~tx:tx0
-                  ~bytes:(if tx0 = 1 then by0 else 64 * tx0)
-                  ~tx_cost:cost0
-              in
-              ignore
-                (charge_channel env done0 ~tx:tx1
-                   ~bytes:(if tx1 = 1 then by1 else 64 * tx1)
-                   ~tx_cost:cost1);
-              lat.issue);
+            (if keep then fun w mask c ->
+               let fr = w.fregs and ir = w.iregs in
+               let addrs = env.addrs in
+               fill_v v' fr ir w mask va;
+               let g = env.dev.Device.glob in
+               let glen = Array.length g in
+               for l = 0 to 31 do
+                 if mask land (1 lsl l) <> 0 then begin
+                   let a = get_i base' ir w l + offset in
+                   addrs.(l) <- a;
+                   let wi = a lsr 2 in
+                   if wi < 0 || wi >= glen then Device.write_global env.dev a va.(l)
+                   else g.(wi) <- va.(l)
+                 end
+               done;
+               ignore (global_tx env tx mask c);
+               lat.issue
+             else
+               (* Out of range, so it traps and writes nothing. *)
+               let oob a = Device.write_global env.dev a 0.0 in
+               fun w mask c ->
+                 lane_addrs env base' offset w mask (Array.length env.dev.Device.glob) oob;
+                 ignore (global_tx env tx mask c);
+                 lat.issue);
         }
       | Instr.Shared ->
         {
@@ -1126,28 +1315,28 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
           d_barrier = false;
           d_def_ready = no_def;
           d_exec =
-            (fun w mask _c ->
-              let fr = w.fregs and ir = w.iregs in
-              let addrs = env.addrs in
-              fill_v v' fr ir w mask va;
-              let sh = w.blk.shared in
-              let n = Array.length sh in
-              for l = 0 to 31 do
-                if mask land (1 lsl l) <> 0 then begin
-                  let a = get_i base' ir w l + offset in
-                  addrs.(l) <- a;
-                  let wi = a lsr 2 in
-                  if wi < 0 || wi >= n then
-                    launch_error "shared store out of bounds (addr %d)" a;
-                  sh.(wi) <- va.(l)
-                end
-              done;
-              let deg =
-                max (bank_degree env.per_bank addrs mask 0) (bank_degree env.per_bank addrs mask 1)
-              in
-              replays deg;
-              env.sm.conflict_extra <- env.sm.conflict_extra + ((deg - 1) * lat.issue);
-              lat.issue * deg);
+            (if keep then fun w mask _c ->
+               let fr = w.fregs and ir = w.iregs in
+               let addrs = env.addrs in
+               fill_v v' fr ir w mask va;
+               let sh = w.blk.shared in
+               let n = Array.length sh in
+               for l = 0 to 31 do
+                 if mask land (1 lsl l) <> 0 then begin
+                   let a = get_i base' ir w l + offset in
+                   addrs.(l) <- a;
+                   let wi = a lsr 2 in
+                   if wi < 0 || wi >= n then
+                     launch_error "shared store out of bounds (addr %d)" a;
+                   sh.(wi) <- va.(l)
+                 end
+               done;
+               lat.issue * bank_replays env replays mask
+             else
+               let oob a = launch_error "shared store out of bounds (addr %d)" a in
+               fun w mask _c ->
+                 lane_addrs env base' offset w mask (Array.length w.blk.shared) oob;
+                 lat.issue * bank_replays env replays mask);
         }
       | Instr.Const -> launch_error "stores to constant memory are not allowed"
       | Instr.Local ->
@@ -1157,30 +1346,29 @@ let compile_kernel (env : env) (k : Prog.t) (args : (string * arg) list)
           d_barrier = false;
           d_def_ready = no_def;
           d_exec =
-            (fun w mask c ->
-              let fr = w.fregs and ir = w.iregs in
-              let addrs = env.addrs in
-              fill_v v' fr ir w mask va;
-              let lm = w.blk.local in
-              for l = 0 to 31 do
-                if mask land (1 lsl l) <> 0 then begin
-                  let a = get_i base' ir w l + offset in
-                  addrs.(l) <- a;
-                  let tid = (w.wid * 32) + l in
-                  if a lsr 2 >= lmem_words then
-                    launch_error "local store out of bounds (addr %d)" a;
-                  lm.((tid * lmem_words) + (a lsr 2)) <- va.(l)
-                end
-              done;
-              let halves =
-                (if mask land 0xFFFF <> 0 then 1 else 0)
-                + if mask land 0xFFFF0000 <> 0 then 1 else 0
-              in
-              tx halves (64 * halves);
-              ignore
-                (charge_channel env (c + lat.issue) ~tx:halves ~bytes:(64 * halves)
-                   ~tx_cost:lat.coalesced_tx);
-              lat.issue);
+            (if keep then fun w mask c ->
+               let fr = w.fregs and ir = w.iregs in
+               let addrs = env.addrs in
+               fill_v v' fr ir w mask va;
+               let lm = w.blk.local in
+               for l = 0 to 31 do
+                 if mask land (1 lsl l) <> 0 then begin
+                   let a = get_i base' ir w l + offset in
+                   addrs.(l) <- a;
+                   let tid = (w.wid * 32) + l in
+                   if a lsr 2 >= lmem_words then
+                     launch_error "local store out of bounds (addr %d)" a;
+                   lm.((tid * lmem_words) + (a lsr 2)) <- va.(l)
+                 end
+               done;
+               ignore (local_tx env tx mask c);
+               lat.issue
+             else
+               let oob a = launch_error "local store out of bounds (addr %d)" a in
+               fun w mask c ->
+                 lane_addrs env base' offset w mask lmem_words oob;
+                 ignore (local_tx env tx mask c);
+                 lat.issue);
         })
     | Instr.Bar ->
       {
@@ -1731,6 +1919,12 @@ let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev
       in
       max 1 (warps_per_block * blocks_accounted) * watchdog_per_warp ()
   in
+  let nf, nr, np = Prog.regfile_sizes l.kernel in
+  let slice = if timing then Some (timing_slice l.kernel ~nf ~nr ~np) else None in
+  (* A timing launch writes nothing of the caller's device: it stores
+     to global memory only when the slice keeps global stores, and then
+     on a copy of its own. *)
+  let dev = match slice with Some s when s.keep_global -> Device.clone dev | _ -> dev in
   let env =
     {
       dev;
@@ -1772,7 +1966,7 @@ let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev
   let site_counters =
     List.concat_map (fun row -> List.filter_map Fun.id (Array.to_list row)) site_rows
   in
-  let ck = compile_kernel env l.kernel l.args (Array.of_list site_rows) in
+  let ck = compile_kernel env ~regs:(nf, nr, np) ~slice l.kernel l.args (Array.of_list site_rows) in
   let total_blocks = gx * gy in
   let coord i = (i mod gx, i / gx) in
   let note_run () =

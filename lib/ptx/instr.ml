@@ -98,22 +98,25 @@ let operands = function
 let uses i = List.filter_map reg_of_operand (operands i)
 
 (* [List.iter f (uses i)] without building the lists: the dataflow
-   passes call this once per instruction per round. *)
+   passes call this once per instruction per round, and the simulator
+   once per instruction per launch.  [use_op] is top-level, so a call
+   allocates no closure. *)
+let use_op (f : Reg.t -> unit) = function Reg r -> f r | Imm_f _ | Imm_i _ | Spec _ | Par _ -> ()
+
 let iter_uses (f : Reg.t -> unit) (i : t) : unit =
-  let op = function Reg r -> f r | Imm_f _ | Imm_i _ | Spec _ | Par _ -> () in
   match i with
-  | Mov (_, a) | F1 (_, _, a) | Cvt_f2i (_, a) | Cvt_i2f (_, a) | Pnot (_, a) -> op a
+  | Mov (_, a) | F1 (_, _, a) | Cvt_f2i (_, a) | Cvt_i2f (_, a) | Pnot (_, a) -> use_op f a
   | F2 (_, _, a, b) | I2 (_, _, a, b) | Setp (_, _, _, a, b) | P2 (_, _, a, b) ->
-    op a;
-    op b
+    use_op f a;
+    use_op f b
   | Fmad (_, a, b, c) | Imad (_, a, b, c) | Selp (_, a, b, c) ->
-    op a;
-    op b;
-    op c
-  | Ld (_, _, { base; _ }) -> op base
+    use_op f a;
+    use_op f b;
+    use_op f c
+  | Ld (_, _, { base; _ }) -> use_op f base
   | St (_, { base; _ }, v) ->
-    op base;
-    op v
+    use_op f base;
+    use_op f v
   | Bar -> ()
 
 (* Rewrite every register occurrence (defs and uses) through [f]. *)

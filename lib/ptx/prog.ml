@@ -172,14 +172,24 @@ let static_size t =
 
 (* Register-file sizes per class: one more than the highest register
    index mentioned anywhere, so simulators can lay registers out as
-   flat per-class arrays (decode helper). *)
+   flat per-class arrays (decode helper).  A fold over the kernel with
+   three counters: every launch computes it. *)
 let regfile_sizes t : int * int * int =
   let nf = ref 0 and nr = ref 0 and np = ref 0 in
-  Reg.Set.iter
-    (fun r ->
-      match Reg.ty r with
-      | Reg.F32 -> nf := max !nf (Reg.idx r + 1)
-      | Reg.S32 -> nr := max !nr (Reg.idx r + 1)
-      | Reg.Pred -> np := max !np (Reg.idx r + 1))
-    (all_regs t);
+  let see r =
+    let n = Reg.idx r + 1 in
+    match Reg.ty r with
+    | Reg.F32 -> if n > !nf then nf := n
+    | Reg.S32 -> if n > !nr then nr := n
+    | Reg.Pred -> if n > !np then np := n
+  in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun i ->
+          (match Instr.def i with Some d -> see d | None -> ());
+          Instr.iter_uses see i)
+        b.body;
+      match b.term with Br { pred; _ } -> see pred | Jump _ | Ret -> ())
+    t.blocks;
   (!nf, !nr, !np)

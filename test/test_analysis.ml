@@ -224,10 +224,10 @@ let crossval_pins =
     smoke "cp" (fun () -> Apps.Cp.workbench Apps.Cp.smoke) "394e8d7ef75084f198f923ccdb018fc7";
     smoke "sad" (fun () -> Apps.Sad.workbench Apps.Sad.smoke) "10d11c37f6c0707fe9fe82c70d87d07f";
     smoke "mri" (fun () -> Apps.Mri_fhd.workbench Apps.Mri_fhd.smoke) "95c5423d10cfea7f04f1448db0f2dcf3";
-    mutant "transposed-As" (Kir.Mutate.transpose_store ~array:"As") "4e4ad3554f0b03234967fc731b6ea867";
+    mutant "transposed-As" (Kir.Mutate.transpose_store ~array:"As") "e1452f380a4a431b526fc517e3520596";
     (* A dropped barrier moves no site's counters: the render is the
-       default's. *)
-    mutant "dropped-sync" (Kir.Mutate.drop_sync ~index:1) "44c4f6756541cd1db49544ee686d1df6";
+       default's below its "(mutant)" header. *)
+    mutant "dropped-sync" (Kir.Mutate.drop_sync ~index:1) "94c00432d985b9fb7dd7fd131afddfe1";
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -255,6 +255,19 @@ let mutant_tests =
                | Ok c -> c.Analysis.Crossval.replays > 0
                | Error _ -> false)
              cv.Analysis.Crossval.cv_sites));
+    t "a mutant's cross-validation is named for the mutant" (fun () ->
+        let wb = wb_exn (Apps.Matmul.workbench Apps.Matmul.smoke) in
+        let render r = Analysis.Crossval.render (Apps.Workbench.crossval wb r) in
+        let split s =
+          let nl = String.index s '\n' in
+          (String.sub s 0 nl, String.sub s nl (String.length s - nl))
+        in
+        let head, rows = split (render (Apps.Workbench.lint_mutant wb (Kir.Mutate.drop_sync ~index:1))) in
+        let head0, rows0 = split (render (Apps.Workbench.lint wb)) in
+        let prefix = Apps.Workbench.name wb ^ " (mutant): " in
+        check_b "mutant header" true (String.starts_with ~prefix head);
+        check_b "default header" true (String.starts_with ~prefix:(Apps.Workbench.name wb ^ ": ") head0);
+        Alcotest.(check string) "rows" rows0 rows);
     t "barrier-dropped matmul mutant is flagged as racy" (fun () ->
         let wb = wb_exn (Apps.Matmul.workbench Apps.Matmul.smoke) in
         let r = Apps.Workbench.lint_mutant wb (Kir.Mutate.drop_sync ~index:1) in
