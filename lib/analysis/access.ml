@@ -16,8 +16,9 @@
    the simulator would perform — blocks × warps × loop iterations —
    computing per-lane byte addresses from the affine form and the
    active mask from the guards.  The coalescing/bank predictors fold
-   the simulator's own [Gpu.Sim.coalesce] / [bank_conflict_degree]
-   over it, which is what makes static predictions bit-exact. *)
+   the simulator's own per-space rules, [Gpu.Sim.half_traffic] and
+   [Gpu.Sim.serialization], over it, which is what makes static
+   predictions bit-exact. *)
 
 open Kir.Ast
 module A = Affine

@@ -1,53 +1,37 @@
 (* Static prediction of global/local-memory transaction counts per
-   access site, by folding the simulator's own half-warp coalescing
-   rule ([Gpu.Sim.coalesce], G80 §2.1 semantics) over every execution
-   the enumeration engine replays.  Because both sides run the same
-   coalescing function over the same addresses, agreement with the
-   dynamic counters is exact, not approximate. *)
+   access site, by folding the simulator's own per-half-warp traffic
+   rule ([Gpu.Sim.half_traffic], G80 §2.1 semantics) over every
+   execution the enumeration engine replays.  Because both sides run
+   the same rule over the same addresses, agreement with the dynamic
+   counters is exact, not approximate. *)
 
 type prediction = {
   p_execs : int;  (* warp executions with a non-empty mask *)
   p_tx : int;  (* total memory transactions *)
-  p_bytes : int;  (* total bytes moved (64B per transaction) *)
+  p_bytes : int;  (* total bytes moved *)
   p_min_half_tx : int;  (* best / worst half-warp transaction count *)
   p_max_half_tx : int;  (* (over halves with at least one active lane) *)
 }
 
 let predict (env : Access.launch_env) (site : Access.info) : prediction =
-  let halves_of ~addrs ~mask acc =
-    let step acc half =
-      let tx, by = Gpu.Sim.coalesce addrs mask half in
-      if tx = 0 then acc
-      else
-        {
-          acc with
-          p_tx = acc.p_tx + tx;
-          p_bytes = (acc.p_bytes + if tx = 1 then by else 64 * tx);
-          p_min_half_tx = min acc.p_min_half_tx tx;
-          p_max_half_tx = max acc.p_max_half_tx tx;
-        }
-    in
-    step (step acc 0) 1
-  in
-  let local_halves ~mask acc =
-    let halves =
-      (if mask land 0xFFFF <> 0 then 1 else 0) + if mask land 0xFFFF0000 <> 0 then 1 else 0
-    in
-    {
-      acc with
-      p_tx = acc.p_tx + halves;
-      p_bytes = acc.p_bytes + (64 * halves);
-      p_min_half_tx = min acc.p_min_half_tx 1;
-      p_max_half_tx = max acc.p_max_half_tx 1;
-    }
+  let half ~addrs ~mask acc h =
+    let p = Gpu.Sim.half_traffic site.Access.i_space addrs mask h in
+    let tx = Gpu.Sim.traffic_tx p in
+    if tx = 0 then acc
+    else
+      {
+        acc with
+        p_tx = acc.p_tx + tx;
+        p_bytes = acc.p_bytes + Gpu.Sim.traffic_bytes p;
+        p_min_half_tx = min acc.p_min_half_tx tx;
+        p_max_half_tx = max acc.p_max_half_tx tx;
+      }
   in
   let init = { p_execs = 0; p_tx = 0; p_bytes = 0; p_min_half_tx = max_int; p_max_half_tx = 0 } in
   let p =
     Access.fold_execs env site ~init ~f:(fun acc ~addrs ~mask ->
         let acc = { acc with p_execs = acc.p_execs + 1 } in
-        match site.Access.i_space with
-        | Kir.Ast.Local -> local_halves ~mask acc
-        | _ -> halves_of ~addrs ~mask acc)
+        half ~addrs ~mask (half ~addrs ~mask acc 0) 1)
   in
   if p.p_execs = 0 then { p with p_min_half_tx = 0 } else p
 

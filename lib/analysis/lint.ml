@@ -77,12 +77,6 @@ let launch_env (inp : input) : Access.launch_env =
 
 let kind_str = function `Load -> "load" | `Store -> "store"
 
-let space_str = function
-  | Kir.Ast.Global -> "global"
-  | Kir.Ast.Shared -> "shared"
-  | Kir.Ast.Const -> "const"
-  | Kir.Ast.Local -> "local"
-
 (* "load As[8·tid.y + k] (loop k, loop tb) @BODY5+0" *)
 let site_desc (sr : site_report) : string =
   let info = sr.sr_info in
@@ -99,7 +93,7 @@ let site_desc (sr : site_report) : string =
       Printf.sprintf " when %s"
         (String.concat " && " (List.map (Access.guard_to_string ~loop_name) gs))
   in
-  Printf.sprintf "%s %s %s[%s]%s%s @%s+%d" (space_str info.Access.i_space)
+  Printf.sprintf "%s %s %s[%s]%s%s @%s+%d" (Ptx.Pp.space_name info.Access.i_space)
     (kind_str info.Access.i_kind) info.Access.i_array
     (A.to_string ~loop_name info.Access.i_index)
     loops guards sr.sr_site.Kir.Lower.s_label sr.sr_site.Kir.Lower.s_index
@@ -144,7 +138,7 @@ let analyze (inp : input) : report =
         if
           ls.Kir.Lower.s_array <> info.Access.i_array
           || ls.Kir.Lower.s_kind <> info.Access.i_kind
-          || ls.Kir.Lower.s_space <> Kir.Ast.space_to_ptx info.Access.i_space
+          || ls.Kir.Lower.s_space <> info.Access.i_space
         then
           failwith
             (Printf.sprintf

@@ -32,15 +32,25 @@
    representative SM and extrapolated linearly (the paper observes
    linear scaling in input size).
 
+   Each memory rule is stated once: [half_traffic] (coalescing and
+   local-memory traffic) and [serialization] (bank conflicts and
+   constant broadcast), which the static analyzer calls too.
+
    The execution core is compiled, not interpretive: [compile_kernel]
    pre-decodes every instruction into a record of closures with operand
    accessors, write paths and latency classes resolved once per launch,
    so the per-issue path performs no instruction-set dispatch, no
-   operand validation and no allocation.  The scheduler keeps runnable
-   warps in a min-heap keyed by their exact earliest-issue cycle (see
-   [run_sm]); a linear-scan reference scheduler is retained behind
-   [?scheduler] for differential testing.  Both produce bit-identical
-   statistics. *)
+   operand validation and no allocation.  Every load decodes to one
+   form and every store to another, over a description of its space
+   ([mspace]: the array behind it, its size, how a lane finds its word,
+   its out-of-range error, and its cost charge, [offchip_charge] or
+   [onchip_charge]); the full and the timing-only variant differ only
+   in whether the lane loop moves each lane's word.
+
+   The scheduler keeps runnable warps in a min-heap keyed by their
+   exact earliest-issue cycle (see [run_sm]); a linear-scan reference
+   scheduler is retained behind [?scheduler] for differential testing.
+   Both produce bit-identical statistics. *)
 
 open Ptx
 
@@ -68,31 +78,10 @@ let () =
         (Printf.sprintf "Gpu.Sim.Watchdog(issued %d warp instructions, budget %d)" issued budget)
     | _ -> None)
 
-(* Default budget = warps simulated x this per-warp cap.  The cap is
-   process-wide (settable, or via GPUOPT_WATCHDOG_PER_WARP) so harnesses
-   can tighten it without threading a parameter through every caller;
-   the default leaves real kernels orders of magnitude of headroom —
-   the heaviest app kernel in the repo issues ~2e4 instructions per
-   warp. *)
+(* Default budget = warps simulated x this per-warp cap, which leaves
+   real kernels orders of magnitude of headroom: the heaviest app
+   kernel in the repo issues ~2e4 instructions per warp. *)
 let default_watchdog_per_warp = 1_000_000
-
-let watchdog_per_warp_cap =
-  Atomic.make
-    (match Sys.getenv_opt "GPUOPT_WATCHDOG_PER_WARP" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with Some n when n > 0 -> n | _ -> default_watchdog_per_warp)
-    | None -> default_watchdog_per_warp)
-
-let watchdog_per_warp () = Atomic.get watchdog_per_warp_cap
-
-let set_watchdog_per_warp n =
-  if n < 1 then invalid_arg "Sim.set_watchdog_per_warp: cap must be >= 1";
-  Atomic.set watchdog_per_warp_cap n
-
-(* The G80's bank count, the historical default of the standalone
-   [bank_conflict_degree] entry point (the launch path reads the count
-   from its [Arch.t] instead). *)
-let g80_banks = 16
 
 type arg = I of int | F of float | Buf of Device.buffer
 
@@ -212,8 +201,8 @@ type sm = {
 }
 
 (* Per-launch environment: device, launch geometry, and the scratch
-   buffers of the memory path.  [addrs] and [per_bank] are reused by
-   every memory access of the launch, so the hot path allocates
+   of the memory path.  [addrs], [per_bank] and [ready_at] are reused
+   by every memory access of the launch, so the hot path allocates
    nothing; each launch owns its env, keeping parallel domains safe. *)
 type env = {
   dev : Device.t;
@@ -228,56 +217,56 @@ type env = {
   budget : int;  (* watchdog: max warp instructions this launch may issue *)
   addrs : int array;  (* 32 lane addresses of the access in flight *)
   per_bank : int array;  (* arch.shared_banks counters *)
+  mutable ready_at : int;  (* cycle the load in flight delivers, set by its charge *)
 }
 
 (* ------------------------------------------------------------------ *)
-(* Memory access timing                                                *)
+(* Memory cost rules                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* Half-warp coalescing, G80 rules: one 64-byte transaction iff the
-   k-th active lane of the half-warp reads the k-th word of a 64-byte
-   aligned segment; otherwise one 32-byte transaction per active lane.
-   Packed result: (transactions lsl 16) lor bytes — the hot path calls
-   this form so no tuple is allocated per access. *)
-let coalesce_packed (addrs : int array) (mask : int) (half : int) : int =
+(* The memory rules of §2.1, each stated once, for one warp access to
+   [space] whose active lanes ([mask]) hold their byte addresses in
+   [addrs].  A launch charges them, and [Analysis.Coalesce] and
+   [Analysis.Bank] fold them over the executions they enumerate, so a
+   static prediction agrees with the dynamic counters by construction. *)
+
+(* Off-chip traffic of half-warp [half] (0 or 1), packed as
+   (transactions lsl 16) lor bytes so the hot path allocates no tuple
+   ([traffic_tx], [traffic_bytes]).  Global memory coalesces on the G80
+   rule: one 64-byte transaction iff the k-th active lane reads the k-th
+   word of a 64-byte aligned segment, otherwise one transaction per
+   active lane, of 32 bytes for a lone lane and of 64 bytes each for
+   several.  Local memory is interleaved per thread, so hardware
+   coalesces it: one 64-byte transaction.  Shared and constant memory
+   are on-chip and move nothing, and neither does a half-warp with no
+   active lane. *)
+let[@inline] half_traffic (space : Instr.space) (addrs : int array) (mask : int) (half : int) : int =
   let lo = half * 16 in
-  let n_active = ref 0 in
-  let ok = ref true in
-  let seg_base = ref min_int in
-  for l = lo to lo + 15 do
-    if mask land (1 lsl l) <> 0 then begin
-      incr n_active;
-      let expect_base = addrs.(l) - (4 * (l - lo)) in
-      if !seg_base = min_int then seg_base := expect_base
-      else if !seg_base <> expect_base then ok := false
-    end
-  done;
-  if !n_active = 0 then 0
-  else if !ok && !seg_base land 63 = 0 then (1 lsl 16) lor 64
-  else (!n_active lsl 16) lor (32 * !n_active)
+  if (mask lsr lo) land 0xFFFF = 0 then 0
+  else
+    match space with
+    | Instr.Shared | Instr.Const -> 0
+    | Instr.Local -> (1 lsl 16) lor 64
+    | Instr.Global ->
+      let n_active = ref 0 and ok = ref true and seg_base = ref min_int in
+      for l = lo to lo + 15 do
+        if mask land (1 lsl l) <> 0 then begin
+          incr n_active;
+          let expect_base = addrs.(l) - (4 * (l - lo)) in
+          if !seg_base = min_int then seg_base := expect_base
+          else if !seg_base <> expect_base then ok := false
+        end
+      done;
+      if !ok && !seg_base land 63 = 0 then (1 lsl 16) lor 64
+      else if !n_active = 1 then (1 lsl 16) lor 32
+      else (!n_active lsl 16) lor (64 * !n_active)
 
-(* Tupled form of [coalesce_packed]: (transactions, bytes). *)
-let coalesce (addrs : int array) (mask : int) (half : int) : int * int =
-  let p = coalesce_packed addrs mask half in
-  (p lsr 16, p land 0xFFFF)
-
-(* Charge [tx] transactions to the SM memory channel starting no
-   earlier than [c]; returns the cycle the last transaction completes
-   its channel occupancy. *)
-let charge_channel env c ~tx ~bytes ~tx_cost =
-  let sm = env.sm in
-  sm.n_tx <- sm.n_tx + tx;
-  sm.n_bytes <- sm.n_bytes + bytes;
-  if not env.timing then c
-  else begin
-    sm.mem_free <- max sm.mem_free c + (tx * tx_cost);
-    sm.mem_free
-  end
+let[@inline] traffic_tx (p : int) : int = p lsr 16
+let[@inline] traffic_bytes (p : int) : int = p land 0xFFFF
 
 (* Shared-memory conflict degree over a half-warp: the maximum number
    of *distinct* addresses hitting one of the banks (same-address lanes
-   broadcast).  [per_bank] is caller-provided scratch, one counter per
-   bank (its length, a power of two, IS the bank count); distinctness
+   broadcast).  [per_bank] is scratch, one counter per bank; distinctness
    is a pairwise check over the at most 16 active lanes, so no table
    is allocated. *)
 let bank_degree (per_bank : int array) (addrs : int array) (mask : int) (half : int) : int =
@@ -300,12 +289,7 @@ let bank_degree (per_bank : int array) (addrs : int array) (mask : int) (half : 
   done;
   !deg
 
-let bank_conflict_degree ?(banks = g80_banks) (addrs : int array) (mask : int) (half : int) :
-    int =
-  bank_degree (Array.make banks 0) addrs mask half
-
-(* Distinct addresses among active lanes of the whole warp (constant
-   cache broadcast: one issue slot per distinct address).  The common
+(* Distinct addresses among active lanes of the whole warp.  The common
    case, every active lane reading one address, answers 1 after a
    single pass; only a divergent access pays the pairwise scan. *)
 let distinct_addresses (addrs : int array) (mask : int) : int =
@@ -330,6 +314,18 @@ let distinct_addresses (addrs : int array) (mask : int) : int =
     done;
     !n
   end
+
+(* Issue slots one warp access occupies.  Shared memory takes the worse
+   of its two half-warps' bank-conflict degree; the single-ported
+   constant cache serves one distinct address of the warp per slot; an
+   off-chip access issues in one.  [per_bank] is scratch, one counter
+   per bank: its length, a power of two, IS the bank count. *)
+let[@inline] serialization (space : Instr.space) (per_bank : int array) (addrs : int array) (mask : int) :
+    int =
+  match space with
+  | Instr.Shared -> max (bank_degree per_bank addrs mask 0) (bank_degree per_bank addrs mask 1)
+  | Instr.Const -> max 1 (distinct_addresses addrs mask)
+  | Instr.Global | Instr.Local -> 1
 
 (* ------------------------------------------------------------------ *)
 (* Compiled kernel form                                                *)
@@ -484,6 +480,7 @@ type ckernel = {
   np : int;
   smem_words : int;
   lmem_words : int;
+  sites : site_counter list;  (* one per Ld/St, in program order *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -612,60 +609,114 @@ let timing_slice (k : Prog.t) ~nf ~nr ~np : slice =
 
 let no_def : warp -> int = fun _ -> 0
 
-(* The memory-cost tails shared by a space's loads and stores, run
-   after the lane loop has filled [env.addrs].  [global_tx] charges the
-   two half-warps' coalesced or per-lane transactions to the channel
-   and returns the cycle the last completes; [bank_replays] returns the
-   shared-memory conflict degree after charging its extra issue cycles;
-   [local_tx] charges one 64-byte transaction per active half-warp. *)
-let global_tx (env : env) (tx : int -> int -> unit) (mask : int) (c : int) : int =
-  let lat = env.lat and addrs = env.addrs in
-  let p0 = coalesce_packed addrs mask 0 in
-  let tx0 = p0 lsr 16 and by0 = p0 land 0xFFFF in
-  let p1 = coalesce_packed addrs mask 1 in
-  let tx1 = p1 lsr 16 and by1 = p1 land 0xFFFF in
-  tx (tx0 + tx1) ((if tx0 = 1 then by0 else 64 * tx0) + if tx1 = 1 then by1 else 64 * tx1);
-  let cost0 = if tx0 = 1 then lat.coalesced_tx else lat.uncoalesced_tx in
-  let cost1 = if tx1 = 1 then lat.coalesced_tx else lat.uncoalesced_tx in
-  let done0 =
-    charge_channel env (c + lat.issue) ~tx:tx0
-      ~bytes:(if tx0 = 1 then by0 else 64 * tx0)
-      ~tx_cost:cost0
-  in
-  charge_channel env done0 ~tx:tx1 ~bytes:(if tx1 = 1 then by1 else 64 * tx1) ~tx_cost:cost1
+(* Charge [tx] transactions to the SM memory channel starting no
+   earlier than [c]; returns the cycle the last transaction completes
+   its channel occupancy. *)
+let charge_channel env c ~tx ~bytes ~tx_cost =
+  let sm = env.sm in
+  sm.n_tx <- sm.n_tx + tx;
+  sm.n_bytes <- sm.n_bytes + bytes;
+  if not env.timing then c
+  else begin
+    sm.mem_free <- max sm.mem_free c + (tx * tx_cost);
+    sm.mem_free
+  end
 
-let bank_replays (env : env) (replays : int -> unit) (mask : int) : int =
-  let deg =
-    max (bank_degree env.per_bank env.addrs mask 0) (bank_degree env.per_bank env.addrs mask 1)
-  in
-  replays deg;
-  env.sm.conflict_extra <- env.sm.conflict_extra + ((deg - 1) * env.lat.issue);
-  deg
+(* Channel occupancy of each of a half-warp's [tx] transactions: a lone
+   one streams at the coalesced rate, several at the uncoalesced. *)
+let[@inline] tx_cost (lat : Arch.latencies) (tx : int) : int =
+  if tx = 1 then lat.coalesced_tx else lat.uncoalesced_tx
 
-let local_tx (env : env) (tx : int -> int -> unit) (mask : int) (c : int) : int =
-  let halves =
-    (if mask land 0xFFFF <> 0 then 1 else 0) + if mask land 0xFFFF0000 <> 0 then 1 else 0
-  in
-  tx halves (64 * halves);
-  charge_channel env (c + env.lat.issue) ~tx:halves ~bytes:(64 * halves)
-    ~tx_cost:env.lat.coalesced_tx
+(* The cost charges of one access, run after its lane loop has filled
+   [env.addrs]: each counts the execution at the access's site [sc],
+   sets [env.ready_at] to the cycle a load's value is ready and returns
+   the issue-pipe cost.  Off-chip (global, local): each half-warp's
+   traffic goes to the memory channel in turn from the cycle after
+   issue, and the value arrives the memory latency after the last
+   transaction.  On-chip (shared, constant): the access holds the issue
+   pipe for its serialization degree; every slot past the first is a
+   replay, and a shared-memory replay a bank-conflict cycle. *)
+let[@inline] offchip_charge (env : env) (space : Instr.space) (sc : site_counter) (mask : int) (c : int) :
+    int =
+  let lat = env.lat in
+  let p0 = half_traffic space env.addrs mask 0 and p1 = half_traffic space env.addrs mask 1 in
+  let tx0 = traffic_tx p0 and tx1 = traffic_tx p1 in
+  let by0 = traffic_bytes p0 and by1 = traffic_bytes p1 in
+  sc.sc_execs <- sc.sc_execs + 1;
+  sc.sc_tx <- sc.sc_tx + tx0 + tx1;
+  sc.sc_bytes <- sc.sc_bytes + by0 + by1;
+  let done0 = charge_channel env (c + lat.issue) ~tx:tx0 ~bytes:by0 ~tx_cost:(tx_cost lat tx0) in
+  let done1 = charge_channel env done0 ~tx:tx1 ~bytes:by1 ~tx_cost:(tx_cost lat tx1) in
+  env.ready_at <- done1 + lat.global;
+  lat.issue
 
-(* The lane loop of a memory access outside the timing slice: the
-   active lanes' byte addresses into [env.addrs], each checked in lane
-   order against the [words] the space holds, with [oob] raising the
-   full form's error for the first address out of range.  Inlined, so
-   each decoded access runs its own copy of the loop, as the full forms
-   do. *)
-let[@inline] lane_addrs (env : env) (base : isrc) (offset : int) (w : warp) (mask : int) (words : int)
-    (oob : int -> unit) : unit =
-  let ir = w.iregs and addrs = env.addrs in
+let[@inline] onchip_charge (env : env) (space : Instr.space) (sc : site_counter) (mask : int) (c : int) :
+    int =
+  let lat = env.lat in
+  let deg = serialization space env.per_bank env.addrs mask in
+  sc.sc_execs <- sc.sc_execs + 1;
+  sc.sc_replays <- sc.sc_replays + (deg - 1);
+  (match space with
+  | Instr.Shared ->
+    env.sm.conflict_extra <- env.sm.conflict_extra + ((deg - 1) * lat.issue);
+    env.ready_at <- c + lat.shared
+  | Instr.Const | Instr.Global | Instr.Local -> env.ready_at <- c + lat.const_hit);
+  lat.issue * deg
+
+(* A memory space as one decoded load or store sees it.  A lane's byte
+   address [a] is in range iff [a / 4 < ms_words], and its word is
+   [(ms_array w).((tid * ms_stride) + a / 4)], [tid] being the lane's
+   thread in its block: local memory is interleaved per thread, its
+   stride the kernel's [lmem_words], and every other space has stride
+   0.  [ms_oob a] raises the error of an out-of-range address;
+   [ms_charge mask c] is the space's cost charge. *)
+type mspace = {
+  ms_array : warp -> float array;
+  ms_words : int;
+  ms_stride : int;
+  ms_oob : int -> unit;
+  ms_charge : int -> int -> int;
+}
+
+(* One issue of a load, whose destination's ready cycle [sr] records,
+   and of a store of the lane values [va].  The lane loop puts each
+   active lane's byte address into [env.addrs] and checks it in lane
+   order, so the first lane out of range raises after a store has
+   written exactly the lanes before it; the space's charge follows.
+   The full and the timing-only variant differ only in [move], whether
+   the loop moves each lane's word.  It is a constant at each call
+   site, so the inliner gives each variant a loop of its own. *)
+let[@inline] load (env : env) (m : mspace) ~(move : bool) (base : isrc) (offset : int)
+    (dty : Reg.ty) (doff : int) (sr : warp -> int -> unit) (w : warp) (mask : int) (c : int) : int =
+  let fr = w.fregs and ir = w.iregs and pr = w.pregs and addrs = env.addrs in
+  let mem = m.ms_array w and words = m.ms_words and stride = m.ms_stride in
+  let tid0 = w.wid * 32 in
   for l = 0 to 31 do
     if mask land (1 lsl l) <> 0 then begin
       let a = get_i base ir w l + offset in
       addrs.(l) <- a;
-      if a lsr 2 >= words then oob a
+      if a lsr 2 >= words then m.ms_oob a;
+      if move then put_ld dty fr ir pr doff l mem.(((tid0 + l) * stride) + (a lsr 2))
     end
-  done
+  done;
+  let cost = m.ms_charge mask c in
+  sr w env.ready_at;
+  cost
+
+let[@inline] store (env : env) (m : mspace) ~(move : bool) (base : isrc) (offset : int)
+    (va : float array) (w : warp) (mask : int) (c : int) : int =
+  let ir = w.iregs and addrs = env.addrs in
+  let mem = m.ms_array w and words = m.ms_words and stride = m.ms_stride in
+  let tid0 = w.wid * 32 in
+  for l = 0 to 31 do
+    if mask land (1 lsl l) <> 0 then begin
+      let a = get_i base ir w l + offset in
+      addrs.(l) <- a;
+      if a lsr 2 >= words then m.ms_oob a;
+      if move then mem.(((tid0 + l) * stride) + (a lsr 2)) <- va.(l)
+    end
+  done;
+  m.ms_charge mask c
 
 (* Compile [k] against the launch environment: resolve labels,
    parameters and operand classes once, turning each instruction into a
@@ -678,7 +729,7 @@ let[@inline] lane_addrs (env : env) (base : isrc) (offset : int) (w : warp) (mas
    but no value computed, read or written.  A functional launch passes
    [None] and decodes every instruction in full. *)
 let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : Prog.t)
-    (args : (string * arg) list) (site_rows : site_counter option array array) : ckernel =
+    (args : (string * arg) list) : ckernel =
   let lat = env.lat in
   let cell = Domain.DLS.get f32_cell in
   let idx = Prog.block_index k in
@@ -788,46 +839,93 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
     | Reg.S32 -> fun w c -> w.i_ready.(i) <- c
     | Reg.Pred -> fun w c -> w.p_ready.(i) <- c
   in
-  (* ALU-class instruction: occupies one issue slot, result ready after
-     the SP pipeline RAW latency.  Outside the slice, [body] never
-     runs. *)
-  let alu ops d (body : warp -> int -> unit) : dinstr =
+  (* ALU-class instruction: occupies [issue] cycles of the issue pipe,
+     result ready [latency] cycles after issue; an SP op takes one slot
+     and the pipeline RAW latency, an SFU op its own figures and, being
+     [long], a scoreboard slot.  Outside the slice, [body] never runs. *)
+  let alu ?(latency = lat.alu) ?(issue = lat.issue) ?(long = false) ops d
+      (body : warp -> int -> unit) : dinstr =
     let sr = set_ready d in
     {
       d_ready = ready_of ops;
       d_exec =
         (if keep_reg d then fun w mask c ->
            body w mask;
-           sr w (c + lat.alu);
-           lat.issue
+           sr w (c + latency);
+           issue
          else fun w _ c ->
-           sr w (c + lat.alu);
-           lat.issue);
-      d_long = false;
+           sr w (c + latency);
+           issue);
+      d_long = long;
       d_barrier = false;
-      d_def_ready = no_def;
+      d_def_ready = (if long then reg_ready d else no_def);
     }
   in
-  (* Site-counter updaters, resolved per decoded memory instruction. *)
-  let count_tx (sc : site_counter option) : int -> int -> unit =
-    match sc with
-    | Some s ->
-      fun tx bytes ->
-        s.sc_execs <- s.sc_execs + 1;
-        s.sc_tx <- s.sc_tx + tx;
-        s.sc_bytes <- s.sc_bytes + bytes
-    | None -> fun _ _ -> ()
-  in
-  let count_replays (sc : site_counter option) : int -> unit =
-    match sc with
-    | Some s ->
-      fun deg ->
-        s.sc_execs <- s.sc_execs + 1;
-        s.sc_replays <- s.sc_replays + (deg - 1)
-    | None -> fun _ -> ()
-  in
   let lmem_words = k.lmem_words in
-  let decode_instr (sc : site_counter option) (ins : Instr.t) : dinstr =
+  (* The site counter of the memory instruction at [index] of block
+     [label], collected in program order. *)
+  let sites = ref [] in
+  let site label index space =
+    let sc =
+      {
+        sc_label = label;
+        sc_index = index;
+        sc_space = space;
+        sc_execs = 0;
+        sc_tx = 0;
+        sc_bytes = 0;
+        sc_replays = 0;
+      }
+    in
+    sites := sc :: !sites;
+    sc
+  in
+  (* The description of [space] that a load, or with [store] a store,
+     counting at [sc], decodes against.  Each charge names its space as
+     a constant, so the inlined rules compile to that space's case. *)
+  let space_of (space : Instr.space) ~(store : bool) (sc : site_counter) : mspace =
+    let dir = if store then "store" else "load" in
+    match space with
+    | Instr.Global ->
+      let g = env.dev.Device.glob in
+      {
+        ms_array = (fun _ -> g);
+        ms_words = Array.length g;
+        ms_stride = 0;
+        (* out of range, so it traps and writes nothing *)
+        ms_oob =
+          (if store then fun a -> Device.write_global env.dev a 0.0
+           else fun a -> ignore (Device.read_global env.dev a));
+        ms_charge = (fun mask c -> offchip_charge env Instr.Global sc mask c);
+      }
+    | Instr.Const when store -> launch_error "stores to constant memory are not allowed"
+    | Instr.Const ->
+      let cst = env.dev.Device.cst in
+      {
+        ms_array = (fun _ -> cst);
+        ms_words = Array.length cst;
+        ms_stride = 0;
+        ms_oob = (fun a -> ignore (Device.read_const env.dev a));
+        ms_charge = (fun mask c -> onchip_charge env Instr.Const sc mask c);
+      }
+    | Instr.Shared ->
+      {
+        ms_array = (fun w -> w.blk.shared);
+        ms_words = max 1 k.smem_words;  (* [make_block]'s array *)
+        ms_stride = 0;
+        ms_oob = (fun a -> launch_error "shared %s out of bounds (addr %d)" dir a);
+        ms_charge = (fun mask c -> onchip_charge env Instr.Shared sc mask c);
+      }
+    | Instr.Local ->
+      {
+        ms_array = (fun w -> w.blk.local);
+        ms_words = lmem_words;
+        ms_stride = lmem_words;
+        ms_oob = (fun a -> launch_error "local %s out of bounds (addr %d)" dir a);
+        ms_charge = (fun mask c -> offchip_charge env Instr.Local sc mask c);
+      }
+  in
+  let decode_instr (label : string) (index : int) (ins : Instr.t) : dinstr =
     match ins with
     | Instr.Mov (d, a) -> (
       let doff = Reg.idx d * 32 in
@@ -918,23 +1016,8 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
               if mask land (1 lsl l) <> 0 then fr.(doff + l) <- funop cell op va.(l)
             done
       in
-      if Instr.is_sfu_op op then begin
-        let sr = set_ready d in
-        {
-          d_ready = ready_of [ a ];
-          d_exec =
-            (if keep_reg d then fun w mask c ->
-               body w mask;
-               sr w (c + lat.sfu);
-               lat.sfu_issue
-             else fun w _ c ->
-               sr w (c + lat.sfu);
-               lat.sfu_issue);
-          d_long = true;
-          d_barrier = false;
-          d_def_ready = reg_ready d;
-        }
-      end
+      if Instr.is_sfu_op op then
+        alu ~latency:lat.sfu ~issue:lat.sfu_issue ~long:true [ a ] d body
       else alu [ a ] d body
     | Instr.Fmad (d, a, b, cc) -> (
       let a' = fsrc_of a and b' = fsrc_of b and c' = fsrc_of cc in
@@ -1108,157 +1191,24 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
                 | Instr.PXor -> x <> y)
             end
           done)
-    | Instr.Ld (space, d, { base; offset }) -> (
+    | Instr.Ld (space, d, { base; offset }) ->
       let base' = isrc_of base in
-      let ready = ready_of [ base ] in
-      let dty = Reg.ty d in
-      let doff = Reg.idx d * 32 in
-      let sr = set_ready d in
-      let tx = count_tx sc and replays = count_replays sc in
-      (* Outside the slice a load fills [env.addrs] and checks its
-         bounds like the full form ([lane_addrs]), then pays the same
-         memory cost; it reads no memory and writes no register. *)
-      let keep = keep_reg d in
-      match space with
-      | Instr.Global ->
-        {
-          d_ready = ready;
-          d_long = true;
-          d_barrier = false;
-          d_def_ready = reg_ready d;
-          d_exec =
-            (if keep then fun w mask c ->
-               let fr = w.fregs and ir = w.iregs and pr = w.pregs in
-               let addrs = env.addrs in
-               let g = env.dev.Device.glob in
-               let glen = Array.length g in
-               for l = 0 to 31 do
-                 if mask land (1 lsl l) <> 0 then begin
-                   let a = get_i base' ir w l + offset in
-                   addrs.(l) <- a;
-                   (* Bounds check mirrors [Device.read_global]; the out-of-
-                      range path re-enters it for the identical exception. *)
-                   let wi = a lsr 2 in
-                   let v =
-                     if wi < 0 || wi >= glen then Device.read_global env.dev a else g.(wi)
-                   in
-                   put_ld dty fr ir pr doff l v
-                 end
-               done;
-               sr w (global_tx env tx mask c + lat.global);
-               lat.issue
-             else
-               let oob a = ignore (Device.read_global env.dev a) in
-               fun w mask c ->
-                 lane_addrs env base' offset w mask (Array.length env.dev.Device.glob) oob;
-                 sr w (global_tx env tx mask c + lat.global);
-                 lat.issue);
-        }
-      | Instr.Shared ->
-        {
-          d_ready = ready;
-          d_long = false;
-          d_barrier = false;
-          d_def_ready = no_def;
-          d_exec =
-            (if keep then fun w mask c ->
-               let fr = w.fregs and ir = w.iregs and pr = w.pregs in
-               let addrs = env.addrs in
-               let sh = w.blk.shared in
-               let n = Array.length sh in
-               for l = 0 to 31 do
-                 if mask land (1 lsl l) <> 0 then begin
-                   let a = get_i base' ir w l + offset in
-                   addrs.(l) <- a;
-                   let wi = a lsr 2 in
-                   if wi < 0 || wi >= n then
-                     launch_error "shared load out of bounds (addr %d)" a;
-                   put_ld dty fr ir pr doff l sh.(wi)
-                 end
-               done;
-               let deg = bank_replays env replays mask in
-               sr w (c + lat.shared);
-               lat.issue * deg
-             else
-               let oob a = launch_error "shared load out of bounds (addr %d)" a in
-               fun w mask c ->
-                 lane_addrs env base' offset w mask (Array.length w.blk.shared) oob;
-                 let deg = bank_replays env replays mask in
-                 sr w (c + lat.shared);
-                 lat.issue * deg);
-        }
-      | Instr.Const ->
-        {
-          d_ready = ready;
-          d_long = false;
-          d_barrier = false;
-          d_def_ready = no_def;
-          d_exec =
-            (if keep then fun w mask c ->
-               let fr = w.fregs and ir = w.iregs and pr = w.pregs in
-               let addrs = env.addrs in
-               let cst = env.dev.Device.cst in
-               let clen = Array.length cst in
-               for l = 0 to 31 do
-                 if mask land (1 lsl l) <> 0 then begin
-                   let a = get_i base' ir w l + offset in
-                   addrs.(l) <- a;
-                   let wi = a lsr 2 in
-                   let v =
-                     if wi < 0 || wi >= clen then Device.read_const env.dev a else cst.(wi)
-                   in
-                   put_ld dty fr ir pr doff l v
-                 end
-               done;
-               let deg = max 1 (distinct_addresses addrs mask) in
-               replays deg;
-               sr w (c + lat.const_hit);
-               lat.issue * deg
-             else
-               let oob a = ignore (Device.read_const env.dev a) in
-               fun w mask c ->
-                 lane_addrs env base' offset w mask (Array.length env.dev.Device.cst) oob;
-                 let deg = max 1 (distinct_addresses env.addrs mask) in
-                 replays deg;
-                 sr w (c + lat.const_hit);
-                 lat.issue * deg);
-        }
-      | Instr.Local ->
-        (* Local memory is off-chip but laid out interleaved per thread,
-           so hardware coalesces it; model as one 64B tx per half-warp. *)
-        {
-          d_ready = ready;
-          d_long = true;
-          d_barrier = false;
-          d_def_ready = reg_ready d;
-          d_exec =
-            (if keep then fun w mask c ->
-               let fr = w.fregs and ir = w.iregs and pr = w.pregs in
-               let addrs = env.addrs in
-               let lm = w.blk.local in
-               for l = 0 to 31 do
-                 if mask land (1 lsl l) <> 0 then begin
-                   let a = get_i base' ir w l + offset in
-                   addrs.(l) <- a;
-                   let tid = (w.wid * 32) + l in
-                   let wi = (tid * lmem_words) + (a lsr 2) in
-                   if a lsr 2 >= lmem_words then
-                     launch_error "local load out of bounds (addr %d)" a;
-                   put_ld dty fr ir pr doff l lm.(wi)
-                 end
-               done;
-               sr w (local_tx env tx mask c + lat.global);
-               lat.issue
-             else
-               let oob a = launch_error "local load out of bounds (addr %d)" a in
-               fun w mask c ->
-                 lane_addrs env base' offset w mask lmem_words oob;
-                 sr w (local_tx env tx mask c + lat.global);
-                 lat.issue);
-        })
-    | Instr.St (space, { base; offset }, v) -> (
+      let m = space_of space ~store:false (site label index space) in
+      let dty = Reg.ty d and doff = Reg.idx d * 32 and sr = set_ready d in
+      (* Outside the slice a load addresses, checks its bounds and pays
+         its cost as in full, and moves no word to its register. *)
+      let move = keep_reg d in
+      {
+        d_ready = ready_of [ base ];
+        d_exec =
+          (if move then fun w mask c -> load env m ~move:true base' offset dty doff sr w mask c
+           else fun w mask c -> load env m ~move:false base' offset dty doff sr w mask c);
+        d_long = (match space with Instr.Global | Instr.Local -> true | _ -> false);
+        d_barrier = false;
+        d_def_ready = reg_ready d;
+      }
+    | Instr.St (space, { base; offset }, v) ->
       let base' = isrc_of base in
-      let ready = ready_of [ base; v ] in
       (* Stored value as the float memory representation. *)
       let v' : vsrc =
         match v with
@@ -1270,106 +1220,21 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
           VF (FG (fun w l -> float_of_int (g w l)))
         | Instr.Par p -> VF (FK (param_flt p))
       in
-      let tx = count_tx sc and replays = count_replays sc in
-      (* A store to a space outside the slice fills [env.addrs], checks
-         its bounds and pays its cost like the full form, and writes
-         nothing. *)
-      let keep = keep_space space in
-      match space with
-      | Instr.Global ->
-        {
-          d_ready = ready;
-          d_long = false;
-          d_barrier = false;
-          d_def_ready = no_def;
-          d_exec =
-            (if keep then fun w mask c ->
-               let fr = w.fregs and ir = w.iregs in
-               let addrs = env.addrs in
-               fill_v v' fr ir w mask va;
-               let g = env.dev.Device.glob in
-               let glen = Array.length g in
-               for l = 0 to 31 do
-                 if mask land (1 lsl l) <> 0 then begin
-                   let a = get_i base' ir w l + offset in
-                   addrs.(l) <- a;
-                   let wi = a lsr 2 in
-                   if wi < 0 || wi >= glen then Device.write_global env.dev a va.(l)
-                   else g.(wi) <- va.(l)
-                 end
-               done;
-               ignore (global_tx env tx mask c);
-               lat.issue
-             else
-               (* Out of range, so it traps and writes nothing. *)
-               let oob a = Device.write_global env.dev a 0.0 in
-               fun w mask c ->
-                 lane_addrs env base' offset w mask (Array.length env.dev.Device.glob) oob;
-                 ignore (global_tx env tx mask c);
-                 lat.issue);
-        }
-      | Instr.Shared ->
-        {
-          d_ready = ready;
-          d_long = false;
-          d_barrier = false;
-          d_def_ready = no_def;
-          d_exec =
-            (if keep then fun w mask _c ->
-               let fr = w.fregs and ir = w.iregs in
-               let addrs = env.addrs in
-               fill_v v' fr ir w mask va;
-               let sh = w.blk.shared in
-               let n = Array.length sh in
-               for l = 0 to 31 do
-                 if mask land (1 lsl l) <> 0 then begin
-                   let a = get_i base' ir w l + offset in
-                   addrs.(l) <- a;
-                   let wi = a lsr 2 in
-                   if wi < 0 || wi >= n then
-                     launch_error "shared store out of bounds (addr %d)" a;
-                   sh.(wi) <- va.(l)
-                 end
-               done;
-               lat.issue * bank_replays env replays mask
-             else
-               let oob a = launch_error "shared store out of bounds (addr %d)" a in
-               fun w mask _c ->
-                 lane_addrs env base' offset w mask (Array.length w.blk.shared) oob;
-                 lat.issue * bank_replays env replays mask);
-        }
-      | Instr.Const -> launch_error "stores to constant memory are not allowed"
-      | Instr.Local ->
-        {
-          d_ready = ready;
-          d_long = false;
-          d_barrier = false;
-          d_def_ready = no_def;
-          d_exec =
-            (if keep then fun w mask c ->
-               let fr = w.fregs and ir = w.iregs in
-               let addrs = env.addrs in
-               fill_v v' fr ir w mask va;
-               let lm = w.blk.local in
-               for l = 0 to 31 do
-                 if mask land (1 lsl l) <> 0 then begin
-                   let a = get_i base' ir w l + offset in
-                   addrs.(l) <- a;
-                   let tid = (w.wid * 32) + l in
-                   if a lsr 2 >= lmem_words then
-                     launch_error "local store out of bounds (addr %d)" a;
-                   lm.((tid * lmem_words) + (a lsr 2)) <- va.(l)
-                 end
-               done;
-               ignore (local_tx env tx mask c);
-               lat.issue
-             else
-               let oob a = launch_error "local store out of bounds (addr %d)" a in
-               fun w mask c ->
-                 lane_addrs env base' offset w mask lmem_words oob;
-                 ignore (local_tx env tx mask c);
-                 lat.issue);
-        })
+      let m = space_of space ~store:true (site label index space) in
+      (* A store to a space outside the slice addresses, checks its
+         bounds and pays its cost as in full, and moves no word. *)
+      let move = keep_space space in
+      {
+        d_ready = ready_of [ base; v ];
+        d_exec =
+          (if move then fun w mask c ->
+             fill_v v' w.fregs w.iregs w mask va;
+             store env m ~move:true base' offset va w mask c
+           else fun w mask c -> store env m ~move:false base' offset va w mask c);
+        d_long = false;
+        d_barrier = false;
+        d_def_ready = no_def;
+      }
     | Instr.Bar ->
       {
         d_ready = no_def;
@@ -1381,9 +1246,8 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
   in
   let dblocks =
     Array.of_list
-      (List.mapi
-         (fun bi (b : Prog.block) ->
-           let row = site_rows.(bi) in
+      (List.map
+         (fun (b : Prog.block) ->
            let dterm =
              match b.term with
              | Prog.Jump l -> DJump (find l)
@@ -1401,17 +1265,11 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
                    reconv = find reconv;
                  }
            in
-           let dbody =
-             Array.of_list
-               (List.mapi
-                  (fun i ins ->
-                    decode_instr (if i < Array.length row then row.(i) else None) ins)
-                  b.body)
-           in
+           let dbody = Array.of_list (List.mapi (decode_instr b.label) b.body) in
            { dbody; dterm })
          k.blocks)
   in
-  { dblocks; nf; nr; np; smem_words = k.smem_words; lmem_words }
+  { dblocks; nf; nr; np; smem_words = k.smem_words; lmem_words; sites = List.rev !sites }
 
 (* ------------------------------------------------------------------ *)
 (* SIMT control flow                                                   *)
@@ -1733,6 +1591,19 @@ let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
         end)
       blk.warps
   in
+  (* Bring pending blocks in, up to the residency limit, handing each
+     new warp to the scheduler's [push]. *)
+  let rec admit (push : warp -> unit) (c : int) =
+    match !pending_blocks with
+    | (bx, by) :: rest when !resident_blocks < b_sm ->
+      pending_blocks := rest;
+      let blk = make_block env ck ~seq bx by c in
+      incr resident_blocks;
+      n_unfinished := !n_unfinished + Array.length blk.warps;
+      Array.iter push blk.warps;
+      admit push c
+    | _ -> ()
+  in
   (* Bookkeeping shared by both schedulers after warp [w] issued at
      cycle [c] with issue-pipe cost [cost]; [retire] removes a finished
      block's warps from the scheduler structure, [admit] brings in
@@ -1766,18 +1637,7 @@ let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
         (fun w' -> if (not w'.finished) && (not w'.at_barrier) && not w'.in_heap then push w')
         blk.warps
     in
-    let admit c =
-      while !resident_blocks < b_sm && !pending_blocks <> [] do
-        match !pending_blocks with
-        | [] -> ()
-        | (bx, by) :: rest ->
-          pending_blocks := rest;
-          let blk = make_block env ck ~seq bx by c in
-          incr resident_blocks;
-          n_unfinished := !n_unfinished + Array.length blk.warps;
-          Array.iter push blk.warps
-      done
-    in
+    let admit = admit push in
     let retire (_ : block_st) = () (* finished warps are never in the heap *) in
     admit 0;
     while heap.hn > 0 do
@@ -1808,18 +1668,7 @@ let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
       incr rn
     in
     let release = base_release in
-    let admit c =
-      while !resident_blocks < b_sm && !pending_blocks <> [] do
-        match !pending_blocks with
-        | [] -> ()
-        | (bx, by) :: rest ->
-          pending_blocks := rest;
-          let blk = make_block env ck ~seq bx by c in
-          incr resident_blocks;
-          n_unfinished := !n_unfinished + Array.length blk.warps;
-          Array.iter push blk.warps
-      done
-    in
+    let admit = admit push in
     let retire (blk : block_st) =
       (* In-place compaction preserving admission order. *)
       let k = ref 0 in
@@ -1917,7 +1766,7 @@ let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev
         | Functional -> gx * gy
         | Timing { max_blocks } -> min (gx * gy) (max 1 max_blocks)
       in
-      max 1 (warps_per_block * blocks_accounted) * watchdog_per_warp ()
+      max 1 (warps_per_block * blocks_accounted) * default_watchdog_per_warp
   in
   let nf, nr, np = Prog.regfile_sizes l.kernel in
   let slice = if timing then Some (timing_slice l.kernel ~nf ~nr ~np) else None in
@@ -1939,91 +1788,54 @@ let run ?(mode = Functional) ?(arch = Arch.g80) ?(scheduler = Heap) ?budget (dev
       budget;
       addrs = Array.make 32 0;
       per_bank = Array.make arch.Arch.shared_banks 0;
+      ready_at = 0;
     }
   in
-  let site_rows =
-    List.map
-      (fun (b : Prog.block) ->
-        Array.of_list
-          (List.mapi
-             (fun i (ins : Instr.t) ->
-               match ins with
-               | Instr.Ld (sp, _, _) | Instr.St (sp, _, _) ->
-                 Some
-                   {
-                     sc_label = b.label;
-                     sc_index = i;
-                     sc_space = sp;
-                     sc_execs = 0;
-                     sc_tx = 0;
-                     sc_bytes = 0;
-                     sc_replays = 0;
-                   }
-               | _ -> None)
-             b.body))
-      l.kernel.Prog.blocks
-  in
-  let site_counters =
-    List.concat_map (fun row -> List.filter_map Fun.id (Array.to_list row)) site_rows
-  in
-  let ck = compile_kernel env ~regs:(nf, nr, np) ~slice l.kernel l.args (Array.of_list site_rows) in
+  let ck = compile_kernel env ~regs:(nf, nr, np) ~slice l.kernel l.args in
   let total_blocks = gx * gy in
   let coord i = (i mod gx, i / gx) in
-  let note_run () =
-    ignore (Atomic.fetch_and_add instrs_issued_total sm.n_warp_instrs);
-    Atomic.incr runs_total
+  let cycles, time_s, blocks_simulated =
+    match mode with
+    | Functional ->
+      (* Execute every block; blocks are independent, so one at a time. *)
+      for i = 0 to total_blocks - 1 do
+        ignore (run_sm env ck ~scheduler [ coord i ] 1)
+      done;
+      (0.0, 0.0, total_blocks)
+    | Timing { max_blocks } ->
+      (* Blocks are distributed round-robin over SMs; simulate SM 0's
+         share (grid blocks 0, num_sms, 2 num_sms, ...), capped, and
+         extrapolate. *)
+      let num_sms = limits.Arch.num_sms in
+      let n_assigned = Util.Stats.cdiv total_blocks num_sms in
+      let n_sim = min n_assigned (max 1 max_blocks) in
+      (* Simulate whole residency waves where possible: a trailing
+         partial wave under-fills the SM and, in a small sample, biases
+         the linear extrapolation upward far more than the real run's
+         single tail wave does. *)
+      let n_sim =
+        if n_sim >= occ.blocks_per_sm && n_sim < n_assigned then
+          n_sim / occ.blocks_per_sm * occ.blocks_per_sm
+        else n_sim
+      in
+      let simulated = List.init n_sim (fun j -> coord (j * num_sms)) in
+      let cycles_sim = run_sm env ck ~scheduler simulated occ.blocks_per_sm in
+      let scale = float_of_int n_assigned /. float_of_int n_sim in
+      let cycles = float_of_int cycles_sim *. scale in
+      (cycles, cycles /. Arch.clock_hz arch, n_sim)
   in
-  match mode with
-  | Functional ->
-    (* Execute every block; blocks are independent, so one at a time. *)
-    for i = 0 to total_blocks - 1 do
-      ignore (run_sm env ck ~scheduler [ coord i ] 1)
-    done;
-    note_run ();
-    {
-      cycles = 0.0;
-      time_s = 0.0;
-      total_blocks;
-      blocks_simulated = total_blocks;
-      warp_instrs = sm.n_warp_instrs;
-      gmem_transactions = sm.n_tx;
-      gmem_bytes = sm.n_bytes;
-      bank_conflict_extra = sm.conflict_extra;
-      occupancy = occ;
-      regs_per_thread = resource.regs_per_thread;
-      site_counters;
-    }
-  | Timing { max_blocks } ->
-    (* Blocks are distributed round-robin over SMs; simulate SM 0's
-       share (grid blocks 0, num_sms, 2 num_sms, ...), capped, and
-       extrapolate. *)
-    let num_sms = limits.Arch.num_sms in
-    let n_assigned = Util.Stats.cdiv total_blocks num_sms in
-    let n_sim = min n_assigned (max 1 max_blocks) in
-    (* Simulate whole residency waves where possible: a trailing
-       partial wave under-fills the SM and, in a small sample, biases
-       the linear extrapolation upward far more than the real run's
-       single tail wave does. *)
-    let n_sim =
-      if n_sim >= occ.blocks_per_sm && n_sim < n_assigned then
-        n_sim / occ.blocks_per_sm * occ.blocks_per_sm
-      else n_sim
-    in
-    let simulated = List.init n_sim (fun j -> coord (j * num_sms)) in
-    let cycles_sim = run_sm env ck ~scheduler simulated occ.blocks_per_sm in
-    note_run ();
-    let scale = float_of_int n_assigned /. float_of_int n_sim in
-    let cycles = float_of_int cycles_sim *. scale in
-    {
-      cycles;
-      time_s = cycles /. Arch.clock_hz arch;
-      total_blocks;
-      blocks_simulated = n_sim;
-      warp_instrs = sm.n_warp_instrs;
-      gmem_transactions = sm.n_tx;
-      gmem_bytes = sm.n_bytes;
-      bank_conflict_extra = sm.conflict_extra;
-      occupancy = occ;
-      regs_per_thread = resource.regs_per_thread;
-      site_counters;
-    }
+  ignore (Atomic.fetch_and_add instrs_issued_total sm.n_warp_instrs);
+  Atomic.incr runs_total;
+  {
+    cycles;
+    time_s;
+    total_blocks;
+    blocks_simulated;
+    warp_instrs = sm.n_warp_instrs;
+    gmem_transactions = sm.n_tx;
+    gmem_bytes = sm.n_bytes;
+    bank_conflict_extra = sm.conflict_extra;
+    occupancy = occ;
+    regs_per_thread = resource.regs_per_thread;
+    site_counters = ck.sites;
+  }

@@ -9,13 +9,9 @@
 
 type ty = F32 | S32 | Bool
 
-type space = Global | Shared | Const | Local
-
-let space_to_ptx = function
-  | Global -> Ptx.Instr.Global
-  | Shared -> Ptx.Instr.Shared
-  | Const -> Ptx.Instr.Const
-  | Local -> Ptx.Instr.Local
+(* A memory space is the ISA's, so an array's space passes unchanged
+   to the lowering, the simulator and the static analyzer. *)
+type space = Ptx.Instr.space = Global | Shared | Const | Local
 
 type spec = TidX | TidY | BidX | BidY | BdimX | BdimY | GdimX | GdimY
 

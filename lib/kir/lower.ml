@@ -432,7 +432,7 @@ let lower_with_sites (k : kernel) : Ptx.Prog.t * site list =
      a static layout. *)
   List.iter
     (fun (a : array_param) ->
-      Hashtbl.replace st.arrays a.aname (space_to_ptx a.aspace, I.Par a.aname))
+      Hashtbl.replace st.arrays a.aname (a.aspace, I.Par a.aname))
     k.array_params;
   let smem_words =
     List.fold_left
@@ -455,7 +455,7 @@ let lower_with_sites (k : kernel) : Ptx.Prog.t * site list =
         Ptx.Prog.{ pname = name; pty = (match ty with F32 -> PF32 | S32 -> PS32 | Bool -> PS32) })
       k.scalar_params
     @ List.map
-        (fun (a : array_param) -> Ptx.Prog.{ pname = a.aname; pty = PBuf (space_to_ptx a.aspace) })
+        (fun (a : array_param) -> Ptx.Prog.{ pname = a.aname; pty = PBuf a.aspace })
         k.array_params
   in
   let prog =

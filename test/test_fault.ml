@@ -116,32 +116,24 @@ let watchdog_tests =
         | exception Gpu.Sim.Watchdog { issued; budget } ->
           check_b "tripped just past the budget" true (issued > budget && budget = 100_000));
     t "the default budget catches runaways too" (fun () ->
-        (* Shrink the per-warp cap so the default-budget path trips
-           quickly; restore it for the rest of the suite. *)
-        let saved = Gpu.Sim.watchdog_per_warp () in
-        Fun.protect
-          ~finally:(fun () -> Gpu.Sim.set_watchdog_per_warp saved)
-          (fun () ->
-            Gpu.Sim.set_watchdog_per_warp 10_000;
-            let stretched =
-              Kir.Mutate.runaway_loop ~iters:1_000_000_000 Tuner.Chaos.tiny_kernel
-            in
-            let c = Tuner.Pipeline.lower_opt stretched in
-            let dev = Gpu.Device.create ~global_words:4 () in
-            let out = Gpu.Device.alloc dev 1 in
-            let launch =
-              {
-                Gpu.Sim.kernel = c.ptx;
-                grid = (1, 1);
-                block = (32, 1);
-                args = [ ("out", Gpu.Sim.Buf out) ];
-              }
-            in
-            match Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks = 1 }) dev launch with
-            | (_ : Gpu.Sim.stats) -> Alcotest.fail "runaway terminated?"
-            | exception Gpu.Sim.Watchdog { budget; _ } ->
-              (* one warp, one block accounted: budget = per-warp cap *)
-              check_i "derived budget" 10_000 budget));
+        let stretched = Kir.Mutate.runaway_loop ~iters:1_000_000_000 Tuner.Chaos.tiny_kernel in
+        let c = Tuner.Pipeline.lower_opt stretched in
+        let dev = Gpu.Device.create ~global_words:4 () in
+        let out = Gpu.Device.alloc dev 1 in
+        let launch =
+          {
+            Gpu.Sim.kernel = c.ptx;
+            grid = (1, 1);
+            block = (32, 1);
+            args = [ ("out", Gpu.Sim.Buf out) ];
+          }
+        in
+        match Gpu.Sim.run ~mode:(Gpu.Sim.Timing { max_blocks = 1 }) dev launch with
+        | (_ : Gpu.Sim.stats) -> Alcotest.fail "runaway terminated?"
+        | exception Gpu.Sim.Watchdog { budget; _ } ->
+          (* one warp, one block accounted: budget = the per-warp cap *)
+          check_i "derived budget" Gpu.Sim.default_watchdog_per_warp budget;
+          check_i "the cap" 1_000_000 budget);
     t "a terminating kernel is bit-identical with and without a budget" (fun () ->
         let s1 = run_tiny () in
         let s2 = run_tiny ~budget:max_int () in

@@ -112,44 +112,91 @@ let device_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Coalescing and bank conflicts (unit level)                          *)
+(* The memory cost rules (unit level)                                  *)
 (* ------------------------------------------------------------------ *)
 
 let full = 0xFFFFFFFF
+
+(* (transactions, bytes) of one half-warp under [Sim.half_traffic]. *)
+let traffic space addrs mask half =
+  let p = Sim.half_traffic space addrs mask half in
+  (Sim.traffic_tx p, Sim.traffic_bytes p)
+
+let check_traffic what expected got =
+  Alcotest.(check (pair int int)) what expected got
+
+(* Issue slots of one warp access on the G80's 16 banks. *)
+let slots space addrs mask = Sim.serialization space (Array.make 16 0) addrs mask
 
 let coalesce_tests =
   [
     t "contiguous aligned half-warp -> one 64B transaction" (fun () ->
         let addrs = Array.init 32 (fun l -> l * 4) in
-        check_b "half 0" true (Sim.coalesce addrs full 0 = (1, 64));
-        check_b "half 1" true (Sim.coalesce addrs full 1 = (1, 64)));
+        check_traffic "half 0" (1, 64) (traffic Ptx.Instr.Global addrs full 0);
+        check_traffic "half 1" (1, 64) (traffic Ptx.Instr.Global addrs full 1));
     t "misaligned base breaks coalescing" (fun () ->
         let addrs = Array.init 32 (fun l -> 4 + (l * 4)) in
-        check_b "uncoalesced" true (fst (Sim.coalesce addrs full 0) = 16));
+        check_i "uncoalesced" 16 (fst (traffic Ptx.Instr.Global addrs full 0)));
     t "strided access breaks coalescing" (fun () ->
         let addrs = Array.init 32 (fun l -> l * 8) in
-        check_b "uncoalesced" true (fst (Sim.coalesce addrs full 0) = 16));
+        check_i "uncoalesced" 16 (fst (traffic Ptx.Instr.Global addrs full 0)));
+    t "an uncoalesced half-warp moves 16 transactions of 64B" (fun () ->
+        let addrs = Array.init 32 (fun l -> l * 128) in
+        check_traffic "half 0" (16, 1024) (traffic Ptx.Instr.Global addrs full 0));
+    t "a single unaligned global lane moves one 32B transaction" (fun () ->
+        let addrs = Array.make 32 36 in
+        check_traffic "lane 3" (1, 32) (traffic Ptx.Instr.Global addrs (1 lsl 3) 0));
     t "inactive lanes leave holes but keep the pattern coalesced" (fun () ->
         let addrs = Array.init 32 (fun l -> l * 4) in
         let mask = 0x0000FF0F in
         (* some lanes of half 0 inactive *)
-        let tx, _ = Sim.coalesce addrs mask 0 in
-        check_i "one tx" 1 tx);
+        check_i "one tx" 1 (fst (traffic Ptx.Instr.Global addrs mask 0)));
     t "no active lanes -> no transaction" (fun () ->
         let addrs = Array.make 32 0 in
-        check_b "zero" true (Sim.coalesce addrs 0 0 = (0, 0)));
+        check_traffic "zero" (0, 0) (traffic Ptx.Instr.Global addrs 0 0));
+    t "local memory moves one 64B transaction per active half-warp" (fun () ->
+        (* Interleaved per thread, whatever the lanes' addresses. *)
+        let addrs = Array.init 32 (fun l -> l * 1000) in
+        let mask = 0x00000100 in
+        check_traffic "active half" (1, 64) (traffic Ptx.Instr.Local addrs mask 0);
+        check_traffic "inactive half" (0, 0) (traffic Ptx.Instr.Local addrs mask 1));
+    t "on-chip spaces move no off-chip traffic" (fun () ->
+        let addrs = Array.init 32 (fun l -> l * 4) in
+        check_traffic "shared" (0, 0) (traffic Ptx.Instr.Shared addrs full 0);
+        check_traffic "const" (0, 0) (traffic Ptx.Instr.Const addrs full 1));
     t "conflict-free shared access (consecutive words)" (fun () ->
         let addrs = Array.init 32 (fun l -> l * 4) in
-        check_i "degree 1" 1 (Sim.bank_conflict_degree addrs full 0));
+        check_i "degree 1" 1 (slots Ptx.Instr.Shared addrs full));
     t "same-address broadcast is conflict-free" (fun () ->
         let addrs = Array.make 32 256 in
-        check_i "degree 1" 1 (Sim.bank_conflict_degree addrs full 0));
+        check_i "degree 1" 1 (slots Ptx.Instr.Shared addrs full));
     t "stride-2 words give 2-way conflicts" (fun () ->
         let addrs = Array.init 32 (fun l -> l * 8) in
-        check_i "degree 2" 2 (Sim.bank_conflict_degree addrs full 0));
+        check_i "degree 2" 2 (slots Ptx.Instr.Shared addrs full));
     t "stride-16 words give 16-way conflicts" (fun () ->
         let addrs = Array.init 32 (fun l -> l * 64) in
-        check_i "degree 16" 16 (Sim.bank_conflict_degree addrs full 0));
+        check_i "degree 16" 16 (slots Ptx.Instr.Shared addrs full));
+    t "a shared access takes the worse of its two half-warps" (fun () ->
+        (* Half 0 conflict-free, half 1 four-way. *)
+        let addrs = Array.init 32 (fun l -> if l < 16 then l * 4 else (l - 16) / 4 * 64) in
+        check_i "half 1 alone" 4 (slots Ptx.Instr.Shared addrs 0xFFFF0000);
+        check_i "half 0 alone" 1 (slots Ptx.Instr.Shared addrs 0x0000FFFF);
+        check_i "both" 4 (slots Ptx.Instr.Shared addrs full);
+        (* Swapping the halves keeps the maximum. *)
+        let swapped = Array.init 32 (fun l -> addrs.((l + 16) mod 32)) in
+        check_i "swapped" 4 (slots Ptx.Instr.Shared swapped full));
+    t "a uniform constant-cache warp takes one slot" (fun () ->
+        check_i "broadcast" 1 (slots Ptx.Instr.Const (Array.make 32 128) full));
+    t "a constant-cache warp takes one slot per distinct address" (fun () ->
+        List.iter
+          (fun k ->
+            let addrs = Array.init 32 (fun l -> l mod k * 4) in
+            check_i (Printf.sprintf "%d distinct" k) k (slots Ptx.Instr.Const addrs full))
+          [ 2; 3; 7; 32 ]);
+    t "off-chip accesses issue in one slot" (fun () ->
+        let addrs = Array.init 32 (fun l -> l * 64) in
+        check_i "global" 1 (slots Ptx.Instr.Global addrs full);
+        check_i "local" 1 (slots Ptx.Instr.Local addrs full));
   ]
 
 (* ------------------------------------------------------------------ *)

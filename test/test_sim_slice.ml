@@ -17,7 +17,9 @@
      keeps global memory in its slice: its timing launch runs on a
      private copy and still leaves the caller's device bit-identical;
    - an out-of-range load or store outside the slice, in each space,
-     raises what the functional launch raises. *)
+     raises what the functional launch raises, from a later lane too,
+     and a functional store that traps has written the lanes before
+     the trapping one. *)
 
 open Kir.Ast
 
@@ -331,6 +333,80 @@ let out_of_range_tests =
           cases);
   ]
 
+(* The same contract from a later lane, and the state a trapping store
+   leaves: lanes 0 to 4 address words 0 to 4, and lane 5 is the first
+   whose word lies past its space.  Both launches must raise the error
+   naming lane 5's address, so bounds are checked in lane order; a
+   functional global store must have written lanes 0 to 4 and none
+   after, as one pass over the lanes does. *)
+let lane_order_tests =
+  let k = 5 in
+  let past far = tid_x +: ((tid_x /: i k) *: i far) in
+  let ld arr far = Store ("O", tid_x, Ld (arr, past far)) in
+  let st arr far = Store (arr, past far, Un (ToF, tid_x +: i 1)) in
+  let trap fn addr = Gpu.Sim.Trap (Printf.sprintf "Device.%s: address %d out of range" fn addr) in
+  let oob what addr =
+    Gpu.Sim.Launch_error (Printf.sprintf "%s out of bounds (addr %d)" what addr)
+  in
+  (* O, then A, are the first global buffers (32 words each); C is the
+     first constant one. *)
+  let lane_k far = 4 * (k + far) in
+  let cases =
+    [
+      ("global load", ld "A" 100_000, trap "read_global" (128 + lane_k 100_000));
+      ("global store", st "O" 100_000, trap "write_global" (lane_k 100_000));
+      ("constant load", ld "C" 20_000, trap "read_const" (lane_k 20_000));
+      ("shared load", ld "sh" 64, oob "shared load" (lane_k 64));
+      ("shared store", st "sh" 64, oob "shared store" (lane_k 64));
+      ("local load", ld "lm" 64, oob "local load" (lane_k 64));
+      ("local store", st "lm" 64, oob "local store" (lane_k 64));
+    ]
+  in
+  [
+    t "the first out-of-range lane raises, after a store wrote the lanes before it" (fun () ->
+        List.iter
+          (fun (name, stmt, expected) ->
+            let kern =
+              {
+                kname = "lane_order";
+                scalar_params = [];
+                array_params =
+                  [ { aname = "O"; aspace = Global }; { aname = "A"; aspace = Global };
+                    { aname = "C"; aspace = Const } ];
+                shared_decls = [ ("sh", 32) ];
+                local_decls = [ ("lm", 8) ];
+                body = [ stmt ];
+              }
+            in
+            Kir.Typecheck.check kern;
+            let ptx = Ptx.Opt.run (Kir.Lower.lower kern) in
+            let s = slice_of ptx in
+            check_b (name ^ ": no space kept") false (s.keep_global || s.keep_shared || s.keep_local);
+            let d = Gpu.Device.create () in
+            let o = Gpu.Device.alloc d 32 and a = Gpu.Device.alloc d 32 in
+            let c = Gpu.Device.alloc_const d 16 in
+            let raised mode =
+              let args = [ ("O", Gpu.Sim.Buf o); ("A", Gpu.Sim.Buf a); ("C", Gpu.Sim.Buf c) ] in
+              match
+                Gpu.Sim.run ~mode d { Gpu.Sim.kernel = ptx; grid = (1, 1); block = (32, 1); args }
+              with
+              | (_ : Gpu.Sim.stats) -> "no error"
+              | exception ((Gpu.Sim.Trap _ | Gpu.Sim.Launch_error _) as e) -> Printexc.to_string e
+            in
+            let expected = Printexc.to_string expected in
+            Alcotest.(check string) (name ^ ": functional") expected (raised Gpu.Sim.Functional);
+            let written = Gpu.Device.of_device d o in
+            Alcotest.(check string) (name ^ ": timing") expected
+              (raised (Gpu.Sim.Timing { max_blocks = 1 }));
+            check_b (name ^ ": timing wrote nothing") true (Gpu.Device.of_device d o = written);
+            if name = "global store" then
+              Alcotest.(check (array (float 0.0)))
+                "lanes before the trap stored, the rest did not"
+                (Array.init 32 (fun l -> if l < k then float_of_int (l + 1) else 0.0))
+                written)
+          cases);
+  ]
+
 let slice_props =
   [
     QCheck_alcotest.to_alcotest ~speed_level:`Quick
@@ -340,4 +416,4 @@ let slice_props =
          timing_matches_functional);
   ]
 
-let suite = [ ("sim-slice", slice_props @ contract_tests @ out_of_range_tests) ]
+let suite = [ ("sim-slice", slice_props @ contract_tests @ out_of_range_tests @ lane_order_tests) ]
