@@ -106,7 +106,10 @@ let fill t (b : buffer) v =
 
 (* Raw word access by byte address, used by the executor.  An access
    outside the memory a kernel may touch is the kernel's fault, not the
-   host's: it raises [Trap], which [Sim] re-exports as its own. *)
+   host's: it raises [Trap], which [Sim] re-exports as its own.  A
+   kernel may touch global memory up to the allocation high-water mark
+   [glob_brk], not the whole backing array, whose tail [create] and
+   [grow] leave unallocated. *)
 
 exception Trap of string
 
@@ -114,13 +117,13 @@ let trap fmt = Printf.ksprintf (fun msg -> raise (Trap msg)) fmt
 
 let read_global t (byte_addr : int) : float =
   let w = byte_addr lsr 2 in
-  if w < 0 || w >= Array.length t.glob then
+  if w < 0 || w >= t.glob_brk then
     trap "Device.read_global: address %d out of range" byte_addr
   else t.glob.(w)
 
 let write_global t (byte_addr : int) (v : float) : unit =
   let w = byte_addr lsr 2 in
-  if w < 0 || w >= Array.length t.glob then
+  if w < 0 || w >= t.glob_brk then
     trap "Device.write_global: address %d out of range" byte_addr
   else t.glob.(w) <- v
 

@@ -39,20 +39,28 @@
    The execution core is compiled, not interpretive: [compile_kernel]
    pre-decodes every instruction into a record of closures with operand
    accessors, write paths and latency classes resolved once per launch,
-   so the per-issue path performs no instruction-set dispatch, no
-   operand validation and no allocation.  Every load decodes to one
+   and of the offsets of its registers in the warp's one scoreboard
+   array, so the per-issue path performs no instruction-set dispatch,
+   no operand validation and no allocation.  Every load decodes to one
    form and every store to another, over a description of its space
    ([mspace]: the array behind it, its size, how a lane finds its word,
    its out-of-range error, and its cost charge, [offchip_charge] or
    [onchip_charge]); the full and the timing-only variant differ only
    in whether the lane loop moves each lane's word.
 
-   The scheduler keeps runnable warps in a min-heap keyed by their
-   exact earliest-issue cycle (see [run_sm]); a linear-scan reference
-   scheduler is retained behind [?scheduler] for differential testing.
-   Both produce bit-identical statistics. *)
+   The scheduler keeps runnable warps in a min-heap of ints keyed by
+   their exact earliest-issue cycle (see [wheap]); a linear-scan
+   reference scheduler is retained behind [?scheduler] for differential
+   testing.  Both produce bit-identical statistics. *)
 
 open Ptx
+
+(* Every cycle, count and index here is an int.  These shadow the
+   polymorphic [Stdlib.max] and [min], an out-of-line call into the
+   runtime's generic compare, with inline int forms; a float use is a
+   type error. *)
+let[@inline] max (a : int) (b : int) : int = if a >= b then a else b
+let[@inline] min (a : int) (b : int) : int = if a <= b then a else b
 
 exception Launch_error of string
 
@@ -165,9 +173,7 @@ and warp = {
   fregs : float array;  (* reg-major: fregs.(r * 32 + lane) *)
   iregs : int array;
   pregs : bool array;
-  f_ready : int array;  (* per-register operand ready cycle *)
-  i_ready : int array;
-  p_ready : int array;
+  ready : int array;  (* scoreboard: each register's ready cycle, F32 then S32 then Pred *)
   (* Divergence stack, array-backed: frame [i] is (s_bi, s_off, s_rpc,
      s_mask).(i); the top of stack is index [sp], -1 when empty. *)
   mutable s_bi : int array;
@@ -334,20 +340,21 @@ let[@inline] serialization (space : Instr.space) (per_bank : int array) (addrs :
 (* One pre-decoded instruction.  Everything static is resolved at
    compile time: operand accessors (register-file offsets, parameter
    values, special-register formulas), the destination write path, the
-   latency class and, for memory accesses, the per-site counter.  The
-   issue loop only consults these fields. *)
+   latency class, the scoreboard offsets ([warp.ready]) of the source
+   registers and the destination and, for memory accesses, the
+   per-site counter.  The issue loop only consults these fields. *)
 type dinstr = {
-  d_ready : warp -> int;  (* max source-register ready cycle *)
-  d_exec : warp -> int -> int -> int;  (* w mask c -> issue-pipe cost *)
+  d_srcs : int array;  (* scoreboard offsets of the source registers *)
+  d_dst : int;  (* scoreboard offset of the destination; -1 for a store or Bar *)
+  d_exec : warp -> int -> int -> int;  (* w mask c -> issue-pipe cost; sets d_dst's ready cycle *)
   d_long : bool;  (* occupies a scoreboard slot (global/local Ld, SFU) *)
   d_barrier : bool;
-  d_def_ready : warp -> int;  (* destination ready cycle, read post-exec *)
 }
 
 type dterm =
   | DJump of int
   | DRet
-  | DBr of { p_idx : int; p_off : int; negate : bool; if_true : int; if_false : int; reconv : int }
+  | DBr of { p_slot : int; p_off : int; negate : bool; if_true : int; if_false : int; reconv : int }
 
 type dblock = { dbody : dinstr array; dterm : dterm }
 
@@ -607,8 +614,6 @@ let timing_slice (k : Prog.t) ~nf ~nr ~np : slice =
 (* Pre-decode                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let no_def : warp -> int = fun _ -> 0
-
 (* Charge [tx] transactions to the SM memory channel starting no
    earlier than [c]; returns the cycle the last transaction completes
    its channel occupancy. *)
@@ -678,16 +683,17 @@ type mspace = {
   ms_charge : int -> int -> int;
 }
 
-(* One issue of a load, whose destination's ready cycle [sr] records,
-   and of a store of the lane values [va].  The lane loop puts each
-   active lane's byte address into [env.addrs] and checks it in lane
-   order, so the first lane out of range raises after a store has
-   written exactly the lanes before it; the space's charge follows.
-   The full and the timing-only variant differ only in [move], whether
-   the loop moves each lane's word.  It is a constant at each call
-   site, so the inliner gives each variant a loop of its own. *)
+(* One issue of a load, whose destination's ready cycle goes to
+   scoreboard offset [dst], and of a store of the lane values [va].
+   The lane loop puts each active lane's byte address into [env.addrs]
+   and checks it in lane order, so the first lane out of range raises
+   after a store has written exactly the lanes before it; the space's
+   charge follows.  The full and the timing-only variant differ only in
+   [move], whether the loop moves each lane's word.  It is a constant
+   at each call site, so the inliner gives each variant a loop of its
+   own. *)
 let[@inline] load (env : env) (m : mspace) ~(move : bool) (base : isrc) (offset : int)
-    (dty : Reg.ty) (doff : int) (sr : warp -> int -> unit) (w : warp) (mask : int) (c : int) : int =
+    (dty : Reg.ty) (doff : int) (dst : int) (w : warp) (mask : int) (c : int) : int =
   let fr = w.fregs and ir = w.iregs and pr = w.pregs and addrs = env.addrs in
   let mem = m.ms_array w and words = m.ms_words and stride = m.ms_stride in
   let tid0 = w.wid * 32 in
@@ -700,7 +706,7 @@ let[@inline] load (env : env) (m : mspace) ~(move : bool) (base : isrc) (offset 
     end
   done;
   let cost = m.ms_charge mask c in
-  sr w env.ready_at;
+  w.ready.(dst) <- env.ready_at;
   cost
 
 let[@inline] store (env : env) (m : mspace) ~(move : bool) (base : isrc) (offset : int)
@@ -812,32 +818,13 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
      instruction materializes its sources, computes, and writes back
      before the next issues; each launch owns its own compile. *)
   let va = Array.make 32 0.0 and vb = Array.make 32 0.0 and vc = Array.make 32 0.0 in
-  (* Ready-cycle accessor of one register, and of an operand list
-     (immediates/params/specials are always ready). *)
-  let reg_ready (r : Reg.t) : warp -> int =
-    let i = Reg.idx r in
-    match Reg.ty r with
-    | Reg.F32 -> fun w -> w.f_ready.(i)
-    | Reg.S32 -> fun w -> w.i_ready.(i)
-    | Reg.Pred -> fun w -> w.p_ready.(i)
+  (* A register's offset in [warp.ready], and the offsets of an operand
+     list's registers (immediates/params/specials are always ready). *)
+  let slot (r : Reg.t) : int =
+    Reg.idx r + match Reg.ty r with Reg.F32 -> 0 | Reg.S32 -> nf | Reg.Pred -> nf + nr
   in
-  let ready_of (ops : Instr.operand list) : warp -> int =
-    let fs =
-      List.filter_map (function Instr.Reg r -> Some (reg_ready r) | _ -> None) ops
-    in
-    match fs with
-    | [] -> no_def
-    | [ f ] -> f
-    | [ f; g ] -> fun w -> max (f w) (g w)
-    | [ f; g; h ] -> fun w -> max (f w) (max (g w) (h w))
-    | fs -> fun w -> List.fold_left (fun acc f -> max acc (f w)) 0 fs
-  in
-  let set_ready (r : Reg.t) : warp -> int -> unit =
-    let i = Reg.idx r in
-    match Reg.ty r with
-    | Reg.F32 -> fun w c -> w.f_ready.(i) <- c
-    | Reg.S32 -> fun w c -> w.i_ready.(i) <- c
-    | Reg.Pred -> fun w c -> w.p_ready.(i) <- c
+  let srcs (ops : Instr.operand list) : int array =
+    Array.of_list (List.filter_map (function Instr.Reg r -> Some (slot r) | _ -> None) ops)
   in
   (* ALU-class instruction: occupies [issue] cycles of the issue pipe,
      result ready [latency] cycles after issue; an SP op takes one slot
@@ -845,20 +832,20 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
      [long], a scoreboard slot.  Outside the slice, [body] never runs. *)
   let alu ?(latency = lat.alu) ?(issue = lat.issue) ?(long = false) ops d
       (body : warp -> int -> unit) : dinstr =
-    let sr = set_ready d in
+    let dst = slot d in
     {
-      d_ready = ready_of ops;
+      d_srcs = srcs ops;
+      d_dst = dst;
       d_exec =
         (if keep_reg d then fun w mask c ->
            body w mask;
-           sr w (c + latency);
+           w.ready.(dst) <- c + latency;
            issue
          else fun w _ c ->
-           sr w (c + latency);
+           w.ready.(dst) <- c + latency;
            issue);
       d_long = long;
       d_barrier = false;
-      d_def_ready = (if long then reg_ready d else no_def);
     }
   in
   let lmem_words = k.lmem_words in
@@ -890,7 +877,7 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
       let g = env.dev.Device.glob in
       {
         ms_array = (fun _ -> g);
-        ms_words = Array.length g;
+        ms_words = env.dev.Device.glob_brk;
         ms_stride = 0;
         (* out of range, so it traps and writes nothing *)
         ms_oob =
@@ -1194,18 +1181,18 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
     | Instr.Ld (space, d, { base; offset }) ->
       let base' = isrc_of base in
       let m = space_of space ~store:false (site label index space) in
-      let dty = Reg.ty d and doff = Reg.idx d * 32 and sr = set_ready d in
+      let dty = Reg.ty d and doff = Reg.idx d * 32 and dst = slot d in
       (* Outside the slice a load addresses, checks its bounds and pays
          its cost as in full, and moves no word to its register. *)
       let move = keep_reg d in
       {
-        d_ready = ready_of [ base ];
+        d_srcs = srcs [ base ];
+        d_dst = dst;
         d_exec =
-          (if move then fun w mask c -> load env m ~move:true base' offset dty doff sr w mask c
-           else fun w mask c -> load env m ~move:false base' offset dty doff sr w mask c);
+          (if move then fun w mask c -> load env m ~move:true base' offset dty doff dst w mask c
+           else fun w mask c -> load env m ~move:false base' offset dty doff dst w mask c);
         d_long = (match space with Instr.Global | Instr.Local -> true | _ -> false);
         d_barrier = false;
-        d_def_ready = reg_ready d;
       }
     | Instr.St (space, { base; offset }, v) ->
       let base' = isrc_of base in
@@ -1225,7 +1212,8 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
          bounds and pays its cost as in full, and moves no word. *)
       let move = keep_space space in
       {
-        d_ready = ready_of [ base; v ];
+        d_srcs = srcs [ base; v ];
+        d_dst = -1;
         d_exec =
           (if move then fun w mask c ->
              fill_v v' w.fregs w.iregs w mask va;
@@ -1233,15 +1221,14 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
            else fun w mask c -> store env m ~move:false base' offset va w mask c);
         d_long = false;
         d_barrier = false;
-        d_def_ready = no_def;
       }
     | Instr.Bar ->
       {
-        d_ready = no_def;
+        d_srcs = [||];
+        d_dst = -1;
         d_exec = (fun _ _ _ -> assert false);  (* handled by the scheduler *)
         d_long = false;
         d_barrier = true;
-        d_def_ready = no_def;
       }
   in
   let dblocks =
@@ -1257,7 +1244,7 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
                  launch_error "register %s in predicate context" (Reg.to_string pred);
                DBr
                  {
-                   p_idx = Reg.idx pred;
+                   p_slot = slot pred;
                    p_off = Reg.idx pred * 32;
                    negate;
                    if_true = find if_true;
@@ -1396,11 +1383,16 @@ let warp_earliest (env : env) (ck : ckernel) (w : warp) : int =
     let off = w.s_off.(sp) in
     if off >= Array.length db.dbody then
       match db.dterm with
-      | DBr { p_idx; _ } -> max w.wake w.p_ready.(p_idx)
+      | DBr { p_slot; _ } -> max w.wake w.ready.(p_slot)
       | DJump _ | DRet -> w.wake
     else begin
       let di = db.dbody.(off) in
-      let e = max w.wake (di.d_ready w) in
+      let srcs = di.d_srcs and ready = w.ready in
+      let e = ref w.wake in
+      for i = 0 to Array.length srcs - 1 do
+        e := max !e ready.(srcs.(i))
+      done;
+      let e = !e in
       if di.d_long then begin
         drop_retired w e;
         if w.n_pending >= Array.length w.pending then max e (earliest_slot w) else e
@@ -1446,7 +1438,7 @@ let issue (env : env) (ck : ckernel) ~(release : block_st -> int -> unit) (w : w
       w.wake <- c + cost;
       if env.timing && di.d_long then begin
         drop_retired w c;
-        record_pending w (di.d_def_ready w)
+        record_pending w w.ready.(di.d_dst)
       end;
       cost
     end
@@ -1484,9 +1476,7 @@ let make_block (env : env) (ck : ckernel) ~(seq : int ref) (cta_x : int) (cta_y 
           fregs = Array.make (max 1 ck.nf * 32) 0.0;
           iregs = Array.make (max 1 ck.nr * 32) 0;
           pregs = Array.make (max 1 ck.np * 32) false;
-          f_ready = Array.make (max 1 ck.nf) 0;
-          i_ready = Array.make (max 1 ck.nr) 0;
-          p_ready = Array.make (max 1 ck.np) 0;
+          ready = Array.make (max 1 (ck.nf + ck.nr + ck.np)) 0;
           s_bi = Array.make 4 0;
           s_off = Array.make 4 0;
           s_rpc = [| -1; 0; 0; 0 |];
@@ -1509,61 +1499,77 @@ let make_block (env : env) (ck : ckernel) ~(seq : int ref) (cta_x : int) (cta_y 
    barrier releases only warps parked outside the heap, so nothing
    changes a key while its warp waits, and the top is the warp the
    linear scan would pick.  Entries are unique per warp ([in_heap]), so
-   the (key, seq) order is total and pop order is deterministic. *)
+   the (key, seq) order is total and pop order is deterministic.
+
+   The heap holds ints only, keys and seqs in two arrays, so moving an
+   entry is two plain stores, with no write barrier as a [warp array]
+   would need; the popped warp is found by its seq in [hwarp], written
+   once when the warp is admitted and once when its block retires, so
+   a finished block's memory is not held for the rest of the run.
+   [hkey] and [hseq] hold every resident warp at once, so they never
+   grow. *)
 type wheap = {
-  mutable hkey : int array;
-  mutable hw : warp array;
+  hkey : int array;
+  hseq : int array;
   mutable hn : int;
+  mutable hwarp : warp option array;  (* resident warps by seq *)
 }
 
-let heap_swap h i j =
-  let k = h.hkey.(i) and w = h.hw.(i) in
-  h.hkey.(i) <- h.hkey.(j);
-  h.hw.(i) <- h.hw.(j);
-  h.hkey.(j) <- k;
-  h.hw.(j) <- w
+let[@inline] heap_before (k1 : int) (s1 : int) (k2 : int) (s2 : int) : bool =
+  k1 < k2 || (k1 = k2 && s1 < s2)
 
-let heap_less h i j =
-  h.hkey.(i) < h.hkey.(j) || (h.hkey.(i) = h.hkey.(j) && h.hw.(i).seq < h.hw.(j).seq)
-
-let heap_push (h : wheap) (key : int) (w : warp) =
-  if h.hn = Array.length h.hw then begin
-    let cap = max 8 (2 * Array.length h.hw) in
-    let nk = Array.make cap 0 and nw = Array.make cap w in
-    Array.blit h.hkey 0 nk 0 h.hn;
-    Array.blit h.hw 0 nw 0 h.hn;
-    h.hkey <- nk;
-    h.hw <- nw
+(* A warp's seq is the number of warps admitted before it, so the
+   table only grows at its end. *)
+let heap_admit (h : wheap) (w : warp) =
+  if w.seq = Array.length h.hwarp then begin
+    let nw = Array.make (max 8 (2 * w.seq)) None in
+    Array.blit h.hwarp 0 nw 0 w.seq;
+    h.hwarp <- nw
   end;
+  h.hwarp.(w.seq) <- Some w
+
+(* Sift up from the new last slot, moving parents down into the hole. *)
+let heap_push (h : wheap) (key : int) (w : warp) =
+  let hk = h.hkey and hs = h.hseq and seq = w.seq in
   let i = ref h.hn in
-  h.hkey.(!i) <- key;
-  h.hw.(!i) <- w;
   h.hn <- h.hn + 1;
   w.in_heap <- true;
-  while !i > 0 && heap_less h !i ((!i - 1) / 2) do
-    heap_swap h !i ((!i - 1) / 2);
-    i := (!i - 1) / 2
-  done
+  while !i > 0 && heap_before key seq hk.((!i - 1) / 2) hs.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    hk.(!i) <- hk.(p);
+    hs.(!i) <- hs.(p);
+    i := p
+  done;
+  hk.(!i) <- key;
+  hs.(!i) <- seq
 
+(* Take the top, then sift the last entry down from the root, moving
+   the lesser child up into the hole. *)
 let heap_pop (h : wheap) : warp =
-  let w = h.hw.(0) in
-  h.hn <- h.hn - 1;
-  if h.hn > 0 then begin
-    h.hkey.(0) <- h.hkey.(h.hn);
-    h.hw.(0) <- h.hw.(h.hn);
-    let i = ref 0 in
-    let continue_ = ref true in
+  let hk = h.hkey and hs = h.hseq in
+  let w =
+    match h.hwarp.(hs.(0)) with Some w -> w | None -> assert false (* a queued warp is resident *)
+  in
+  let n = h.hn - 1 in
+  h.hn <- n;
+  if n > 0 then begin
+    let key = hk.(n) and seq = hs.(n) in
+    let i = ref 0 and continue_ = ref true in
     while !continue_ do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < h.hn && heap_less h l !s then s := l;
-      if r < h.hn && heap_less h r !s then s := r;
-      if !s = !i then continue_ := false
+      let l = (2 * !i) + 1 in
+      if l >= n then continue_ := false
       else begin
-        heap_swap h !i !s;
-        i := !s
+        let s = if l + 1 < n && heap_before hk.(l + 1) hs.(l + 1) hk.(l) hs.(l) then l + 1 else l in
+        if heap_before hk.(s) hs.(s) key seq then begin
+          hk.(!i) <- hk.(s);
+          hs.(!i) <- hs.(s);
+          i := s
+        end
+        else continue_ := false
       end
-    done
+    done;
+    hk.(!i) <- key;
+    hs.(!i) <- seq
   end;
   w.in_heap <- false;
   w
@@ -1629,7 +1635,10 @@ let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
   in
   (match scheduler with
   | Heap ->
-    let heap = { hkey = Array.make 0 0; hw = [||]; hn = 0 } in
+    let resident = b_sm * Util.Stats.cdiv (env.bdim_x * env.bdim_y) 32 in
+    let heap =
+      { hkey = Array.make resident 0; hseq = Array.make resident 0; hn = 0; hwarp = [||] }
+    in
     let push w = heap_push heap (warp_earliest env ck w) w in
     let release blk c =
       base_release blk c;
@@ -1637,8 +1646,13 @@ let run_sm (env : env) (ck : ckernel) ~(scheduler : scheduler)
         (fun w' -> if (not w'.finished) && (not w'.at_barrier) && not w'.in_heap then push w')
         blk.warps
     in
-    let admit = admit push in
-    let retire (_ : block_st) = () (* finished warps are never in the heap *) in
+    let admit =
+      admit (fun w ->
+          heap_admit heap w;
+          push w)
+    in
+    (* Finished warps are never in the heap; the table lets them go. *)
+    let retire (blk : block_st) = Array.iter (fun w' -> heap.hwarp.(w'.seq) <- None) blk.warps in
     admit 0;
     while heap.hn > 0 do
       let e = heap.hkey.(0) in

@@ -56,10 +56,13 @@ let golden : (string * string * int * string) list =
   ]
 
 (* The first and last valid candidates of every g80 space built so far,
-   for the timing golden below: it simulates these instead of compiling
-   the space a second time. *)
+   and every valid candidate of each arch's quick space, for the timing
+   goldens below: they simulate these instead of compiling the space a
+   second time. *)
 let endpoints : (string * string, Tuner.Candidate.t * Tuner.Candidate.t) Hashtbl.t =
   Hashtbl.create 16
+
+let quick_valid : (string * string, Tuner.Candidate.t list) Hashtbl.t = Hashtbl.create 16
 
 let candidates_of ?arch (e : Apps.Registry.entry) scale =
   let cands =
@@ -73,6 +76,8 @@ let candidates_of ?arch (e : Apps.Registry.entry) scale =
   (match (arch, List.filter (fun (c : Tuner.Candidate.t) -> c.valid) cands) with
   | None, (first :: _ as valid) ->
     Hashtbl.replace endpoints (e.name, scale) (first, List.nth valid (List.length valid - 1))
+  | Some a, valid when scale = "quick" ->
+    Hashtbl.replace quick_valid (e.name, a.Gpu.Arch.name) valid
   | _ -> ());
   cands
 
@@ -167,6 +172,12 @@ let timing_golden : (string * string * string) list =
     ("mri", "paper", "9c78f0671df7761fdef3a152763ea9cf");
   ]
 
+let times_digest (cands : Tuner.Candidate.t list) : string =
+  Digest.to_hex
+    (Digest.string
+       (String.concat " "
+          (List.map (fun (c : Tuner.Candidate.t) -> Tuner.Hexfloat.to_string (c.run ())) cands)))
+
 let timing_tests =
   List.map
     (fun (app, scale, md5) ->
@@ -175,17 +186,48 @@ let timing_tests =
           let e = Option.get (Apps.Registry.find app) in
           if not (Hashtbl.mem endpoints (app, scale)) then ignore (candidates_of e scale);
           let first, last = Hashtbl.find endpoints (app, scale) in
-          let got =
-            Digest.to_hex
-              (Digest.string
-                 (String.concat " "
-                    (List.map
-                       (fun (c : Tuner.Candidate.t) -> Tuner.Hexfloat.to_string (c.run ()))
-                       [ first; last ])))
-          in
+          let got = times_digest [ first; last ] in
           if capture then Printf.printf "    (%S, %S, %S);\n%!" app scale got
           else Alcotest.(check string) "md5 of the endpoints' simulated times" md5 got))
     timing_golden
 
+(* Every machine's timing rules: one md5 per (app, arch) over the
+   simulated times (exact hex) of every valid candidate of the quick
+   space, in enumeration order, so a one-cycle drift on any candidate
+   of any arch shows.  The candidates are the feature golden's. *)
+let arch_timing_golden : (string * string * string) list =
+  [
+    ("matmul", "g80", "6cc825808b804ed08f5b6fa20252d91e");
+    ("cp", "g80", "63192e8723611872d56c146993ff5d46");
+    ("sad", "g80", "ed53dbb77dfb0dad69cb1c87286372cb");
+    ("mri", "g80", "213246b020d854f3bfe342c48fb84ec7");
+    ("matmul", "wide32", "a9fde5e1d00cbd3aa4371982c6c0abea");
+    ("cp", "wide32", "7ade3c428f37ebcc893d6db62c1b84c5");
+    ("sad", "wide32", "1527422ae1ca91fd3b774d5f41070ff0");
+    ("mri", "wide32", "8733c7ed340894e373607fd4a277643e");
+    ("matmul", "fpga_soft", "0c8c098b5fd592fe72ae8cbe4b5d1a2a");
+    ("cp", "fpga_soft", "a942cd80cb4b771c0b0bc1de10416b99");
+    ("sad", "fpga_soft", "cf5f03a8217aaf3799166dc83c47fc32");
+    ("mri", "fpga_soft", "63b767b3ca36088be955451aada0bc7c");
+  ]
+
+let arch_timing_tests =
+  List.map
+    (fun (app, arch_name, md5) ->
+      Alcotest.test_case (Printf.sprintf "simulated %s/%s quick candidates unchanged" app arch_name)
+        `Quick (fun () ->
+          let e = Option.get (Apps.Registry.find app) in
+          let arch = Option.get (Gpu.Arch.find arch_name) in
+          if not (Hashtbl.mem quick_valid (app, arch_name)) then
+            ignore (candidates_of ~arch e "quick");
+          let got = times_digest (Hashtbl.find quick_valid (app, arch_name)) in
+          if capture then Printf.printf "    (%S, %S, %S);\n%!" app arch_name got
+          else Alcotest.(check string) "md5 of every valid candidate's simulated time" md5 got))
+    arch_timing_golden
+
 let suite =
-  [ ("compile-golden", tests); ("feature-golden", feature_tests); ("timing-golden", timing_tests) ]
+  [
+    ("compile-golden", tests);
+    ("feature-golden", feature_tests);
+    ("timing-golden", timing_tests @ arch_timing_tests);
+  ]

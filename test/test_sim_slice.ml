@@ -16,10 +16,10 @@
    - a kernel that stores a global word and reloads it as an address
      keeps global memory in its slice: its timing launch runs on a
      private copy and still leaves the caller's device bit-identical;
-   - an out-of-range load or store outside the slice, in each space,
-     raises what the functional launch raises, from a later lane too,
-     and a functional store that traps has written the lanes before
-     the trapping one. *)
+   - an out-of-range load or store outside the slice, in each space
+     and one word past the last global buffer, raises what the
+     functional launch raises, from a later lane too, and a functional
+     store that traps has written the lanes before the trapping one. *)
 
 open Kir.Ast
 
@@ -282,13 +282,18 @@ let contract_tests =
 
 (* One out-of-range access per kernel, whose value no branch or
    address reads, so a timing launch runs its timing-only form: it must
-   raise exactly what the functional launch raises. *)
+   raise exactly what the functional launch raises.  O and A are the
+   only global buffers, 32 words each, so A[g + 32] is past the last
+   one from lane 0 on, which is still inside the device's backing
+   array. *)
 let out_of_range_tests =
   let g = v "g" in
   let cases =
     [
       ("global load", Store ("O", g, Ld ("A", g +: i 100_000)));
       ("global store", Store ("O", g +: i 100_000, f 1.0));
+      ("global load one word past the last buffer", Store ("O", g, Ld ("A", g +: i 32)));
+      ("global store one word past the last buffer", Store ("A", g +: i 32, f 1.0));
       ("constant load", Store ("O", g, Ld ("C", g +: i 20_000)));
       ("shared load", Store ("O", g, Ld ("sh", tid_x +: i 64)));
       ("shared store", Store ("sh", tid_x +: i 64, f 1.0));
