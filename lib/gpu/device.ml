@@ -109,7 +109,8 @@ let fill t (b : buffer) v =
    host's: it raises [Trap], which [Sim] re-exports as its own.  A
    kernel may touch global memory up to the allocation high-water mark
    [glob_brk], not the whole backing array, whose tail [create] and
-   [grow] leave unallocated. *)
+   [grow] leave unallocated; constant memory likewise up to [cst_brk],
+   not the whole 64 KB bank. *)
 
 exception Trap of string
 
@@ -129,6 +130,6 @@ let write_global t (byte_addr : int) (v : float) : unit =
 
 let read_const t (byte_addr : int) : float =
   let w = byte_addr lsr 2 in
-  if w < 0 || w >= Array.length t.cst then
+  if w < 0 || w >= t.cst_brk then
     trap "Device.read_const: address %d out of range" byte_addr
   else t.cst.(w)

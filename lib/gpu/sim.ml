@@ -890,7 +890,7 @@ let compile_kernel (env : env) ~regs:(nf, nr, np) ~(slice : slice option) (k : P
       let cst = env.dev.Device.cst in
       {
         ms_array = (fun _ -> cst);
-        ms_words = Array.length cst;
+        ms_words = env.dev.Device.cst_brk;
         ms_stride = 0;
         ms_oob = (fun a -> ignore (Device.read_const env.dev a));
         ms_charge = (fun mask c -> onchip_charge env Instr.Const sc mask c);

@@ -217,9 +217,9 @@ let global_bytes = function
 (* ------------------------------------------------------------------ *)
 
 (* The evaluation function of each ALU operator, resolved once.  The
-   simulator's pre-decode stage selects these at kernel-launch time so
-   its per-lane inner loop performs no operator dispatch; the KIR
-   interpreter and constant folders may share them. *)
+   constant folder ([Opt.simplify]) and the translation validator
+   ([Equiv]) evaluate with these; the simulator keeps same-module copies
+   so they inline into its lane loops. *)
 
 let fop2_fn : fop2 -> float -> float -> float = function
   | FAdd -> Util.Float32.add

@@ -6,15 +6,17 @@
    and dead copies disappear.  All passes are intraprocedural and, with
    the exception of DCE, block-local.
 
-   Pass order used by [fixpoint]: copy-prop → cse → dce, iterated to a
+   Pass order used by [fixpoint]: value-number → dce, iterated to a
    fixed point (bounded); [run] is that loop with nothing watching.
-   There is no separate constant-folding pass: copy propagation folds
-   each instruction through [simplify] as it substitutes operands.
-   Copy-prop and CSE kill stale facts through reverse indexes (source
-   register → its aliases; register → the available expressions that
-   mention or hold it), and DCE reads the bitset liveness of [Liveness]
-   in one backward walk per block, so a round costs time linear in the
-   kernel, not in block length squared. *)
+   Value numbering is one forward walk per block that does copy and
+   constant propagation, folding through [simplify], and common
+   subexpression elimination together, so a repeat it rewrites to a
+   copy is forwarded in the same walk.  It kills stale facts through
+   reverse indexes (source register → its aliases; register → the
+   available expressions that mention or hold it), and DCE reads the
+   bitset liveness of [Liveness] in one backward walk per block, so a
+   round costs time linear in the kernel, not in block length
+   squared. *)
 
 open Instr
 
@@ -22,65 +24,22 @@ open Instr
 (* Constant folding                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let fold_f2 op a b =
-  match op with
-  | FAdd -> Util.Float32.add a b
-  | FSub -> Util.Float32.sub a b
-  | FMul -> Util.Float32.mul a b
-  | FDiv -> Util.Float32.div a b
-  | FMin -> Util.Float32.min a b
-  | FMax -> Util.Float32.max a b
-
-let fold_f1 op a =
-  match op with
-  | FNeg -> Util.Float32.neg a
-  | FAbs -> Util.Float32.abs a
-  | FSqrt -> Util.Float32.sqrt a
-  | FRsqrt -> Util.Float32.rsqrt a
-  | FRcp -> Util.Float32.rcp a
-  | FSin -> Util.Float32.sin a
-  | FCos -> Util.Float32.cos a
-  | FEx2 -> Util.Float32.round (Float.pow 2.0 a)
-  | FLg2 -> Util.Float32.round (Float.log a /. Float.log 2.0)
-
-let fold_i2 op a b =
-  match op with
-  | IAdd -> Some (a + b)
-  | ISub -> Some (a - b)
-  | IMul -> Some (a * b)
-  | IDiv -> if b = 0 then None else Some (a / b)
-  | IRem -> if b = 0 then None else Some (a mod b)
-  | IMin -> Some (min a b)
-  | IMax -> Some (max a b)
-  | IAnd -> Some (a land b)
-  | IOr -> Some (a lor b)
-  | IXor -> Some (a lxor b)
-  | IShl -> Some (a lsl b)
-  | IShr -> Some (a asr b)
-
-let fold_cmp c compare_result =
-  match c with
-  | CEq -> compare_result = 0
-  | CNe -> compare_result <> 0
-  | CLt -> compare_result < 0
-  | CLe -> compare_result <= 0
-  | CGt -> compare_result > 0
-  | CGe -> compare_result >= 0
-
 let is_neg_zero z = z = 0.0 && Float.sign_bit z
 let is_pos_zero z = z = 0.0 && not (Float.sign_bit z)
 
 (* One instruction, already copy/constant-propagated: try to simplify.
    Returns a replacement instruction (often a [Mov] of an immediate,
-   which later copy propagation then erases). *)
+   which the rest of the value-numbering walk then propagates).  Folds
+   evaluate with [Instr]'s operator tables, except that a division or
+   remainder by zero is left unfolded. *)
 let simplify (i : t) : t =
   match i with
-  | F2 (op, d, Imm_f a, Imm_f b) -> Mov (d, Imm_f (fold_f2 op a b))
-  | F1 (op, d, Imm_f a) -> Mov (d, Imm_f (fold_f1 op a))
+  | F2 (op, d, Imm_f a, Imm_f b) -> Mov (d, Imm_f (fop2_fn op a b))
+  | F1 (op, d, Imm_f a) -> Mov (d, Imm_f (fop1_fn op a))
   | Fmad (d, Imm_f a, Imm_f b, Imm_f c) ->
     Mov (d, Imm_f (Util.Float32.mad a b c))
-  | I2 (op, d, Imm_i a, Imm_i b) -> (
-    match fold_i2 op a b with Some r -> Mov (d, Imm_i r) | None -> i)
+  | I2 ((IDiv | IRem), _, _, Imm_i 0) -> i
+  | I2 (op, d, Imm_i a, Imm_i b) -> Mov (d, Imm_i (iop2_fn op a b))
   | Imad (d, Imm_i a, Imm_i b, Imm_i c) -> Mov (d, Imm_i ((a * b) + c))
   (* Algebraic identities that matter for address arithmetic. *)
   | I2 (IAdd, d, a, Imm_i 0) | I2 (IAdd, d, Imm_i 0, a) -> Mov (d, a)
@@ -101,68 +60,17 @@ let simplify (i : t) : t =
   | Fmad (d, a, Imm_f 1.0, c) -> F2 (FAdd, d, a, c)
   | Fmad (d, a, b, Imm_f z) when is_neg_zero z -> F2 (FMul, d, a, b)
   | Setp (c, Reg.S32, d, Imm_i a, Imm_i b) ->
-    Mov (d, Imm_i (if fold_cmp c (compare a b) then 1 else 0))
+    Mov (d, Imm_i (if cmp_fn c (compare a b) then 1 else 0))
   | Selp (d, a, _, Imm_i 1) -> Mov (d, a)
   | Selp (d, _, b, Imm_i 0) -> Mov (d, b)
   | _ -> i
 
 (* ------------------------------------------------------------------ *)
-(* Block-local copy & constant propagation                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Within a block, [mov d, src] makes [d] an alias for [src] until
-   either is redefined.  Propagating into uses exposes folding and CSE
-   opportunities; the movs themselves die in DCE.  Predicate registers
-   holding [Imm_i 0/1] are treated as constants by [simplify]. *)
-let propagate_block (body : t list) : t list =
-  let env : operand Reg.Tbl.t = Reg.Tbl.create 16 in
-  (* Reverse index: source register -> registers recorded as its
-     aliases.  Entries go stale when an alias is rebound; [kill]
-     re-checks each one against [env]. *)
-  let aliases : Reg.t list Reg.Tbl.t = Reg.Tbl.create 16 in
-  let kill d =
-    Reg.Tbl.remove env d;
-    (* Any alias whose source was [d] is now stale. *)
-    match Reg.Tbl.find_opt aliases d with
-    | None -> ()
-    | Some rs ->
-      Reg.Tbl.remove aliases d;
-      List.iter
-        (fun r ->
-          match Reg.Tbl.find_opt env r with
-          | Some (Reg s) when Reg.equal s d -> Reg.Tbl.remove env r
-          | _ -> ())
-        rs
-  in
-  let subst o =
-    match o with
-    | Reg r -> ( match Reg.Tbl.find_opt env r with Some v -> v | None -> o)
-    | _ -> o
-  in
-  List.map
-    (fun i ->
-      let i = map_uses subst i in
-      let i = simplify i in
-      (match def i with Some d -> kill d | None -> ());
-      (match i with
-      | Mov (d, src) -> (
-        match src with
-        | Reg s when Reg.equal s d -> ()
-        | Reg s ->
-          Reg.Tbl.replace env d src;
-          Reg.Tbl.replace aliases s
-            (d :: Option.value ~default:[] (Reg.Tbl.find_opt aliases s))
-        | Imm_f _ | Imm_i _ | Spec _ | Par _ -> Reg.Tbl.replace env d src)
-      | _ -> ());
-      i)
-    body
-
-(* ------------------------------------------------------------------ *)
-(* Block-local common subexpression elimination                        *)
+(* Block-local value numbering                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* A pure instruction keyed by its opcode and operands.  Loads are not
-   pure (memory may change); [Mov] is handled by copy propagation. *)
+   pure (memory may change); [Mov] feeds the copy environment instead. *)
 type opcode =
   | OF2 of fop2
   | OF1 of fop1
@@ -212,18 +120,41 @@ module Avail = Hashtbl.Make (struct
       (Hashtbl.hash o) args
 end)
 
-let cse_block (body : t list) : t list =
+(* One forward walk: each instruction's operands are substituted
+   through the copy/constant environment ([mov d, src] makes [d] an
+   alias for [src] until either is redefined), [simplify] folds it, and
+   its key is looked up among the available expressions.  On a hit the
+   instruction becomes [mov d, prev] and [d] becomes an alias of
+   [prev], so the rest of the block reads [prev] in the same walk: a
+   chain of repeats ([mul] feeding [mad] feeding an address) collapses
+   in one walk, not one round per link.  The movs die in DCE.
+   Predicate registers holding [Imm_i 0/1] are constants to
+   [simplify]. *)
+let value_number_block (body : t list) : t list =
+  let env : operand Reg.Tbl.t = Reg.Tbl.create 16 in
   let avail : Reg.t Avail.t = Avail.create 16 in
-  (* Reverse index: register -> the available keys that mention it as
-     an operand or hold it as their value.  Entries go stale when a key
-     is killed and re-recorded; [kill] re-checks each one. *)
+  (* Reverse indexes, so a redefinition kills only what it touches:
+     source register -> the registers recorded as its aliases, and
+     register -> the available keys that mention it as an operand or
+     hold it as their value.  Entries go stale when an alias is rebound
+     or a key re-recorded; [kill] re-checks each one. *)
+  let aliases : Reg.t list Reg.Tbl.t = Reg.Tbl.create 16 in
   let index : key list Reg.Tbl.t = Reg.Tbl.create 16 in
-  let note r k =
-    Reg.Tbl.replace index r (k :: Option.value ~default:[] (Reg.Tbl.find_opt index r))
+  let note tbl r x =
+    Reg.Tbl.replace tbl r (x :: Option.value ~default:[] (Reg.Tbl.find_opt tbl r))
   in
   let kill d =
-    (* Remove every available expression mentioning [d] (as source or
-       destination). *)
+    Reg.Tbl.remove env d;
+    (match Reg.Tbl.find_opt aliases d with
+    | None -> ()
+    | Some rs ->
+      Reg.Tbl.remove aliases d;
+      List.iter
+        (fun r ->
+          match Reg.Tbl.find_opt env r with
+          | Some (Reg s) when Reg.equal s d -> Reg.Tbl.remove env r
+          | _ -> ())
+        rs);
     match Reg.Tbl.find_opt index d with
     | None -> ()
     | Some ks ->
@@ -235,13 +166,30 @@ let cse_block (body : t list) : t list =
           | _ -> ())
         ks
   in
+  let bind d src =
+    match src with
+    | Reg s when Reg.equal s d -> ()
+    | Reg s ->
+      Reg.Tbl.replace env d src;
+      note aliases s d
+    | Imm_f _ | Imm_i _ | Spec _ | Par _ -> Reg.Tbl.replace env d src
+  in
+  let subst o =
+    match o with
+    | Reg r -> ( match Reg.Tbl.find_opt env r with Some v -> v | None -> o)
+    | _ -> o
+  in
   List.map
     (fun i ->
+      let i = simplify (map_uses subst i) in
       match key_of i with
       | Some (k, d) -> (
+        (* Looked up before [kill d]: [add d, d, x] repeating an earlier
+           [add p, d, x] is [p], though the key mentions [d]. *)
         match Avail.find_opt avail k with
         | Some prev when not (Reg.equal prev d) ->
           kill d;
+          bind d (Reg prev);
           Mov (d, Reg prev)
         | _ ->
           kill d;
@@ -251,12 +199,13 @@ let cse_block (body : t list) : t list =
              occurrences built from the new value. *)
           if not (key_uses k d) then begin
             Avail.replace avail k d;
-            note d k;
-            List.iter (function Reg r -> note r k | _ -> ()) (snd k)
+            note index d k;
+            List.iter (function Reg r -> note index r k | _ -> ()) (snd k)
           end;
           i)
       | None ->
         (match def i with Some d -> kill d | None -> ());
+        (match i with Mov (d, src) -> bind d src | _ -> ());
         i)
     body
 
@@ -267,7 +216,8 @@ let cse_block (body : t list) : t list =
 (* Instructions with no side effect whose destination is dead are
    removed.  Loads are conservatively kept only if their result is
    used (a dead load still costs bandwidth on hardware, but no
-   reasonable compiler emits one — ours may, transiently, after CSE).
+   reasonable compiler emits one — ours may, transiently, after value
+   numbering).
    Liveness is judged on the input kernel, so one call removes the
    last link of a dead chain only; the fixpoint loop removes the
    rest in later rounds. *)
@@ -294,15 +244,14 @@ let dce (k : Prog.t) : Prog.t =
 let map_blocks f (k : Prog.t) : Prog.t =
   { k with blocks = List.map (fun (b : Prog.block) -> { b with body = f b.body }) k.blocks }
 
-let propagate (k : Prog.t) : Prog.t = map_blocks propagate_block k
-let cse (k : Prog.t) : Prog.t = map_blocks cse_block k
+let value_number (k : Prog.t) : Prog.t = map_blocks value_number_block k
 
-(* Run copy-prop → cse → dce rounds until a round leaves the kernel
-   unchanged ([Prog.equal]) or eight rounds have run: a paper-scale SAD
-   kernel takes about five, since DCE removes one link of a dead chain
-   per round.  [apply ~round name pass k] runs one named pass of round
-   [round] (counted from 1) on [k]; the pass manager (Tuner.Pipeline)
-   times and traces each one through it. *)
+(* Run value-number → dce rounds until a round leaves the kernel
+   unchanged ([Prog.equal]) or eight rounds have run.  Every app
+   lowering settles in two: the first rewrites, the second confirms.
+   [apply ~round name pass k] runs one named pass of round [round]
+   (counted from 1) on [k]; the pass manager (Tuner.Pipeline) times and
+   traces each one through it. *)
 let fixpoint (apply : round:int -> string -> (Prog.t -> Prog.t) -> Prog.t -> Prog.t)
     (k : Prog.t) : Prog.t =
   let max_rounds = 8 in
@@ -313,7 +262,7 @@ let fixpoint (apply : round:int -> string -> (Prog.t -> Prog.t) -> Prog.t -> Pro
         List.fold_left
           (fun k (name, pass) -> apply ~round name pass k)
           k
-          [ ("copy-prop", propagate); ("cse", cse); ("dce", dce) ]
+          [ ("value-number", value_number); ("dce", dce) ]
       in
       if Prog.equal k' k then k else go k' (round + 1)
   in

@@ -72,7 +72,7 @@ let journal_tests =
           Tuner.Fault.
             [
               Compile_error { stage = "lower"; reason = "no loop" };
-              Verify_rejected { stage = "cse#2"; reason = "unbound %r3" };
+              Verify_rejected { stage = "value-number#2"; reason = "unbound %r3" };
               Launch_error { reason = "grid too large" };
               Sim_trap { reason = "out-of-bounds load" };
               Watchdog_exceeded { issued = 100001; budget = 100000 };

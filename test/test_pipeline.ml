@@ -137,6 +137,28 @@ let verify_tests =
 
 let mm_cfg = { Apps.Matmul.tile = 16; rect = 2; unroll = 2; prefetch = true; spill = false }
 
+(* The configurations of one app's space whose smoke-shape lowering
+   does not settle in exactly two [Ptx.Opt.fixpoint] rounds, with the
+   rounds each took. *)
+let unsettled ~schedule ~kernel ~describe space =
+  List.filter_map
+    (fun cfg ->
+      let kir =
+        List.fold_left
+          (fun k (p : Tuner.Pipeline.kir_pass) -> p.kp_fn k)
+          (kernel cfg) (schedule cfg)
+      in
+      let rounds = ref 0 in
+      ignore
+        (Ptx.Opt.fixpoint
+           (fun ~round _ pass k ->
+             rounds := max !rounds round;
+             pass k)
+           (Kir.Lower.lower kir)
+          : Ptx.Prog.t);
+      if !rounds = 2 then None else Some (Printf.sprintf "%s: %d rounds" (describe cfg) !rounds))
+    (Tuner.Space.configs space)
+
 let pipeline_tests =
   [
     t "a KIR pass that breaks typing is caught and named" (fun () ->
@@ -228,6 +250,14 @@ let pipeline_tests =
         in
         check_i "rounds with 1.5" 2 (rounds 1.5);
         check_i "rounds with nan" 2 (rounds Float.nan));
+    t "every quick-scale app lowering reaches its fixpoint in 2 rounds" (fun () ->
+        let off =
+          Apps.Matmul.(unsettled ~schedule ~kernel:(kernel smoke) ~describe space)
+          @ Apps.Cp.(unsettled ~schedule ~kernel:(kernel smoke) ~describe space)
+          @ Apps.Sad.(unsettled ~schedule ~kernel:(kernel smoke) ~describe space)
+          @ Apps.Mri_fhd.(unsettled ~schedule ~kernel:(kernel smoke) ~describe space)
+        in
+        Alcotest.(check (list string)) "configurations off two rounds" [] off);
     t "unroll of a missing loop label raises No_such_loop" (fun () ->
         let k = Apps.Matmul.kernel Apps.Matmul.smoke mm_cfg in
         match Kir.Unroll.apply ~select:(Kir.Unroll.Named "nonexistent") ~factor:2 k with
@@ -266,37 +296,18 @@ let traced_configs =
 prefetch kir 28 40 0
 spill(sum0) kir 40 40 0
 lower lower 40 139 13
-copy-prop#1 ptx 139 139 13
-cse#1 ptx 139 139 15
-dce#1 ptx 139 136 15
-copy-prop#2 ptx 136 136 15
-cse#2 ptx 136 136 17
-dce#2 ptx 136 126 15
-copy-prop#3 ptx 126 126 15
-cse#3 ptx 126 126 16
-dce#3 ptx 126 116 15
-copy-prop#4 ptx 116 116 15
-cse#4 ptx 116 116 15
-dce#4 ptx 116 113 15
-copy-prop#5 ptx 113 113 15
-cse#5 ptx 113 113 15
-dce#5 ptx 113 113 15
+value-number#1 ptx 139 139 18
+dce#1 ptx 139 113 15
+value-number#2 ptx 113 113 15
+dce#2 ptx 113 113 15
 characterize characterize 113 113 15|} );
     ( "cp",
       "b16x4/t2/co",
       {|lower lower 24 50 13
-copy-prop#1 ptx 50 50 13
-cse#1 ptx 50 50 13
-dce#1 ptx 50 49 13
-copy-prop#2 ptx 49 49 13
-cse#2 ptx 49 49 14
-dce#2 ptx 49 45 13
-copy-prop#3 ptx 45 45 13
-cse#3 ptx 45 45 13
-dce#3 ptx 45 41 13
-copy-prop#4 ptx 41 41 13
-cse#4 ptx 41 41 13
-dce#4 ptx 41 41 13
+value-number#1 ptx 50 50 14
+dce#1 ptx 50 41 13
+value-number#2 ptx 41 41 13
+dce#2 ptx 41 41 13
 characterize characterize 41 41 13|} );
     ( "sad",
       "tpb128/t2/uv2/uy2/ux2",
@@ -304,44 +315,19 @@ characterize characterize 41 41 13|} );
 unroll(py,2) kir 32 39 0
 unroll(t,2) kir 39 61 0
 lower lower 61 229 26
-copy-prop#1 ptx 229 229 26
-cse#1 ptx 229 229 27
-dce#1 ptx 229 229 27
-copy-prop#2 ptx 229 229 27
-cse#2 ptx 229 229 29
-dce#2 ptx 229 215 28
-copy-prop#3 ptx 215 215 28
-cse#3 ptx 215 215 29
-dce#3 ptx 215 207 27
-copy-prop#4 ptx 207 207 27
-cse#4 ptx 207 207 28
-dce#4 ptx 207 201 27
-copy-prop#5 ptx 201 201 27
-cse#5 ptx 201 201 27
-dce#5 ptx 201 199 27
-copy-prop#6 ptx 199 199 27
-cse#6 ptx 199 199 27
-dce#6 ptx 199 199 27
+value-number#1 ptx 229 229 32
+dce#1 ptx 229 199 27
+value-number#2 ptx 199 199 27
+dce#2 ptx 199 199 27
 characterize characterize 199 199 27|} );
     ( "mri",
       "tpb128/u4/w2",
       {|unroll(k,4) kir 23 53 0
 lower lower 53 158 17
-copy-prop#1 ptx 158 158 17
-cse#1 ptx 158 158 17
-dce#1 ptx 158 158 17
-copy-prop#2 ptx 158 158 17
-cse#2 ptx 158 158 17
-dce#2 ptx 158 142 17
-copy-prop#3 ptx 142 142 17
-cse#3 ptx 142 142 17
-dce#3 ptx 142 126 17
-copy-prop#4 ptx 126 126 17
-cse#4 ptx 126 126 17
-dce#4 ptx 126 114 17
-copy-prop#5 ptx 114 114 17
-cse#5 ptx 114 114 17
-dce#5 ptx 114 114 17
+value-number#1 ptx 158 158 18
+dce#1 ptx 158 114 17
+value-number#2 ptx 114 114 17
+dce#2 ptx 114 114 17
 characterize characterize 114 114 17|} );
   ]
 
@@ -373,21 +359,10 @@ let trace_tests =
             {|unroll(k,4) kir 19 28 0
 prefetch kir 28 40 0
 lower lower 40 130 14
-copy-prop#1 ptx 130 130 14
-cse#1 ptx 130 130 15
-dce#1 ptx 130 127 15
-copy-prop#2 ptx 127 127 15
-cse#2 ptx 127 127 17
-dce#2 ptx 127 117 15
-copy-prop#3 ptx 117 117 15
-cse#3 ptx 117 117 15
-dce#3 ptx 117 107 14
-copy-prop#4 ptx 107 107 14
-cse#4 ptx 107 107 14
-dce#4 ptx 107 104 14
-copy-prop#5 ptx 104 104 14
-cse#5 ptx 104 104 14
-dce#5 ptx 104 104 14
+value-number#1 ptx 130 130 17
+dce#1 ptx 130 104 14
+value-number#2 ptx 104 104 14
+dce#2 ptx 104 104 14
 peephole ptx 104 104 14
 characterize characterize 104 104 14|}
             got);

@@ -656,6 +656,31 @@ let opt_tests =
     t "opt terminates (fixed point) and is idempotent" (fun () ->
         let k = Opt.run diamond in
         check_b "idempotent" true (Opt.run k = k));
+    t "a repeated mul -> mad -> ld.const chain settles in two rounds" (fun () ->
+        (* The second copy's [mad] reads the repeated [mul]: value
+           numbering rewrites that [mul] to a copy of [%r1] and forwards
+           it to the [mad] in the same walk, which then repeats too.
+           One round rewrites, one confirms. *)
+        let k =
+          Parser.kernel_of_string
+            ".kernel t (.param .cbuf A, .param .gbuf Out)\n.smem 0 .lmem 0\n{\nB0: .weight 1\n\
+             mov.s32 %r0, %tid.x;\n\
+             mul.s32 %r1, %r0, 5;\nmad.s32 %r2, %r1, 4, $A;\nld.const.f32 %f0, [%r2];\n\
+             mul.s32 %r3, %r0, 5;\nmad.s32 %r4, %r3, 4, $A;\nld.const.f32 %f1, [%r4+4];\n\
+             add.f32 %f2, %f0, %f1;\nst.global.f32 [$Out], %f2;\nret;\n}\n"
+        in
+        let rounds = ref 0 in
+        let k' =
+          Opt.fixpoint
+            (fun ~round _ pass k ->
+              rounds := max !rounds round;
+              pass k)
+            k
+        in
+        check_i "rounds" 2 !rounds;
+        let count p = List.length (List.filter p (List.hd k'.Prog.blocks).Prog.body) in
+        check_i "one mul" 1 (count (function I.I2 (I.IMul, _, _, _) -> true | _ -> false));
+        check_i "one mad" 1 (count (function I.Imad _ -> true | _ -> false)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -890,6 +915,14 @@ let opt_preservation_tests =
            let before = run_buffer k in
            let after = run_buffer (Opt.run k) in
            Array.for_all2 Util.Float32.equal_bits before after));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"Opt.value_number alone preserves program semantics (qcheck)"
+         ~count:150
+         QCheck.(int_range 0 1000000)
+         (fun seed ->
+           let k = random_executable seed in
+           Array.for_all2 Util.Float32.equal_bits (run_buffer k)
+             (run_buffer (Opt.value_number k))));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"Opt.run never grows the program (qcheck)" ~count:150
          QCheck.(int_range 0 1000000)

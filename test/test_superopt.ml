@@ -365,6 +365,14 @@ let apply_tests =
             | Ok _ -> ()
             | Error m -> Alcotest.failf "%s: %s" e.name (E.mismatch_to_string m))
           Apps.Registry.all);
+    t "Equiv.validate passes value numbering alone on every app" (fun () ->
+        List.iter
+          (fun (e : Apps.Registry.entry) ->
+            let lowered, _ = lowered_of e.name in
+            match E.validate lowered (Ptx.Opt.value_number lowered) with
+            | Ok _ -> ()
+            | Error m -> Alcotest.failf "%s: %s" e.name (E.mismatch_to_string m))
+          Apps.Registry.all);
     t "Equiv.validate catches a dropped store and a wrong constant" (fun () ->
         let k s =
           Ptx.Parser.kernel_of_string
